@@ -320,6 +320,53 @@ func BenchmarkKernelRelabel(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelDraw times the label draw of one batched trial alone,
+// into reused buffers: Resample for the substrate models, one
+// ScenarioState trial for the geometric scenario. KernelRelabel adds
+// Relabel and a Treach check on top of the same draw, so the two together
+// split a trial's cost between drawing and the rest. The r=0.03 geometric
+// case runs a 33×33 grid holding 100 points, mostly empty cells, which
+// the automatic radius of BenchmarkSweepBatchedGeometric (a 5×5 grid)
+// never reaches.
+func BenchmarkKernelDraw(b *testing.B) {
+	for _, tc := range relabelBenchCases(b) {
+		if tc.name != "markov-clique-128" && tc.name != "pt-ramp-clique-128" {
+			continue
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			rs := tc.m.(avail.Resampler)
+			var lab temporal.Labeling
+			stream := rng.New(7)
+			rs.Resample(tc.g, &lab, stream)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rs.Resample(tc.g, &lab, stream)
+			}
+			b.ReportMetric(float64(len(lab.Labels)), "labels")
+		})
+	}
+	b.Run("geometric-n100-r0.03", func(b *testing.B) {
+		m, err := avail.Build("geometric", avail.Params{Lifetime: 64, P: map[string]float64{"radius": 0.03}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := m.(avail.IncrementalScenario).NewScenarioState(100)
+		stream := rng.New(7)
+		// Warm the buffers past the largest trial they are likely to meet.
+		for i := 0; i < 64; i++ {
+			st.Resample(stream)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var from []int32
+		for i := 0; i < b.N; i++ {
+			from, _, _ = st.Resample(stream)
+		}
+		b.ReportMetric(float64(len(from)), "edges")
+	})
+}
+
 func BenchmarkKernelRelabelRebuild(b *testing.B) {
 	for _, tc := range relabelBenchCases(b) {
 		b.Run(tc.name, func(b *testing.B) {

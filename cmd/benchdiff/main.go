@@ -18,6 +18,12 @@
 //   - it is present in the baseline but missing from the fresh run — a
 //     silently dropped benchmark would blind the gate.
 //
+// A benchmark that appears more than once in a file — `go test -count N`
+// writes one entry per run, and `make bench` runs -count 5 — is folded to
+// one entry first: the median ns/op and the largest allocs/op (see fold),
+// so the limit compares medians rather than single runs that swing with
+// host noise.
+//
 // Benchmarks new in the fresh run pass (they have no baseline yet; commit
 // an updated baseline to start gating them). Non-gated benchmarks are
 // reported but never fail the run — wall-clock numbers for the experiment
@@ -85,15 +91,51 @@ func load(path string) (map[string]Benchmark, []string, error) {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	byName := make(map[string]Benchmark, len(rep.Benchmarks))
+	runs := make(map[string][]Benchmark, len(rep.Benchmarks))
 	order := make([]string, 0, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
-		if _, dup := byName[b.Name]; !dup {
+		if _, dup := runs[b.Name]; !dup {
 			order = append(order, b.Name)
 		}
-		byName[b.Name] = b
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	byName := make(map[string]Benchmark, len(runs))
+	for name, rs := range runs {
+		byName[name] = fold(rs)
 	}
 	return byName, order, nil
+}
+
+// fold merges the repeated runs of one benchmark into one entry: the
+// median of every metric, except allocs/op, which takes the largest
+// value. Allocation counts are exact, so a single run that allocates more
+// is a real regression that a median would hide.
+func fold(runs []Benchmark) Benchmark {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	out := Benchmark{Name: runs[0].Name, Procs: runs[0].Procs, Metrics: map[string]float64{}}
+	vals := map[string][]float64{}
+	for _, r := range runs {
+		out.Iterations += r.Iterations
+		for unit, v := range r.Metrics {
+			vals[unit] = append(vals[unit], v)
+		}
+	}
+	for unit, vs := range vals {
+		sort.Float64s(vs)
+		if unit == "allocs/op" {
+			out.Metrics[unit] = vs[len(vs)-1]
+			continue
+		}
+		mid := len(vs) / 2
+		if len(vs)%2 == 0 {
+			out.Metrics[unit] = (vs[mid-1] + vs[mid]) / 2
+		} else {
+			out.Metrics[unit] = vs[mid]
+		}
+	}
+	return out
 }
 
 // diff compares fresh against base and returns the human-readable report

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -100,5 +103,55 @@ func TestDiffMultiPrefixGate(t *testing.T) {
 	}
 	if gatedBy("SweepRebuildGeometric", def) || gatedBy("SweepAdaptiveOverhead", def) {
 		t.Fatal("non-batched sweep benchmarks must stay ungated")
+	}
+}
+
+// TestLoadFoldsRepeats: a -count N run lists each benchmark N times; load
+// must fold them to the median ns/op and the largest allocs/op, keep the
+// first-seen order, and leave single entries as they are.
+func TestLoadFoldsRepeats(t *testing.T) {
+	rep := Report{Benchmarks: []Benchmark{
+		bench("KernelA", 300, 0),
+		bench("KernelB", 50, 2),
+		bench("KernelA", 100, 0),
+		bench("KernelA", 200, 0),
+		bench("KernelA", 250, 0),
+		bench("KernelEven", 10, 0),
+		bench("KernelEven", 30, 0),
+		bench("KernelA", 900, 1), // one noisy, allocating run, listed last
+	}}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	byName, order, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(order, ",") != "KernelA,KernelB,KernelEven" {
+		t.Fatalf("order %v", order)
+	}
+	for _, tc := range []struct {
+		name       string
+		ns, allocs float64
+	}{
+		{"KernelA", 250, 1}, // median of 100,200,250,300,900; max allocs
+		{"KernelB", 50, 2},
+		{"KernelEven", 20, 0}, // even count: mean of the middle two
+	} {
+		m := byName[tc.name].Metrics
+		if m["ns/op"] != tc.ns || m["allocs/op"] != tc.allocs {
+			t.Fatalf("%s folded to ns/op %v allocs/op %v, want %v and %v", tc.name, m["ns/op"], m["allocs/op"], tc.ns, tc.allocs)
+		}
+	}
+	// The median, not the last run listed, meets the limit: KernelA's
+	// noisy 900 ns/op run alone would fail a 30% limit against 250.
+	base, baseOrder := asMaps(bench("KernelA", 250, 1))
+	if _, failures := diff(base, byName, baseOrder, 0.30, "Kernel"); len(failures) != 0 {
+		t.Fatalf("folded run flagged: %v", failures)
 	}
 }

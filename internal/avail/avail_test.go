@@ -1,6 +1,7 @@
 package avail
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,6 +66,64 @@ func TestBuildRejectsUnknown(t *testing.T) {
 	}
 	if _, err := Build("pt-burst", Params{P: map[string]float64{"width": 0}}); err == nil {
 		t.Fatal("zero burst width must error")
+	}
+}
+
+// TestParseKnobsRejectsNonFinite: the knob parser refuses NaN and ±Inf in
+// every spelling strconv accepts, and still parses finite values.
+func TestParseKnobsRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want map[string]float64 // nil: must fail
+	}{
+		{"s=NaN", nil},
+		{"s=nan", nil},
+		{"runlen=Inf", nil},
+		{"runlen=+Inf", nil},
+		{"amp=-Inf", nil},
+		{"cycles=infinity", nil},
+		{"pi=0.1,start=NaN", nil},
+		{"width=1e400", nil}, // overflows to +Inf: strconv reports a range error
+		{"pi=0.1, runlen = 4", map[string]float64{"pi": 0.1, "runlen": 4}},
+		{"radius=0,step=5e-324", map[string]float64{"radius": 0, "step": 5e-324}},
+	} {
+		got, err := ParseKnobs(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Fatalf("ParseKnobs(%q) = %v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("ParseKnobs(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
+// TestBuildRejectsNaNKnobs sets every declared knob of every model to NaN
+// in turn, as a Go caller can through Params.P without ParseKnobs: each
+// constructor's range check must fail it with an error, not a panic and
+// not a model that silently draws nothing.
+func TestBuildRejectsNaNKnobs(t *testing.T) {
+	for _, b := range Builders() {
+		for _, k := range b.Knobs {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Build(%s, %s=NaN) panicked: %v", b.Name, k.Name, r)
+					}
+				}()
+				if _, err := Build(b.Name, Params{P: map[string]float64{k.Name: math.NaN()}}); err == nil {
+					t.Fatalf("Build(%s, %s=NaN) succeeded", b.Name, k.Name)
+				}
+			}()
+		}
+	}
+	// Infinite periodic knobs turn p(t) into NaN the same way.
+	for _, k := range []string{"amp", "cycles"} {
+		if _, err := Build("pt-periodic", Params{P: map[string]float64{k: math.Inf(1)}}); err == nil {
+			t.Fatalf("Build(pt-periodic, %s=+Inf) succeeded", k)
+		}
 	}
 }
 

@@ -42,6 +42,26 @@
 // drives; CanResample reports whether a model qualifies (scenarios, which
 // redraw their support graph every trial, never do).
 //
+// # Draw kernels
+//
+// The per-slot models draw through package rng's bulk kernels, one call
+// per edge, which keep the generator state in local variables for the
+// edge's whole lifetime:
+//
+//   - markov: rng.AppendChain, with coins compiled from pi (start), beta
+//     (leave, chain on) and alpha (enter, chain off).
+//   - pt, pt-ramp, pt-periodic, pt-burst: rng.AppendSchedule over the
+//     schedule's p(t) compiled to one rng.Coin per slot when the model is
+//     built.
+//   - uniform: dist.Uniform.SampleInto; binom, geom and zipf draw label
+//     by label through assign.FromDistributionInto.
+//   - geometric: its ScenarioState (below) draws two Float64 per point
+//     and slot.
+//
+// Both kernels consume the stream exactly as per-slot Stream.Bernoulli
+// loops would; resample_ref_test.go keeps those loops as the reference
+// and compares labels, offsets and the stream's next word.
+//
 // # Incremental scenarios
 //
 // Scenario models get their own batched fast path. A scenario that
@@ -54,9 +74,12 @@
 // network in place through temporal.RelabelEdges (topology delta + full
 // relabel) instead of rebuilding graph, labels and time-edge indexes from
 // scratch. The geometric model's state keeps its torus grid buckets
-// consistent across walk steps by delta cell moves and groups the packed
-// (pair, slot) events with a stable per-pair counting sort, so a
-// steady-state trial allocates nothing. Generate itself stays the simple
+// consistent across walk steps by delta cell moves, together with the
+// list of occupied cells, so each slot's close-pair scan visits at most n
+// cells however fine the grid; it wraps coordinates with two comparisons
+// instead of math.Mod, exact because a step moves a point by at most 0.5;
+// and it groups the packed (pair, slot) events with a stable per-pair
+// counting sort, so a steady-state trial allocates nothing. Generate itself stays the simple
 // map-accumulating reference implementation — the differential oracle the
 // engine is pinned against — and NewScenarioState may return nil for
 // sizes the packed representation cannot cover, which drops that worker

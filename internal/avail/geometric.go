@@ -185,9 +185,14 @@ type geomState struct {
 	// the members of each cell. advance moves points between buckets only
 	// when their cell actually changes — most steps move only a fraction of
 	// points across cell borders, and no per-step allocation or O(cells²)
-	// reset happens either way.
+	// reset happens either way. occ lists the occupied cells in no
+	// particular order and occAt[c] is occupied cell c's index in occ, so
+	// scanGrid visits at most n cells however fine the grid, and a cell
+	// joins or leaves the list in O(1).
 	cell    []int32
 	buckets [][]int32
+	occ     []int32
+	occAt   []int32
 
 	// events collects one packed word per (pair, slot) liveness:
 	// (u·n+v)·(a+1)+t with u < v. The scan emits them t-major, so a stable
@@ -230,8 +235,12 @@ func (m Geometric) newState(n int) *geomState {
 	// is at least 4×4 and there are enough points to spread over it.
 	if cells := int(math.Floor(1 / r)); cells >= 4 && n >= 16 {
 		s.cells = cells
-		s.cell = make([]int32, n)
 		s.buckets = make([][]int32, cells*cells)
+		// One allocation backs cell, occAt and occ, whose length never
+		// exceeds the number of points or cells.
+		nc := cells * cells
+		grid := make([]int32, n+nc+min(n, nc))
+		s.cell, s.occAt, s.occ = grid[:n:n], grid[n:n+nc:n+nc], grid[n+nc:n+nc]
 	}
 	if nk := n * n; nk > 0 && nk <= countingMaxKeys {
 		s.counts = make([]int32, nk)
@@ -250,13 +259,14 @@ func (s *geomState) Resample(stream *rng.Stream) ([]int32, []int32, temporal.Lab
 		s.ys[i] = stream.Float64()
 	}
 	if s.cells > 0 {
-		for i := range s.buckets {
-			s.buckets[i] = s.buckets[i][:0]
+		for _, c := range s.occ {
+			s.buckets[c] = s.buckets[c][:0]
 		}
+		s.occ = s.occ[:0]
 		for i := 0; i < n; i++ {
 			c := s.cellIndex(i)
 			s.cell[i] = c
-			s.buckets[c] = append(s.buckets[c], int32(i))
+			s.join(c, i)
 		}
 	}
 	s.events = s.events[:0]
@@ -280,29 +290,66 @@ func (s *geomState) Resample(stream *rng.Stream) ([]int32, []int32, temporal.Lab
 
 // advance moves every point one slot (drawing uniforms in exactly the
 // walk.advance order) and migrates the points whose grid cell changed.
-// Bucket removal is a swap-remove after a linear scan — buckets hold a few
-// points each by construction (cell side ≥ radius).
 func (s *geomState) advance(stream *rng.Stream) {
 	step := s.geo.step
 	for i := range s.xs {
-		s.xs[i] = wrap01(s.xs[i] + (2*stream.Float64()-1)*step)
-		s.ys[i] = wrap01(s.ys[i] + (2*stream.Float64()-1)*step)
+		s.xs[i] = wrapStep(s.xs[i] + (2*stream.Float64()-1)*step)
+		s.ys[i] = wrapStep(s.ys[i] + (2*stream.Float64()-1)*step)
 		if s.cells == 0 {
 			continue
 		}
 		c := s.cellIndex(i)
 		if old := s.cell[i]; c != old {
-			b := s.buckets[old]
-			for k, p := range b {
-				if p == int32(i) {
-					b[k] = b[len(b)-1]
-					s.buckets[old] = b[:len(b)-1]
-					break
-				}
-			}
+			s.leave(old, i)
 			s.cell[i] = c
-			s.buckets[c] = append(s.buckets[c], int32(i))
+			s.join(c, i)
 		}
+	}
+}
+
+// wrapStep is wrap01 for a coordinate in [0,1] moved by at most 0.5, so
+// for a value in [−0.5, 1.5]. One add or subtract of 1 wraps it, with the
+// same rounding as wrap01: math.Mod(x, 1) returns x itself for |x| < 1
+// and the exact x−1 for x in [1, 2), and wrap01 then adds 1 to a negative
+// x, as here. The reference walk keeps wrap01, so the engine and Generate
+// stay independent implementations.
+func wrapStep(x float64) float64 {
+	if x < 0 {
+		return x + 1
+	}
+	if x >= 1 {
+		return x - 1
+	}
+	return x
+}
+
+// join adds point i to cell c, listing c as occupied if it was empty.
+func (s *geomState) join(c int32, i int) {
+	if len(s.buckets[c]) == 0 {
+		s.occAt[c] = int32(len(s.occ))
+		s.occ = append(s.occ, c)
+	}
+	s.buckets[c] = append(s.buckets[c], int32(i))
+}
+
+// leave removes point i from cell c and unlists c once it is empty. Both
+// removals are swap-removes; the bucket one follows a linear scan, as
+// buckets hold a few points each by construction (cell side ≥ radius).
+func (s *geomState) leave(c int32, i int) {
+	b := s.buckets[c]
+	for k, p := range b {
+		if p == int32(i) {
+			b[k] = b[len(b)-1]
+			b = b[:len(b)-1]
+			break
+		}
+	}
+	s.buckets[c] = b
+	if len(b) == 0 {
+		at, last := s.occAt[c], s.occ[len(s.occ)-1]
+		s.occ[at] = last
+		s.occAt[last] = at
+		s.occ = s.occ[:len(s.occ)-1]
 	}
 }
 
@@ -326,36 +373,35 @@ func (s *geomState) cellIndex(i int) int32 {
 // neighbor for a grid of side ≥ 4, which newState guarantees.
 var halfOffsets = [4][2]int{{1, 0}, {1, 1}, {0, 1}, {-1, 1}}
 
-// scanGrid emits a packed event for every pair within the radius at slot t.
+// scanGrid emits a packed event for every pair within the radius at slot
+// t, visiting only the occupied cells. The order in which cells are
+// visited does not reach the output: each pair is emitted at most once
+// per slot, and both groupers order a slot's events by pair.
 func (s *geomState) scanGrid(t int) {
 	cells := s.cells
-	for cy := 0; cy < cells; cy++ {
-		for cx := 0; cx < cells; cx++ {
-			b := s.buckets[cy*cells+cx]
-			if len(b) == 0 {
-				continue
+	for _, c := range s.occ {
+		b := s.buckets[c]
+		for ai := 0; ai < len(b); ai++ {
+			for bi := ai + 1; bi < len(b); bi++ {
+				s.tryPair(int(b[ai]), int(b[bi]), t)
 			}
-			for ai := 0; ai < len(b); ai++ {
-				for bi := ai + 1; bi < len(b); bi++ {
-					s.tryPair(int(b[ai]), int(b[bi]), t)
-				}
+		}
+		cx, cy := int(c)%cells, int(c)/cells
+		for _, d := range halfOffsets {
+			bx := cx + d[0]
+			if bx < 0 {
+				bx += cells
+			} else if bx >= cells {
+				bx -= cells
 			}
-			for _, d := range halfOffsets {
-				bx := cx + d[0]
-				if bx < 0 {
-					bx += cells
-				} else if bx >= cells {
-					bx -= cells
-				}
-				by := cy + d[1]
-				if by >= cells {
-					by -= cells
-				}
-				nb := s.buckets[by*cells+bx]
-				for _, i := range b {
-					for _, j := range nb {
-						s.tryPair(int(i), int(j), t)
-					}
+			by := cy + d[1]
+			if by >= cells {
+				by -= cells
+			}
+			nb := s.buckets[by*cells+bx]
+			for _, i := range b {
+				for _, j := range nb {
+					s.tryPair(int(i), int(j), t)
 				}
 			}
 		}

@@ -9,6 +9,7 @@ package avail
 // temporal.RelabelEdges instead of rebuilding networks.
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -52,14 +53,24 @@ func TestGeometricStateMatchesGenerate(t *testing.T) {
 		a            int
 		radius, step float64
 		n            int
+		cells        int // grid side the radius gives; 0 = brute force
 	}{
-		{"grid-auto", 12, 0, 0.05, 64}, // auto radius, grid path
-		{"grid-explicit", 9, 0.11, 0.07, 60},
-		{"brute-dense", 7, 0.3, 0.1, 40},      // cells=3 < 4 → brute force
-		{"brute-small-n", 10, 0.11, 0.05, 12}, // n < 16 → brute force
-		{"n0", 6, 0.2, 0.05, 0},
-		{"n1", 6, 0.2, 0.05, 1},
-		{"a1", 1, 0.15, 0.05, 48}, // single slot, no advances
+		{"grid-auto", 12, 0, 0.05, 64, 4}, // auto radius, grid path
+		{"grid-explicit", 9, 0.11, 0.07, 60, 9},
+		{"brute-dense", 7, 0.3, 0.1, 40, 0},      // cells=3 < 4 → brute force
+		{"brute-small-n", 10, 0.11, 0.05, 12, 0}, // n < 16 → brute force
+		{"n0", 6, 0.2, 0.05, 0, 0},
+		{"n1", 6, 0.2, 0.05, 1, 0},
+		{"a1", 1, 0.15, 0.05, 48, 6}, // single slot, no advances
+		// Finer grids hold mostly empty cells: the occupied-cell scan
+		// must still find every close pair across cell borders and the
+		// torus seam.
+		{"grid-4", 8, 0.24, 0.05, 64, 4},
+		{"grid-10", 8, 0.1, 0.05, 100, 10},
+		{"grid-20", 8, 0.05, 0.05, 100, 20},
+		{"grid-33", 8, 0.03, 0.05, 100, 33},
+		{"grid-52", 8, 0.019, 0.05, 100, 52},
+		{"grid-52-slow", 16, 0.019, 0.004, 160, 52}, // steps below a cell side
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,12 +82,39 @@ func TestGeometricStateMatchesGenerate(t *testing.T) {
 			if st == nil {
 				t.Fatalf("NewScenarioState(%d) = nil", tc.n)
 			}
+			if got := st.(*geomState).cells; got != tc.cells {
+				t.Fatalf("grid side %d, want %d", got, tc.cells)
+			}
 			const seed = 99
 			for trial := uint64(0); trial < 6; trial++ {
 				from, to, lab := st.Resample(rng.NewStream(seed, trial))
 				assertTrialEqual(t, tc.name, from, to, lab, m, tc.n, seed, trial)
 			}
 		})
+	}
+}
+
+// TestWrapStepMatchesWrap01 pins the engine's two-comparison wrap to the
+// reference walk's math.Mod wrap, bit for bit, over the whole range a
+// coordinate in [0,1] reaches after one step of at most 0.5.
+func TestWrapStepMatchesWrap01(t *testing.T) {
+	const ulp = 1.0 / (1 << 53)
+	xs := []float64{
+		-0.5, -0.25, -ulp, -5e-324, math.Copysign(0, -1), 0, 5e-324, ulp,
+		0.5, 1 - ulp, 1, 1 + 2*ulp, 1.25, 1.5,
+	}
+	r := rng.New(41)
+	for i := 0; i < 10000; i++ {
+		x := r.Float64()
+		if i%1000 == 0 {
+			x = 1 // the one value above [0,1) that wrap01 can return
+		}
+		xs = append(xs, x+(2*r.Float64()-1)*0.5)
+	}
+	for _, x := range xs {
+		if got, want := wrapStep(x), wrap01(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("wrapStep(%v) = %v, wrap01 gives %v", x, got, want)
+		}
 	}
 }
 

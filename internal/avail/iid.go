@@ -100,7 +100,7 @@ func init() {
 		},
 		New: func(p Params) (Model, error) {
 			s := p.get("s", 1.1)
-			if s <= 0 {
+			if !(s > 0) {
 				return nil, fmt.Errorf("zipf needs s > 0, got %v", s)
 			}
 			return NewIID(dist.NewZipf(s, p.lifetime()), p.r()), nil

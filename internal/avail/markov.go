@@ -36,7 +36,7 @@ func NewMarkov(a int, pi, runlen float64) (Markov, error) {
 	if !(pi > 0 && pi < 1) {
 		return Markov{}, fmt.Errorf("markov needs pi in (0,1), got %v", pi)
 	}
-	if runlen < 1 {
+	if !(runlen >= 1) {
 		return Markov{}, fmt.Errorf("markov needs runlen >= 1, got %v", runlen)
 	}
 	beta := 1 / runlen
@@ -69,25 +69,16 @@ func (m Markov) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
 }
 
 // Resample is the in-place Resampler fast path: the per-edge chains are
-// re-run into lab's existing buffers with exactly Assign's stream
-// consumption. Assign delegates here, so the two paths cannot drift.
+// re-run into lab's existing buffers, one rng.AppendChain call per edge
+// with start, leave and enter coins of probability pi, beta and alpha.
+// Assign delegates here; resample_ref_test.go pins both, labels and
+// stream consumption, to a per-slot Bernoulli loop.
 func (m Markov) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
 	me := g.M()
 	lab.Reset(me)
+	start, leave, enter := rng.NewCoin(m.pi), rng.NewCoin(m.beta), rng.NewCoin(m.alpha)
 	for e := 0; e < me; e++ {
-		on := stream.Bernoulli(m.pi)
-		for t := 1; t <= m.a; t++ {
-			if on {
-				lab.Labels = append(lab.Labels, int32(t))
-			}
-			if t < m.a {
-				if on {
-					on = !stream.Bernoulli(m.beta)
-				} else {
-					on = stream.Bernoulli(m.alpha)
-				}
-			}
-		}
+		lab.Labels = stream.AppendChain(lab.Labels, m.a, start, leave, enter)
 		lab.Off[e+1] = int32(len(lab.Labels))
 	}
 }

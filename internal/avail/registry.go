@@ -2,6 +2,7 @@ package avail
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,8 +81,9 @@ func Builders() []Builder {
 }
 
 // ParseKnobs parses the CLI knob syntax "name=value[,name=value…]" into a
-// Params.P map; empty input yields nil. Name validity is checked later by
-// Build against the chosen model's declared knobs.
+// Params.P map; empty input yields nil. Values must be finite: no knob
+// takes NaN or ±Inf. Name validity is checked later by Build against the
+// chosen model's declared knobs.
 func ParseKnobs(s string) (map[string]float64, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -97,6 +99,9 @@ func ParseKnobs(s string) (map[string]float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 		if err != nil {
 			return nil, fmt.Errorf("avail: knob %q: %v", name, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("avail: knob %q: value %v is not finite", name, v)
 		}
 		out[name] = v
 	}

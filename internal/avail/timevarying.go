@@ -17,7 +17,8 @@ import (
 // independently.
 type TimeVarying struct {
 	name  string
-	probs []float64 // probs[t-1] = p(t), already clamped to [0,1]
+	probs []float64  // probs[t-1] = p(t), already clamped to [0,1]
+	coins []rng.Coin // coins[t-1] = p(t) compiled for rng.AppendSchedule
 }
 
 // NewRamp returns the linear schedule from p0 at t=1 to p1 at t=a.
@@ -45,11 +46,11 @@ func NewPeriodic(a int, base, amp, cycles float64) (TimeVarying, error) {
 	if err := checkSlotProb("periodic base", base); err != nil {
 		return TimeVarying{}, err
 	}
-	if amp < 0 {
-		return TimeVarying{}, fmt.Errorf("periodic needs amp >= 0, got %v", amp)
+	if !(amp >= 0 && amp < math.Inf(1)) {
+		return TimeVarying{}, fmt.Errorf("periodic needs finite amp >= 0, got %v", amp)
 	}
-	if cycles <= 0 {
-		return TimeVarying{}, fmt.Errorf("periodic needs cycles > 0, got %v", cycles)
+	if !(cycles > 0 && cycles < math.Inf(1)) {
+		return TimeVarying{}, fmt.Errorf("periodic needs finite cycles > 0, got %v", cycles)
 	}
 	probs := make([]float64, a)
 	for t := 1; t <= a; t++ {
@@ -69,10 +70,10 @@ func NewBurst(a int, low, high, start, width float64) (TimeVarying, error) {
 	if err := checkSlotProb("burst high", high); err != nil {
 		return TimeVarying{}, err
 	}
-	if start < 0 || start >= 1 {
+	if !(start >= 0 && start < 1) {
 		return TimeVarying{}, fmt.Errorf("burst needs start in [0,1), got %v", start)
 	}
-	if width <= 0 || width > 1 {
+	if !(width > 0 && width <= 1) {
 		return TimeVarying{}, fmt.Errorf("burst needs width in (0,1], got %v", width)
 	}
 	// Epsilon guards keep slot counts stable under decimal fractions that
@@ -101,11 +102,15 @@ func newTimeVarying(name string, a int, probs []float64) (TimeVarying, error) {
 	if a < 1 {
 		return TimeVarying{}, fmt.Errorf("pt schedule needs lifetime >= 1, got %d", a)
 	}
-	return TimeVarying{name: name, probs: probs}, nil
+	coins := make([]rng.Coin, len(probs))
+	for i, p := range probs {
+		coins[i] = rng.NewCoin(p)
+	}
+	return TimeVarying{name: name, probs: probs, coins: coins}, nil
 }
 
 func checkSlotProb(what string, p float64) error {
-	if p < 0 || p > 1 || math.IsNaN(p) {
+	if !(p >= 0 && p <= 1) {
 		return fmt.Errorf("%s must be a probability in [0,1], got %v", what, p)
 	}
 	return nil
@@ -133,18 +138,15 @@ func (m TimeVarying) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labelin
 	return lab
 }
 
-// Resample is the in-place Resampler fast path: the same per-slot
-// Bernoulli sweep as Assign, appended into lab's existing buffers. Assign
-// delegates here, so the two paths cannot drift.
+// Resample is the in-place Resampler fast path: one rng.AppendSchedule
+// call per edge over the compiled p(t) coins, appended into lab's
+// existing buffers. Assign delegates here; resample_ref_test.go pins
+// both, labels and stream consumption, to a per-slot Bernoulli loop.
 func (m TimeVarying) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
 	me := g.M()
 	lab.Reset(me)
 	for e := 0; e < me; e++ {
-		for t := 1; t <= len(m.probs); t++ {
-			if stream.Bernoulli(m.probs[t-1]) {
-				lab.Labels = append(lab.Labels, int32(t))
-			}
-		}
+		lab.Labels = stream.AppendSchedule(lab.Labels, m.coins)
 		lab.Off[e+1] = int32(len(lab.Labels))
 	}
 }

@@ -1,0 +1,170 @@
+package rng
+
+import (
+	"math"
+	"slices"
+)
+
+// Coin is Bernoulli(p) compiled to one integer comparison. Flip(NewCoin(p))
+// draws exactly when Bernoulli(p) draws and returns the same outcome from
+// the same stream state.
+//
+// Float64 returns (x>>11)·2⁻⁵³ for the word x without rounding, and p·2⁵³
+// only rescales p by a power of two, so Float64() < p holds exactly when
+// x>>11 < ⌈p·2⁵³⌉. That ceiling is cut.
+type Coin struct {
+	// cut is the number of 53-bit draws k = x>>11 that come up heads:
+	// heads iff k < cut. It is 0 for p <= 0 and NaN, 2⁵³ for p >= 1.
+	cut uint64
+	// draw reports whether a flip consumes a word. Like Bernoulli, a coin
+	// with p <= 0 or p >= 1 draws nothing; every other p, NaN included,
+	// draws once.
+	draw bool
+}
+
+// NewCoin compiles the heads probability p.
+func NewCoin(p float64) Coin {
+	switch {
+	case p <= 0:
+		return Coin{}
+	case p >= 1:
+		return Coin{cut: 1 << 53}
+	case p > 0:
+		return Coin{cut: uint64(math.Ceil(p * (1 << 53))), draw: true}
+	}
+	// NaN: Bernoulli draws once and Float64() < NaN is false.
+	return Coin{draw: true}
+}
+
+// Flip returns true with the coin's probability, consuming the stream
+// exactly as Bernoulli does for the probability the coin was compiled from.
+func (r *Stream) Flip(c Coin) bool {
+	if !c.draw {
+		return c.cut != 0
+	}
+	return r.Uint64()>>11 < c.cut
+}
+
+// AppendSchedule appends to dst every slot t ∈ {1,…,len(coins)} whose coin
+// coins[t−1] comes up heads, and returns the extended slice. It is the bulk
+// form of
+//
+//	for i, c := range coins {
+//		if r.Flip(c) {
+//			dst = append(dst, int32(i+1))
+//		}
+//	}
+//
+// and consumes the stream exactly as that loop does, but keeps the state
+// in local variables for the whole schedule.
+func (r *Stream) AppendSchedule(dst []int32, coins []Coin) []int32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(coins))[:n+len(coins)]
+	var k int
+	k, *r = schedule(*r, dst[n:], coins)
+	return dst[:n+k]
+}
+
+// schedule is AppendSchedule's loop on a state passed by value. It writes
+// the heads slots to the front of out, which has room for every slot, and
+// returns their count and the final state. Each slot is stored before its
+// outcome is known and kept by adding the outcome to the count, so no
+// branch depends on a coin's outcome.
+func schedule(s Stream, out []int32, coins []Coin) (int, Stream) {
+	k := 0
+	for i, c := range coins {
+		heads := c.cut >> 53 // a non-drawing coin has cut 0 or 2⁵³
+		if c.draw {
+			var x uint64
+			x, s = s.next()
+			heads = below(x, c.cut)
+		}
+		out[k] = int32(i + 1)
+		k += int(heads)
+	}
+	return k, s
+}
+
+// below is the coin test x>>11 < cut as 0 or 1. Both sides are at most
+// 2⁵³, so their difference wraps to a word with its top bit set exactly
+// when the draw falls below the cut.
+func below(x, cut uint64) uint64 { return (x>>11 - cut) >> 63 }
+
+// AppendChain appends to dst every slot t ∈ {1,…,a} at which a two-state
+// on/off chain is on, and returns the extended slice. The chain starts on
+// when start comes up heads; between consecutive slots an on chain turns
+// off when leave comes up heads, and an off chain turns on when enter
+// comes up heads. It is the bulk form of
+//
+//	on := r.Flip(start)
+//	for t := 1; t <= a; t++ {
+//		if on {
+//			dst = append(dst, int32(t))
+//		}
+//		if t < a {
+//			if on {
+//				on = !r.Flip(leave)
+//			} else {
+//				on = r.Flip(enter)
+//			}
+//		}
+//	}
+//
+// and consumes the stream exactly as that loop does. When both transition
+// coins draw, which every chain with alpha < 1 and beta < 1 does, the
+// state stays in local variables for the whole chain; otherwise the kernel
+// runs that loop as written.
+func (r *Stream) AppendChain(dst []int32, a int, start, leave, enter Coin) []int32 {
+	on := r.Flip(start)
+	if a < 1 {
+		return dst
+	}
+	if !leave.draw || !enter.draw {
+		for t := 1; t <= a; t++ {
+			if on {
+				dst = append(dst, int32(t))
+			}
+			if t < a {
+				if on {
+					on = !r.Flip(leave)
+				} else {
+					on = r.Flip(enter)
+				}
+			}
+		}
+		return dst
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, a)[:n+a]
+	var k int
+	k, *r = chain(*r, dst[n:], on, leave.cut, enter.cut)
+	return dst[:n+k]
+}
+
+// chain is AppendChain's loop for two drawing transition coins, on a state
+// passed by value: out has one entry per slot, on is the chain's state at
+// slot 1, and leave and enter are the coins' cuts. It writes the on slots
+// to the front of out and returns their count and the final state. Like
+// schedule it stores every slot and keeps it by adding the state to the
+// count; the state itself is 0 or 1 and steps by arithmetic, so no branch
+// depends on the chain.
+func chain(s Stream, out []int32, on bool, leave, enter uint64) (int, Stream) {
+	var state uint64
+	if on {
+		state = 1
+	}
+	k := 0
+	for t := 1; t < len(out); t++ {
+		out[k] = int32(t)
+		k += int(state)
+		var x uint64
+		x, s = s.next()
+		// Off, the chain turns on on heads of enter (e); on, it stays on
+		// on tails of leave (l^1). Both cases are e ^ (state & (e^l^1)).
+		l, e := below(x, leave), below(x, enter)
+		state = e ^ (state & (e ^ l ^ 1))
+	}
+	out[k] = int32(len(out))
+	k += int(state)
+	return k, s
+}

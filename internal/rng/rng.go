@@ -18,8 +18,13 @@ func SplitMix64(state *uint64) uint64 {
 
 // Stream is a xoshiro256** generator. The zero value is not a valid
 // generator; obtain streams from New or NewStream.
+//
+// The state is four scalar fields rather than an array: that keeps Uint64
+// within the compiler's inlining budget, and it lets the bulk kernels
+// (AppendSchedule, AppendChain) load the state into local variables once
+// per call and step it there.
 type Stream struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a Stream seeded from the given seed. Distinct seeds give
@@ -48,28 +53,46 @@ func NewStream(seed uint64, idx uint64) *Stream {
 // Reseed resets the stream state from a single seed value.
 func (r *Stream) Reseed(seed uint64) {
 	sm := seed
-	for i := range r.s {
-		r.s[i] = SplitMix64(&sm)
-	}
+	r.s0 = SplitMix64(&sm)
+	r.s1 = SplitMix64(&sm)
+	r.s2 = SplitMix64(&sm)
+	r.s3 = SplitMix64(&sm)
 	// xoshiro256** is ill-defined on the all-zero state; SplitMix64 cannot
 	// produce four zero outputs in a row, but keep the guard for clarity.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if r.s0|r.s1|r.s2|r.s3 == 0 {
+		r.s0 = 0x9e3779b97f4a7c15
 	}
 }
 
 // Uint64 returns the next 64 uniformly random bits.
+//
+// The step is written out here rather than delegated to next, so that
+// Uint64 stays well inside the inlining budget.
 func (r *Stream) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	x := bits.RotateLeft64(r.s1*5, 7) * 9
+	t := r.s1 << 17
+	r.s2 ^= r.s0
+	r.s3 ^= r.s1
+	r.s1 ^= r.s2
+	r.s0 ^= r.s3
+	r.s2 ^= t
+	r.s3 = bits.RotateLeft64(r.s3, 45)
+	return x
+}
+
+// next is the same xoshiro256** step on a state passed by value: it
+// returns the output word and the next state. The bulk kernels call it on
+// a local copy of the stream, which the compiler keeps in registers.
+func (s Stream) next() (uint64, Stream) {
+	x := bits.RotateLeft64(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = bits.RotateLeft64(s.s3, 45)
+	return x, s
 }
 
 // Intn returns a uniformly random int in [0, n). It panics if n <= 0.
