@@ -67,6 +67,7 @@ func BenchmarkE14Windows(b *testing.B)               { runExperiment(b, "E14") }
 func BenchmarkE15MarkovDiameter(b *testing.B)        { runExperiment(b, "E15") }
 func BenchmarkE16TimeVarying(b *testing.B)           { runExperiment(b, "E16") }
 func BenchmarkE17Geometric(b *testing.B)             { runExperiment(b, "E17") }
+func BenchmarkE18ConnectivityThreshold(b *testing.B) { runExperiment(b, "E18") }
 
 // --- kernel micro-benchmarks -------------------------------------------
 
@@ -172,32 +173,68 @@ func BenchmarkKernelMultiSourceReach(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelArrivalRegimes races the two single-source kernels across
-// the reachability regimes that drive the all-pairs kernel portfolio: the
-// frontier kernel wins whenever reachability is partial (the linear scan
-// cannot exit early), the linear kernel wins on fully-reachable
-// label-dense instances (its early exit stops at the completion prefix).
+// regimeNet is one named instance of the reachability-regime benchmarks.
+type regimeNet struct {
+	name string
+	net  *temporal.Network
+}
+
+// reachabilityRegimes builds the three reachability regimes: a
+// subcritical and a near-threshold directed G(n,p) at n = 4096, where
+// reachability is partial, and the fully reachable URT clique-256.
+func reachabilityRegimes() []regimeNet {
+	r := rng.New(1)
+	g := graph.Gnp(4096, 0.5/4096, true, r)
+	sub := temporal.MustNew(g, 4096, assign.Uniform(g, 4096, 4, r))
+	g = graph.Gnp(4096, 3.0/4096, true, r)
+	near := temporal.MustNew(g, 4096, assign.Uniform(g, 4096, 2, r))
+	return []regimeNet{
+		{"subcritical-gnp-4096", sub},
+		{"near-threshold-gnp-4096", near},
+		{"clique-256", urtClique(256, 1)},
+	}
+}
+
+// BenchmarkKernelArrivalRegimes compares the single-source frontier kernel
+// with the linear oracle across the reachability regimes: the frontier
+// wins whenever reachability is partial (the linear scan cannot exit
+// early), the linear scan on fully-reachable label-dense instances (its
+// early exit stops at the completion prefix).
 func BenchmarkKernelArrivalRegimes(b *testing.B) {
-	run := func(name string, net *temporal.Network) {
-		n := net.Graph().N()
+	for _, rn := range reachabilityRegimes() {
+		n := rn.net.Graph().N()
 		arr := make([]int32, n)
-		b.Run(name+"/frontier", func(b *testing.B) {
+		b.Run(rn.name+"/frontier", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				net.EarliestArrivalsInto(i%n, arr)
+				rn.net.EarliestArrivalsInto(i%n, arr)
 			}
 		})
-		b.Run(name+"/linear", func(b *testing.B) {
+		b.Run(rn.name+"/linear", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				net.EarliestArrivalsLinearInto(i%n, arr)
+				rn.net.EarliestArrivalsLinearInto(i%n, arr)
 			}
 		})
 	}
-	r := rng.New(1)
-	g := graph.Gnp(4096, 0.5/4096, true, r)
-	run("subcritical-gnp-4096", temporal.MustNew(g, 4096, assign.Uniform(g, 4096, 4, r)))
-	g = graph.Gnp(4096, 3.0/4096, true, r)
-	run("near-threshold-gnp-4096", temporal.MustNew(g, 4096, assign.Uniform(g, 4096, 2, r)))
-	run("clique-256", urtClique(256, 1))
+}
+
+// BenchmarkKernelDiameterRegimes runs the all-pairs diameter experiments
+// call (DiameterFromSerial, one 64-source word pass per batch) across the
+// same regimes: every source of the clique, 64 sampled sources of each
+// G(n,p) — the shape of a sampled experiment trial.
+func BenchmarkKernelDiameterRegimes(b *testing.B) {
+	for _, rn := range reachabilityRegimes() {
+		n := rn.net.Graph().N()
+		sources := rng.New(2).Perm(n)
+		if n > 256 {
+			sources = sources[:64]
+		}
+		b.Run(rn.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				temporal.DiameterFromSerial(rn.net, sources)
+			}
+		})
+	}
 }
 
 func BenchmarkKernelExpansion(b *testing.B) {

@@ -65,7 +65,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"sim_trials_started_total",
 		"sim_batch_resample_trials_total",
 		`temporal_index_builds_total{index="timeedges"}`,
-		`temporal_diameter_race_total{winner="frontier"}`,
 		"sweep_cells_completed_total",
 		"sweep_batch_size_count",
 		"service_jobs_submitted_total",

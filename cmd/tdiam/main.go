@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -24,25 +25,45 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tdiam", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n          = flag.Int("n", 256, "number of vertices")
-		lifetime   = flag.Int("lifetime", 0, "lifetime a (default n, the normalized case)")
-		trials     = flag.Int("trials", 10, "independent instances to average")
-		seed       = flag.Uint64("seed", 1, "base seed")
-		undirected = flag.Bool("undirected", false, "use the undirected clique")
+		n          = fs.Int("n", 256, "number of vertices")
+		lifetime   = fs.Int("lifetime", 0, "lifetime a ≥ 1 (default n, the normalized case)")
+		trials     = fs.Int("trials", 10, "independent instances to average (≥ 1)")
+		seed       = fs.Uint64("seed", 1, "base seed")
+		undirected = fs.Bool("undirected", false, "use the undirected clique")
 	)
-	flag.Parse()
-	if *n < 2 {
-		fmt.Fprintln(os.Stderr, "tdiam: need n >= 2")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	a := *lifetime
-	if a == 0 {
-		a = *n
+	a := *n // the normalized case unless -lifetime is given
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "lifetime" {
+			a = *lifetime
+		}
+	})
+	var usage string
+	switch {
+	case *n < 2:
+		usage = "need n >= 2"
+	case a < 1:
+		usage = "need lifetime >= 1"
+	case *trials < 1:
+		usage = "need trials >= 1"
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, "tdiam:", usage)
+		fs.Usage()
+		return 2
 	}
 
 	g := graph.Clique(*n, !*undirected)
-	fmt.Printf("uniform random temporal clique: n=%d, lifetime=%d, directed=%v, %d trials\n\n",
+	fmt.Fprintf(stdout, "uniform random temporal clique: n=%d, lifetime=%d, directed=%v, %d trials\n\n",
 		*n, a, !*undirected, *trials)
 
 	var td, mean stats.Sample
@@ -59,17 +80,26 @@ func main() {
 		td.Add(float64(res.Max))
 		mean.Add(res.MeanFinite)
 	}
+	if td.N() == 0 {
+		fmt.Fprintf(stdout, "every instance has unreachable pairs (%d/%d): the temporal diameter is infinite\n",
+			reachFails, *trials)
+		return 0
+	}
 
 	lnN := math.Log(float64(*n))
-	fmt.Printf("temporal diameter : mean %.2f ± %.2f (95%% CI), min %.0f, max %.0f\n",
-		td.Mean(), td.CI95(), td.Min(), td.Max())
-	fmt.Printf("mean temporal dist: %.2f\n", mean.Mean())
-	fmt.Printf("TD / ln n         : %.3f   (Theorem 4: ≤ γ with γ > 1 for a = n)\n", td.Mean()/lnN)
+	fmt.Fprintf(stdout, "temporal diameter : mean %.2f", td.Mean())
+	if td.N() > 1 {
+		fmt.Fprintf(stdout, " ± %.2f (95%% CI)", td.CI95())
+	}
+	fmt.Fprintf(stdout, ", min %.0f, max %.0f\n", td.Min(), td.Max())
+	fmt.Fprintf(stdout, "mean temporal dist: %.2f\n", mean.Mean())
+	fmt.Fprintf(stdout, "TD / ln n         : %.3f   (Theorem 4: ≤ γ with γ > 1 for a = n)\n", td.Mean()/lnN)
 	if a > *n {
 		scale := core.LifetimeLowerBound(*n, a)
-		fmt.Printf("TD / ((a/n)·ln n) : %.3f   (Theorem 5: bounded below by a constant)\n", td.Mean()/scale)
+		fmt.Fprintf(stdout, "TD / ((a/n)·ln n) : %.3f   (Theorem 5: bounded below by a constant)\n", td.Mean()/scale)
 	}
 	if reachFails > 0 {
-		fmt.Printf("instances with unreachable pairs: %d/%d (excluded from means)\n", reachFails, *trials)
+		fmt.Fprintf(stdout, "instances with unreachable pairs: %d/%d (excluded from means)\n", reachFails, *trials)
 	}
+	return 0
 }

@@ -1,8 +1,7 @@
 package temporal
 
-// Single-source earliest-arrival entry points. The production path is the
-// frontier kernel (engine.go); the original linear-scan kernel is kept
-// below as a differential-testing oracle next to earliestArrivalsFixpoint.
+// Single-source earliest-arrival entry points, all on the frontier kernel
+// (engine.go). The linear-scan and fixpoint oracles live in oracle.go.
 
 // EarliestArrivals returns δ(s,·): the earliest arrival time from s to each
 // vertex, with arr[s] = 0 and Unreachable for vertices no journey reaches.
@@ -17,7 +16,7 @@ func (n *Network) EarliestArrivals(s int) []int32 {
 // the number of reached vertices, counting s itself.
 func (n *Network) EarliestArrivalsInto(s int, arr []int32) int {
 	sc := getScratch()
-	reached, _ := n.earliestArrivalsFrontier(s, 1, arr, nil, sc)
+	reached := n.earliestArrivalsFrontier(s, 1, arr, nil, sc)
 	putScratch(sc)
 	return reached
 }
@@ -32,60 +31,9 @@ func (n *Network) EarliestArrivalsFromInto(s int, start int32, arr []int32) int 
 		start = 1
 	}
 	sc := getScratch()
-	reached, _ := n.earliestArrivalsFrontier(s, start, arr, nil, sc)
+	reached := n.earliestArrivalsFrontier(s, start, arr, nil, sc)
 	putScratch(sc)
 	return reached
-}
-
-// EarliestArrivalsLinearInto computes the same arrival vector with the
-// original single-pass kernel: one scan of the label-sorted time-edge list
-// applying "arr[u] < l ⇒ arr[v] ← min(arr[v], l)". Processing labels in
-// non-decreasing order makes every arrival < l final when the scan reaches
-// l, so the strict comparison applies exactly the increasing-label rule,
-// and the scan may stop as soon as every vertex is reached (a set arrival
-// can never improve). It serves as the differential-testing oracle for the
-// frontier kernel and as the fast branch of the all-pairs kernel race: on
-// fully-reachable label-dense instances its early exit beats the frontier,
-// but with partial reachability it always pays the full O(M) scan.
-func (n *Network) EarliestArrivalsLinearInto(s int, arr []int32) int {
-	reached, _ := n.earliestArrivalsLinear(s, arr)
-	return reached
-}
-
-// earliestArrivalsLinear is EarliestArrivalsLinearInto returning also the
-// work done (time edges visited plus the n-sized init), the linear side of
-// the all-pairs kernel race.
-func (n *Network) earliestArrivalsLinear(s int, arr []int32) (reachedCount, work int) {
-	n.ensureTimeEdges()
-	for i := range arr {
-		arr[i] = Unreachable
-	}
-	arr[s] = 0
-	nv := len(arr)
-	reached := 1
-	directed := n.g.Directed()
-	from, to := n.edgeEndpointArrays()
-	visited := len(n.teEdge)
-	for i, e := range n.teEdge {
-		l := n.teLabel[i]
-		u, v := from[e], to[e]
-		if arr[u] < l && l < arr[v] {
-			if arr[v] == Unreachable {
-				reached++
-			}
-			arr[v] = l
-		} else if !directed && arr[v] < l && l < arr[u] {
-			if arr[u] == Unreachable {
-				reached++
-			}
-			arr[u] = l
-		}
-		if reached == nv {
-			visited = i + 1
-			break
-		}
-	}
-	return reached, nv + visited
 }
 
 // edgeEndpointArrays exposes the graph's parallel from/to arrays through a
@@ -145,39 +93,4 @@ func (n *Network) foremostRestricted(s, t int, start int32) (Journey, bool) {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev, true
-}
-
-// earliestArrivalsFixpoint is an independent O(rounds·M) reference
-// implementation used by tests: Bellman–Ford-style relaxation of all time
-// edges (in arbitrary order) until no arrival time improves. It must agree
-// with the production kernels on every network.
-func (n *Network) earliestArrivalsFixpoint(s int) []int32 {
-	nv := n.g.N()
-	arr := make([]int32, nv)
-	for i := range arr {
-		arr[i] = Unreachable
-	}
-	arr[s] = 0
-	directed := n.g.Directed()
-	for {
-		changed := false
-		// Deliberately iterate edges in id order (not label order) so the
-		// reference differs structurally from the production kernels.
-		for e := 0; e < n.g.M(); e++ {
-			u, v := n.g.Endpoints(e)
-			for _, l := range n.EdgeLabels(e) {
-				if arr[u] < l && l < arr[v] {
-					arr[v] = l
-					changed = true
-				}
-				if !directed && arr[v] < l && l < arr[u] {
-					arr[u] = l
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return arr
-		}
-	}
 }

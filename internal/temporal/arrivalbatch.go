@@ -1,18 +1,14 @@
 package temporal
 
 // The batch earliest-arrival kernel: the bit-parallel reachability pass
-// (msreach.go) extended to record, for every vertex, the label at which
-// each source's bit first lands there — which is exactly that source's
-// earliest arrival time. One scan of the label-sorted time-edge list fills
-// up to 64 arrival rows, so an all-pairs arrival table costs ⌈n/64⌉ passes
-// instead of n frontier runs. internal/qindex builds its precomputed
-// per-source index on this kernel.
-//
-// Correctness mirrors temporalReachWords: within one label group the
-// strictly-increasing-label rule forbids chaining, so new arrivals are
-// staged in a pending word and merged — and stamped with the group's label
-// — only at group boundaries. The kernels are pinned bit-identical to the
-// frontier and linear kernels by differential tests.
+// (msreach.go) with a label-group hook that records, for every vertex, the
+// label at which each source's bit first lands there — which is exactly
+// that source's earliest arrival time. One scan of the label-sorted
+// time-edge list fills up to 64 arrival rows, so an all-pairs arrival
+// table costs ⌈n/64⌉ passes instead of n frontier runs. internal/qindex
+// builds its precomputed per-source index on this kernel. The rows are
+// pinned bit-identical to the frontier kernel and the linear oracle by
+// differential tests.
 
 import "math/bits"
 
@@ -32,83 +28,20 @@ func (n *Network) ArrivalRowsBatch(sources []int32, rows [][]int32) {
 	if len(rows) < len(sources) {
 		panic("temporal: ArrivalRowsBatch needs one row per source")
 	}
-	n.ensureTimeEdges()
 	nv := n.g.N()
-	sc := reachPool.Get().(*reachScratch)
-	defer reachPool.Put(sc)
-	sc.ensure(nv)
-	cur, pend := sc.cur[:nv], sc.pend[:nv]
-	clear(cur)
-	clear(pend)
-	full := fullMask(len(sources))
 	for j, s := range sources {
 		row := rows[j]
 		_ = row[nv-1]
-		for i := range row {
-			row[i] = Unreachable
-		}
+		fillUnreachable(row)
 		row[s] = 0
-		cur[s] |= 1 << uint(j)
 	}
-	fullCount := 0
-	for _, w := range cur {
-		if w == full {
-			fullCount++
-		}
-	}
-	from, to := n.g.FromArray(), n.g.ToArray()
-	directed := n.g.Directed()
-	dirty := sc.dirty[:0]
-	group := int32(0)
-	if fullCount != nv {
-		for i, e := range n.teEdge {
-			if l := n.teLabel[i]; l != group {
-				// Label-group boundary: bits staged during the previous
-				// group arrived at exactly that label — stamp the rows and
-				// make the arrivals usable for departures from here on.
-				for _, v := range dirty {
-					add := pend[v]
-					w := cur[v] | add
-					if w == full && cur[v] != full {
-						fullCount++
-					}
-					cur[v] = w
-					pend[v] = 0
-					for b := add; b != 0; b &= b - 1 {
-						rows[bits.TrailingZeros64(b)][v] = group
-					}
-				}
-				dirty = dirty[:0]
-				if fullCount == nv {
-					break
-				}
-				group = l
-			}
-			u, v := from[e], to[e]
-			if add := cur[u] &^ (cur[v] | pend[v]); add != 0 {
-				if pend[v] == 0 {
-					dirty = append(dirty, v)
-				}
-				pend[v] |= add
-			}
-			if !directed {
-				if add := cur[v] &^ (cur[u] | pend[u]); add != 0 {
-					if pend[u] == 0 {
-						dirty = append(dirty, u)
-					}
-					pend[u] |= add
-				}
-			}
-		}
-		// Arrivals staged during the final label group.
+	sc := reachPool.Get().(*reachScratch)
+	defer reachPool.Put(sc)
+	n.wordScan(sources, sc, func(label int32, dirty []int32, pend []uint64) {
 		for _, v := range dirty {
-			add := pend[v]
-			cur[v] |= add
-			pend[v] = 0
-			for b := add; b != 0; b &= b - 1 {
-				rows[bits.TrailingZeros64(b)][v] = group
+			for b := pend[v]; b != 0; b &= b - 1 {
+				rows[bits.TrailingZeros64(b)][v] = label
 			}
 		}
-	}
-	sc.dirty = dirty[:0]
+	})
 }

@@ -138,6 +138,42 @@ func TestAvailModelsDiameterKernelsAgree(t *testing.T) {
 	}
 }
 
+// TestAvailModelsDiameterMatchesOracle pins the word-scan diameter to
+// the per-source linear-oracle fold on every model × substrate instance,
+// from every source and from a duplicated sample.
+func TestAvailModelsDiameterMatchesOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := rng.New(seed)
+		for _, tn := range availNetworks(t, seed) {
+			nv := tn.net.Graph().N()
+			all := make([]int, nv)
+			for i := range all {
+				all[i] = i
+			}
+			want := temporal.DiameterOracle(tn.net, all)
+			for name, got := range map[string]temporal.DiameterResult{
+				"Diameter":           temporal.Diameter(tn.net),
+				"DiameterFrom":       temporal.DiameterFrom(tn.net, all),
+				"DiameterFromSerial": temporal.DiameterFromSerial(tn.net, all),
+			} {
+				if got != want {
+					t.Fatalf("%s: %s = %+v, oracle = %+v", tn.name, name, got, want)
+				}
+			}
+			if nv == 0 {
+				continue
+			}
+			dup := make([]int, nv+5)
+			for i := range dup {
+				dup[i] = r.Intn(nv)
+			}
+			if got, want := temporal.DiameterFromSerial(tn.net, dup), temporal.DiameterOracle(tn.net, dup); got != want {
+				t.Fatalf("%s: duplicated sources: DiameterFromSerial = %+v, oracle = %+v", tn.name, got, want)
+			}
+		}
+	}
+}
+
 // FuzzAvailModelKernels lets the fuzzer drive the model choice, its
 // parameters, the substrate size (including 0 and 1) and the seed,
 // cross-checking frontier and linear kernels on the resulting network.

@@ -14,20 +14,25 @@
 // The hot path is the earliest-arrival engine (engine.go, msreach.go). At
 // construction the network builds two indexes over its M time edges (an
 // (edge, label) pair is one time edge): the global list bucket-sorted by
-// label, and a per-vertex CSR of outgoing time edges sorted by label. Three
+// label, and a per-vertex CSR of outgoing time edges sorted by label. Two
 // kernels run on those indexes:
 //
-//   - the frontier kernel: a Dial-style bucket queue settles vertices in
-//     arrival order and relaxes only the time edges leaving settled
-//     vertices with labels above their arrival, so a single-source query
-//     costs O(n + reached time edges) rather than O(M), with early
-//     termination once every vertex is settled or the queue drains;
-//   - the bit-parallel kernel: 64 sources share one pass over the
-//     label-sorted time-edge list, one uint64 of source bits per vertex,
-//     answering all-pairs reachability questions (Treach, violation
-//     counts) in ⌈n/64⌉ passes instead of n;
-//   - the linear kernel (EarliestArrivalsLinearInto): the original
-//     single-pass scan, kept as the differential-testing oracle.
+//   - the frontier kernel answers single-source queries: a Dial-style
+//     bucket queue settles vertices in arrival order and relaxes only the
+//     time edges leaving settled vertices with labels above their arrival,
+//     so a query costs O(n + reached time edges) rather than O(M), with
+//     early termination once every vertex is settled or the queue drains;
+//   - the word scan answers all-pairs questions: 64 sources share one pass
+//     over the label-sorted time-edge list, one uint64 of source bits per
+//     vertex, so Treach, violation counts, reachable sets, arrival rows
+//     (ArrivalRowsBatch) and the temporal diameter cost ⌈n/64⌉ passes
+//     instead of n. The diameter folds each label group's new arrivals
+//     into exact integer counts and never materializes an arrival row.
+//
+// The linear kernel (EarliestArrivalsLinearInto, the original single-pass
+// scan) and a Bellman–Ford fixpoint are oracles only (oracle.go): no
+// production path runs them, and the differential tests pin both kernels
+// to them.
 //
 // All public entry points draw their work arrays from a sync.Pool-backed
 // scratch layer, so steady-state queries allocate nothing. For Monte-Carlo

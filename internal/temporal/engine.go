@@ -57,6 +57,19 @@ func (sc *engineScratch) predecessors(n int) []int32 {
 	return sc.pred[:n]
 }
 
+// fillUnreachable sets every entry of arr to Unreachable by doubling
+// copies, so memmove's vector stores do the bulk of the O(n) reset that
+// dominates queries reaching few vertices.
+func fillUnreachable(arr []int32) {
+	if len(arr) == 0 {
+		return
+	}
+	arr[0] = Unreachable
+	for j := 1; j < len(arr); j *= 2 {
+		copy(arr[j:], arr[:j])
+	}
+}
+
 // buckets returns the bucket-head array able to index label ranks 0..d-1,
 // zeroed (all buckets empty). Sizing by distinct-label count keeps the
 // scratch O(M) however large the lifetime is.
@@ -75,19 +88,15 @@ func (sc *engineScratch) buckets(d int) []int32 {
 // query). arr must have length N() and is overwritten; pred, when non-nil,
 // must have length N() and receives for each reached vertex the index of
 // the vertex-CSR time edge that first achieved its arrival (-1 elsewhere).
-// It returns the number of reached vertices counting s, and the work done
-// — roughly the array elements touched — which the all-pairs drivers use
-// to race this kernel against the linear one (see DiameterFromSerial).
+// It returns the number of reached vertices counting s.
 //
 // The bucket queue is indexed by label rank (position in the sorted
 // distinct-label array), so every per-query cost — bucket clearing,
 // bucket iteration, scratch size — is O(distinct labels) ≤ O(M) and
 // independent of the lifetime.
-func (n *Network) earliestArrivalsFrontier(s int, start int32, arr, pred []int32, sc *engineScratch) (reachedCount, work int) {
+func (n *Network) earliestArrivalsFrontier(s int, start int32, arr, pred []int32, sc *engineScratch) int {
 	n.ensureVertexTimeEdges()
-	for i := range arr {
-		arr[i] = Unreachable
-	}
+	fillUnreachable(arr)
 	for i := range pred {
 		pred[i] = -1
 	}
@@ -108,7 +117,6 @@ func (n *Network) earliestArrivalsFrontier(s int, start int32, arr, pred []int32
 	horizonRank := d
 	improved, minImproved := 0, 1
 	settled := 0
-	work = nv
 
 	// settleScan relaxes v's outgoing time edges with rank ≥ floorRank
 	// (and below the horizon), pushing improvements into their rank
@@ -143,8 +151,7 @@ func (n *Network) earliestArrivalsFrontier(s int, start int32, arr, pred []int32
 			}
 		}
 		cap64 := uint64(horizonRank) << 32
-		k := lo
-		for ; k < len(seg); k++ {
+		for k := lo; k < len(seg); k++ {
 			p := seg[k]
 			if p >= cap64 {
 				break
@@ -167,7 +174,6 @@ func (n *Network) earliestArrivalsFrontier(s int, start int32, arr, pred []int32
 				improved++
 			}
 		}
-		work += k - lo + 2
 	}
 
 	settleScan(int32(s), n.labelRankAbove(t0))
@@ -193,7 +199,6 @@ func (n *Network) earliestArrivalsFrontier(s int, start int32, arr, pred []int32
 				}
 			}
 			horizonRank = n.labelRankAbove(h - 1)
-			work += nv
 			improved = 0
 			if minImproved = nv / 32; minImproved < 16 {
 				minImproved = 16
@@ -202,5 +207,5 @@ func (n *Network) earliestArrivalsFrontier(s int, start int32, arr, pred []int32
 	}
 	arr[s] = 0
 	sc.qv, sc.qnext = qv, qnext // keep grown capacity for the next query
-	return reached, work
+	return reached
 }

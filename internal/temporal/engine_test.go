@@ -253,7 +253,8 @@ func TestForemostJourneyEngineProperties(t *testing.T) {
 
 // FuzzEarliestArrivalKernels lets the fuzzer drive graph shape, direction,
 // lifetime and the label multiset, cross-checking frontier, linear and
-// fixpoint kernels from every source.
+// fixpoint kernels from every source, and the word-scan diameter against
+// the linear-oracle fold on all, sampled and duplicated sources.
 func FuzzEarliestArrivalKernels(f *testing.F) {
 	f.Add(uint64(1), uint8(6), uint8(3), true)
 	f.Add(uint64(42), uint8(12), uint8(1), false)
@@ -285,6 +286,9 @@ func FuzzEarliestArrivalKernels(f *testing.F) {
 						s, v, frontier[v], linear[v], fix[v])
 				}
 			}
+		}
+		for _, sources := range sourceSets(n, r) {
+			diameterMatchesOracle(t, "fuzz", net, sources)
 		}
 	})
 }

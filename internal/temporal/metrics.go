@@ -1,9 +1,8 @@
 package temporal
 
-// Process-wide counters for the temporal index and kernel layers, exposed
-// through internal/obs. Index rebuilds happen under idxMu and kernel races
-// once per diameter sweep, so every record here is a cold-path atomic —
-// the per-source kernels themselves stay untouched.
+// Process-wide counters for the temporal index layer, exposed through
+// internal/obs. Index rebuilds happen under idxMu, so every record here is
+// a cold-path atomic — the kernels themselves stay untouched.
 
 import "repro/internal/obs"
 
@@ -15,19 +14,3 @@ var (
 	obsBuildTimeEdges = obsIndexBuilds.With("timeedges")
 	obsBuildVertex    = obsIndexBuilds.With("vertex")
 )
-
-var obsDiameterRace = obs.NewCounterVec("temporal_diameter_race_total",
-	"Diameter kernel races by winning kernel.", "winner")
-
-var (
-	obsRaceLinear   = obsDiameterRace.With("linear")
-	obsRaceFrontier = obsDiameterRace.With("frontier")
-)
-
-func countRaceWinner(useLinear bool) {
-	if useLinear {
-		obsRaceLinear.Inc()
-	} else {
-		obsRaceFrontier.Inc()
-	}
-}

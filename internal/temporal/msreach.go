@@ -1,22 +1,25 @@
 package temporal
 
-// The bit-parallel multi-source reachability kernel (MS-BFS style): up to
-// 64 sources share one pass, each vertex carrying one uint64 of source
-// bits. Two word kernels cooperate:
+// The bit-parallel multi-source kernels (MS-BFS style): up to 64 sources
+// share one pass, each vertex carrying one uint64 of source bits. Two word
+// kernels cooperate:
 //
-//   - temporalReachWords answers "which sources have a journey to v" with
-//     one scan of the label-sorted time-edge list. Within one label group
-//     the strictly-increasing-label rule forbids chaining, so new arrivals
-//     are staged in a pending word and merged only at group boundaries.
-//     The pass stops early once every vertex holds every source bit — on
-//     dense cliques that happens after a small label prefix.
+//   - wordScan answers "which sources have a journey to v" with one scan
+//     of the label-sorted time-edge list. Within one label group the
+//     strictly-increasing-label rule forbids chaining, so new arrivals are
+//     staged in a pending word and merged only at group boundaries. The
+//     bits staged in a group are exactly the (source, vertex) pairs whose
+//     earliest arrival is that group's label, so a per-group hook turns
+//     the reachability pass into an arrival-time pass: ArrivalRowsBatch
+//     stamps them into rows, the temporal diameter folds them into counts.
 //   - staticReachWords answers "which sources have a static path to v"
 //     with a chaotic-order worklist closure: each source bit crosses each
 //     arc at most once, so a batch costs at most what 64 separate BFS
 //     passes would, and typically far less.
 //
-// SatisfiesTreach, TreachViolations and ReachableSets run on batches of
-// these words: ⌈n/64⌉ passes over the time edges instead of n.
+// SatisfiesTreach, TreachViolations, ReachableSets, ArrivalRowsBatch and
+// Diameter run on batches of these words: ⌈n/64⌉ passes over the time
+// edges instead of n.
 
 import (
 	"math/bits"
@@ -55,9 +58,21 @@ func (sc *reachScratch) ensure(n int) {
 // fullMask returns the word with one bit per batch source.
 func fullMask(k int) uint64 { return ^uint64(0) >> (64 - uint(k)) }
 
-// temporalReachWords fills sc.cur[v] with a bit per source whose journeys
-// reach v. sources must hold between 1 and 64 vertices.
-func (n *Network) temporalReachWords(sources []int32, sc *reachScratch) {
+// groupFunc observes one label group of a word scan: the vertices that
+// received bits at that label, and the pending words holding exactly those
+// bits (pend[v] has bit j set when source j's earliest arrival at v is
+// label).
+type groupFunc func(label int32, dirty []int32, pend []uint64)
+
+// wordScan is the one bit-parallel temporal pass behind every 64-source
+// kernel: it fills sc.cur[v] with a bit per source whose journeys reach v.
+// Within one label group the strictly-increasing-label rule forbids
+// chaining, so new arrivals are staged in a pending word and merged only
+// at group boundaries; just before each merge, onGroup (when non-nil) sees
+// the staged bits. The pass stops early once every vertex holds every
+// source bit — on dense cliques that happens after a small label prefix.
+// sources must hold between 1 and 64 vertices.
+func (n *Network) wordScan(sources []int32, sc *reachScratch, onGroup groupFunc) {
 	n.ensureTimeEdges()
 	nv := n.g.N()
 	sc.ensure(nv)
@@ -68,46 +83,44 @@ func (n *Network) temporalReachWords(sources []int32, sc *reachScratch) {
 	for j, s := range sources {
 		cur[s] |= 1 << uint(j)
 	}
-	fullCount := 0
+	left := nv // vertices still missing some source bit
 	for _, w := range cur {
 		if w == full {
-			fullCount++
+			left--
 		}
 	}
-	if fullCount == nv {
+	if left == 0 {
 		return
 	}
 	from, to := n.g.FromArray(), n.g.ToArray()
 	directed := n.g.Directed()
 	dirty := sc.dirty[:0]
 	group := int32(0)
-	for i, e := range n.teEdge {
-		if l := n.teLabel[i]; l != group {
+	te := n.teEdge
+	tl := n.teLabel[:len(te)]
+	for i, e := range te {
+		if l := tl[i]; l != group {
 			// Label-group boundary: arrivals at the previous label become
 			// usable for departures from here on.
-			for _, v := range dirty {
-				w := cur[v] | pend[v]
-				if w == full && cur[v] != full {
-					fullCount++
+			if len(dirty) > 0 {
+				left -= flushGroup(group, dirty, cur, pend, full, onGroup)
+				dirty = dirty[:0]
+				if left == 0 {
+					break
 				}
-				cur[v] = w
-				pend[v] = 0
-			}
-			dirty = dirty[:0]
-			if fullCount == nv {
-				break
 			}
 			group = l
 		}
 		u, v := from[e], to[e]
-		if add := cur[u] &^ (cur[v] | pend[v]); add != 0 {
+		cu, cv := cur[u], cur[v] // cur changes only at group boundaries
+		if add := cu &^ (cv | pend[v]); add != 0 {
 			if pend[v] == 0 {
 				dirty = append(dirty, v)
 			}
 			pend[v] |= add
 		}
 		if !directed {
-			if add := cur[v] &^ (cur[u] | pend[u]); add != 0 {
+			if add := cv &^ (cu | pend[u]); add != 0 {
 				if pend[u] == 0 {
 					dirty = append(dirty, u)
 				}
@@ -115,11 +128,28 @@ func (n *Network) temporalReachWords(sources []int32, sc *reachScratch) {
 			}
 		}
 	}
-	for _, v := range dirty {
-		cur[v] |= pend[v]
-		pend[v] = 0
+	if len(dirty) > 0 { // arrivals staged during the final label group
+		flushGroup(group, dirty, cur, pend, full, onGroup)
 	}
 	sc.dirty = dirty[:0]
+}
+
+// flushGroup hands the bits staged at label to onGroup, then merges them
+// into cur. It returns how many vertices became full.
+func flushGroup(label int32, dirty []int32, cur, pend []uint64, full uint64, onGroup groupFunc) (filled int) {
+	if onGroup != nil {
+		onGroup(label, dirty, pend)
+	}
+	for _, v := range dirty {
+		// Staged bits are disjoint from cur[v], so v was not full before.
+		w := cur[v] | pend[v]
+		if w == full {
+			filled++
+		}
+		cur[v] = w
+		pend[v] = 0
+	}
+	return filled
 }
 
 // staticReachWords fills sc.stat[v] with a bit per source that has a
@@ -182,11 +212,21 @@ func (sc *reachScratch) batch(lo, hi int) []int32 {
 	return sc.srcs
 }
 
+// pick fills sc.srcs with the batch of up to 64 sources starting at
+// sources[lo].
+func (sc *reachScratch) pick(sources []int, lo int) []int32 {
+	sc.srcs = sc.srcs[:0]
+	for _, s := range sources[lo:min(lo+batchSize, len(sources))] {
+		sc.srcs = append(sc.srcs, int32(s))
+	}
+	return sc.srcs
+}
+
 // treachBatch runs both word kernels for one source batch and returns the
 // number of (source, target) pairs with a static path but no journey.
 // With countAll false it stops at the first violated word and returns 1.
 func (n *Network) treachBatch(sources []int32, sc *reachScratch, countAll bool) int {
-	n.temporalReachWords(sources, sc)
+	n.wordScan(sources, sc, nil)
 	staticReachWords(n.g, sources, sc)
 	nv := n.g.N()
 	bad := 0
@@ -210,16 +250,9 @@ func ReachableSets(n *Network, sources []int) []*bitset.Set {
 	sc := reachPool.Get().(*reachScratch)
 	defer reachPool.Put(sc)
 	for lo := 0; lo < len(sources); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		sc.srcs = sc.srcs[:0]
-		for _, s := range sources[lo:hi] {
-			sc.srcs = append(sc.srcs, int32(s))
-		}
-		n.temporalReachWords(sc.srcs, sc)
-		for j := range sources[lo:hi] {
+		srcs := sc.pick(sources, lo)
+		n.wordScan(srcs, sc, nil)
+		for j := range srcs {
 			set := bitset.New(nv)
 			bit := uint64(1) << uint(j)
 			for v := 0; v < nv; v++ {

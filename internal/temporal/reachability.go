@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,7 @@ import (
 // by a journey.
 func (n *Network) ReachedCount(s int) int {
 	sc := getScratch()
-	reached, _ := n.earliestArrivalsFrontier(s, 1, sc.arrival(n.g.N()), nil, sc)
+	reached := n.earliestArrivalsFrontier(s, 1, sc.arrival(n.g.N()), nil, sc)
 	putScratch(sc)
 	return reached
 }
@@ -165,7 +166,7 @@ func SatisfiesTreachStatic(n *Network, sr *StaticReach, scratch *TreachScratch) 
 		if hi > nv {
 			hi = nv
 		}
-		n.temporalReachWords(sc.batch(lo, hi), sc)
+		n.wordScan(sc.batch(lo, hi), sc, nil)
 		stat := sr.words[b]
 		for v := 0; v < nv; v++ {
 			if stat[v]&^sc.cur[v] != 0 {
@@ -235,53 +236,48 @@ type DiameterResult struct {
 	Pairs int64
 }
 
-// diamAccum accumulates per-source arrival vectors into a DiameterResult.
+// diamAccum accumulates a DiameterResult in exact integers, so sharding
+// the source batches over workers cannot change a bit of it.
 type diamAccum struct {
-	max       int32
-	reachable bool
-	sum       int64
-	finite    int64
-	pairs     int64
+	max                int32
+	sum, finite, pairs int64
 }
 
-func (p *diamAccum) add(s int, arr []int32) {
-	for v, a := range arr {
-		if v == s {
-			continue
+// addBatch folds the earliest arrivals of up to 64 sources into p with one
+// word scan: the bits staged in a label group are the pairs whose
+// temporal distance is that label, so their popcount adds to the finite
+// pairs and popcount × label to the sum, and the last group with arrivals
+// bounds Max. No arrival row is ever written.
+func (p *diamAccum) addBatch(n *Network, sources []int32, sc *reachScratch) {
+	p.pairs += int64(len(sources)) * int64(n.g.N()-1)
+	n.wordScan(sources, sc, func(label int32, dirty []int32, pend []uint64) {
+		c := 0
+		for _, v := range dirty {
+			c += bits.OnesCount64(pend[v])
 		}
-		p.pairs++
-		if a == Unreachable {
-			p.reachable = false
-			continue
-		}
-		p.finite++
-		p.sum += int64(a)
-		if a > p.max {
-			p.max = a
-		}
-	}
+		p.finite += int64(c)
+		p.sum += int64(c) * int64(label)
+		p.max = max(p.max, label)
+	})
 }
 
 func (p *diamAccum) merge(q diamAccum) {
-	if q.max > p.max {
-		p.max = q.max
-	}
-	p.reachable = p.reachable && q.reachable
+	p.max = max(p.max, q.max)
 	p.sum += q.sum
 	p.finite += q.finite
 	p.pairs += q.pairs
 }
 
 func (p *diamAccum) result() DiameterResult {
-	res := DiameterResult{Max: p.max, AllReachable: p.reachable, Pairs: p.pairs}
+	res := DiameterResult{Max: p.max, AllReachable: p.finite == p.pairs, Pairs: p.pairs}
 	if p.finite > 0 {
 		res.MeanFinite = float64(p.sum) / float64(p.finite)
 	}
 	return res
 }
 
-// Diameter computes max_{s,t} δ(s,t) exactly, running the earliest-arrival
-// kernel from every source in parallel.
+// Diameter computes max_{s,t} δ(s,t) exactly from every source, 64
+// sources per word pass, sharding the passes over GOMAXPROCS workers.
 func Diameter(n *Network) DiameterResult {
 	sources := make([]int, n.g.N())
 	for i := range sources {
@@ -293,70 +289,39 @@ func Diameter(n *Network) DiameterResult {
 // DiameterFrom computes the diameter restricted to the given source
 // vertices (targets still range over all vertices). Sampling sources gives
 // an unbiased lower estimate of the full temporal diameter at a fraction of
-// the cost; experiments use it for the largest n.
+// the cost; experiments use it for the largest n. The 64-source batches
+// are sharded over workers, as TreachViolations does.
 func DiameterFrom(n *Network, sources []int) DiameterResult {
-	nv := n.g.N()
-	if nv == 0 || len(sources) == 0 {
+	if n.g.N() == 0 || len(sources) == 0 {
 		return DiameterResult{AllReachable: true}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(sources) {
-		workers = len(sources)
-	}
+	nb := (len(sources) + batchSize - 1) / batchSize
+	workers := min(runtime.GOMAXPROCS(0), nb)
 	if workers <= 1 {
 		return DiameterFromSerial(n, sources)
 	}
-	agg := diamAccum{reachable: true}
-	useLinear, probed := n.raceKernels(sources[0], &agg)
-	rest := sources[probed:]
 	results := make(chan diamAccum, workers)
-	var next int64
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		go func() {
-			sc := getScratch()
-			defer putScratch(sc)
-			arr := sc.arrival(nv)
-			p := diamAccum{reachable: true}
+			sc := reachPool.Get().(*reachScratch)
+			defer reachPool.Put(sc)
+			var p diamAccum
 			for {
-				i := int(atomic.AddInt64(&next, 1) - 1)
-				if i >= len(rest) {
+				b := int(next.Add(1) - 1)
+				if b >= nb {
 					break
 				}
-				s := rest[i]
-				if useLinear {
-					n.earliestArrivalsLinear(s, arr)
-				} else {
-					n.earliestArrivalsFrontier(s, 1, arr, nil, sc)
-				}
-				p.add(s, arr)
+				p.addBatch(n, sc.pick(sources, b*batchSize), sc)
 			}
 			results <- p
 		}()
 	}
+	var agg diamAccum
 	for w := 0; w < workers; w++ {
 		agg.merge(<-results)
 	}
 	return agg.result()
-}
-
-// raceKernels runs the first source through both earliest-arrival kernels,
-// folds its (identical) arrival vector into agg once, and reports whether
-// the linear kernel's measured work beat the frontier's — the portfolio
-// choice the remaining sources commit to. The kernels favor complementary
-// regimes (linear: fully-reachable label-dense instances with early exit;
-// frontier: everything else), per-source work varies little within one
-// instance, and both are exact, so one probe settles the sweep cheaply.
-// It returns how many leading sources were consumed.
-func (n *Network) raceKernels(s0 int, agg *diamAccum) (useLinear bool, probed int) {
-	sc := getScratch()
-	defer putScratch(sc)
-	arr := sc.arrival(n.g.N())
-	_, frontierWork := n.earliestArrivalsFrontier(s0, 1, arr, nil, sc)
-	_, linearWork := n.earliestArrivalsLinear(s0, arr)
-	agg.add(s0, arr)
-	useLinear = linearWork < frontierWork
-	countRaceWinner(useLinear)
-	return useLinear, 1
 }
 
 // DiameterFromSerial is DiameterFrom without internal parallelism — the
@@ -364,22 +329,14 @@ func (n *Network) raceKernels(s0 int, agg *diamAccum) (useLinear bool, probed in
 // work arrays from the pooled scratch layer and allocates nothing in
 // steady state.
 func DiameterFromSerial(n *Network, sources []int) DiameterResult {
-	nv := n.g.N()
-	if nv == 0 || len(sources) == 0 {
+	if n.g.N() == 0 || len(sources) == 0 {
 		return DiameterResult{AllReachable: true}
 	}
-	sc := getScratch()
-	defer putScratch(sc)
-	arr := sc.arrival(nv)
-	p := diamAccum{reachable: true}
-	useLinear, probed := n.raceKernels(sources[0], &p)
-	for _, s := range sources[probed:] {
-		if useLinear {
-			n.earliestArrivalsLinear(s, arr)
-		} else {
-			n.earliestArrivalsFrontier(s, 1, arr, nil, sc)
-		}
-		p.add(s, arr)
+	sc := reachPool.Get().(*reachScratch)
+	defer reachPool.Put(sc)
+	var p diamAccum
+	for lo := 0; lo < len(sources); lo += batchSize {
+		p.addBatch(n, sc.pick(sources, lo), sc)
 	}
 	return p.result()
 }

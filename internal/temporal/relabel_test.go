@@ -172,14 +172,16 @@ func TestRelabelSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The measured loop includes a bit-parallel and a frontier query so the
-	// lazy index rebuilds happen inside it.
+	// The measured loop includes bit-parallel, diameter and frontier
+	// queries so the lazy index rebuilds happen inside it.
+	sources := []int{0, 5, 5, 23}
 	allocs := testing.AllocsPerRun(50, func() {
 		rs.Resample(g, &lab, stream)
 		if err := net.Relabel(lab); err != nil {
 			t.Fatal(err)
 		}
 		temporal.SatisfiesTreachSerial(net, nil)
+		temporal.DiameterFromSerial(net, sources)
 		net.ReachedCount(0)
 	})
 	if allocs != 0 {
