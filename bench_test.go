@@ -851,8 +851,8 @@ func BenchmarkQueryIndexHitLRU(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryMissCold is the uncached path: every query runs a pooled
-// frontier compute (ModeOff keeps nothing resident).
+// BenchmarkQueryMissCold is the uncached path: ModeOff keeps nothing
+// resident, so every query runs one point scan.
 func BenchmarkQueryMissCold(b *testing.B) {
 	ix := qindex.New(queryBenchNet(b), qindex.Options{Mode: qindex.ModeOff})
 	b.ReportAllocs()
@@ -860,6 +860,66 @@ func BenchmarkQueryMissCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ix.Arrival(i&1023, (i*7)&1023, 1)
 	}
+}
+
+// lateQuery is one (src, dst, start) point query.
+type lateQuery struct {
+	src, dst int
+	start    int32
+}
+
+// lateStartQueries builds the query workload's network shape at n = 1024:
+// G(n, 2·ln n/n) with one uniform label per edge and lifetime n. It
+// returns the network and a fixed list of late queries, uniform sources
+// and destinations with starts uniform on [2, n/2].
+func lateStartQueries(b *testing.B) (*temporal.Network, []lateQuery) {
+	b.Helper()
+	const n = 1024
+	r := rng.New(2015)
+	g, err := graph.Family("gnp", n, graph.FamilyOpts{}, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := avail.Build("uniform", avail.Params{Lifetime: n})
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := avail.Network(m, g, r)
+	qs := make([]lateQuery, 256)
+	for i := range qs {
+		qs[i] = lateQuery{r.Intn(n), r.Intn(n), int32(2 + r.Intn(n/2-1))}
+	}
+	return net, qs
+}
+
+// lateSink keeps BenchmarkQueryLateStart's answers live.
+var lateSink int32
+
+// BenchmarkQueryLateStart compares the two ways to answer a late-start
+// point query: point goes through a ModeFull index (a table check, then
+// one time-edge scan from start until dst is reached), row computes the
+// whole restricted frontier row the index used to compute and discard.
+func BenchmarkQueryLateStart(b *testing.B) {
+	net, qs := lateStartQueries(b)
+	b.Run("point", func(b *testing.B) {
+		ix := qindex.New(net, qindex.Options{Mode: qindex.ModeFull})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q := qs[i%len(qs)]
+			lateSink = ix.Arrival(q.src, q.dst, q.start)
+		}
+	})
+	b.Run("row", func(b *testing.B) {
+		row := make([]int32, net.Graph().N())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q := qs[i%len(qs)]
+			net.EarliestArrivalsFromInto(q.src, q.start, row)
+			lateSink = row[q.dst]
+		}
+	})
 }
 
 // BenchmarkQueryFullBuild measures the 64-way batched full-table

@@ -49,9 +49,8 @@ func E3Expansion(cfg Config) Result {
 			} else {
 				m["success"] = 0
 			}
-			arr := net.EarliestArrivals(s)
-			if arr[t] != temporal.Unreachable {
-				m["foremost"] = float64(arr[t])
+			if a := net.EarliestArrivalTo(s, t, 1); a != temporal.Unreachable {
+				m["foremost"] = float64(a)
 			}
 			// Baseline: wait for the direct arc (s,t) to appear.
 			if e, ok := g.EdgeBetween(s, t); ok {

@@ -13,19 +13,26 @@
 //     A miss runs one pooled frontier query
 //     (temporal.EarliestArrivalsFromInto) and caches the row; eviction
 //     recycles row buffers, so the steady state allocates nothing.
-//   - ModeOff: no resident rows — every query runs the frontier kernel.
-//     The baseline the differential tests pin the cached modes against.
+//   - ModeOff: no resident rows. Every query runs one point scan
+//     (temporal.EarliestArrivalTo) and no frontier kernel: the baseline
+//     the differential tests pin the cached modes against.
 //
-// Duplicate in-flight keys are coalesced singleflight-style: concurrent
-// queries for the same (src, start) row share one underlying kernel run,
-// and the waiters are counted (qindex_coalesced_total). Restricted
-// queries (start > 1) take the LRU/flight path in every mode, so ModeFull
-// still answers them correctly — just without precomputation.
+// Only ModeLRU computes rows at query time. A lookup that would not keep
+// its row does not compute one: ModeFull answers a restricted query
+// (start > 1) with a point scan, which scans the label-sorted time edges
+// from start until dst is first reached. When the start = 1 table already
+// says dst is unreachable, ModeFull answers Unreachable as a hit without
+// scanning, because raising the departure floor only removes journeys.
 //
-// Answers are deterministic: the batch, frontier and linear kernels are
-// pinned bit-identical by differential tests, so the same network returns
-// the same arrival for a query regardless of index mode, cache state, or
-// interleaving.
+// Coalescing applies only to stored rows: concurrent ModeLRU misses for
+// the same (src, start) row share one underlying kernel run, and the
+// waiters are counted (qindex_coalesced_total). Point scans are
+// independent and never wait on each other.
+//
+// Answers are deterministic: the batch, frontier, point and linear
+// kernels are pinned bit-identical by differential tests, so the same
+// network returns the same arrival for a query regardless of index mode,
+// cache state, or interleaving.
 //
 // The package is instrumented through internal/obs: qindex_hits_total,
 // qindex_misses_total, qindex_evictions_total, qindex_coalesced_total,

@@ -11,13 +11,13 @@ var (
 	obsHits = obs.NewCounter("qindex_hits_total",
 		"Queries answered from a resident arrival row (full table or LRU).")
 	obsMisses = obs.NewCounter("qindex_misses_total",
-		"Queries that had to run (or wait for) a frontier recompute.")
+		"Queries that ran a point scan or ran (or waited for) an LRU row compute.")
 	obsEvictions = obs.NewCounter("qindex_evictions_total",
 		"Arrival rows evicted by the LRU memory budget.")
 	obsCoalesced = obs.NewCounter("qindex_coalesced_total",
 		"Queries coalesced onto an already in-flight row compute.")
 	obsComputes = obs.NewCounter("qindex_rows_computed_total",
-		"Arrival rows computed by the frontier kernel (misses minus coalesced).")
+		"Arrival rows computed: the full-table build and LRU frontier computes; point scans compute none.")
 	obsResident = obs.NewGauge("qindex_resident_rows",
 		"Arrival rows currently resident across all indexes.")
 	obsComputeNS = obs.NewHistogram("qindex_row_compute_ns",

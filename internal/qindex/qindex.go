@@ -22,7 +22,7 @@ const (
 	ModeFull
 	// ModeLRU keeps a memory-budgeted LRU of per-(src,start) arrival rows.
 	ModeLRU
-	// ModeOff keeps nothing resident; every query recomputes (coalesced).
+	// ModeOff keeps nothing resident; every query runs one point scan.
 	ModeOff
 )
 
@@ -224,20 +224,33 @@ func (ix *Index) build(workers int) {
 // departing no earlier than start (start ≤ 1 is unrestricted), 0 when
 // src == dst, or temporal.Unreachable when no such journey exists. src
 // and dst must be valid vertices — the serving layer validates.
+//
+// Only ModeLRU computes rows here. ModeFull answers start = 1 from its
+// table and a late start with one point scan (temporal.EarliestArrivalTo),
+// unless the table already says dst is unreachable: raising the departure
+// floor only removes journeys. ModeOff answers every query with a point
+// scan.
 func (ix *Index) Arrival(src, dst int, start int32) int32 {
 	if start < 1 {
 		start = 1
 	}
-	if ix.mode == ModeFull && start == 1 {
-		ix.hits.Add(1)
-		obsHits.Inc()
-		return ix.full[src*ix.n+dst]
+	switch ix.mode {
+	case ModeFull:
+		if a := ix.full[src*ix.n+dst]; start == 1 || a == temporal.Unreachable {
+			ix.hits.Add(1)
+			obsHits.Inc()
+			return a
+		}
+	case ModeLRU:
+		return ix.lookup(src, dst, start)
 	}
-	return ix.lookup(src, dst, start)
+	ix.misses.Add(1)
+	obsMisses.Inc()
+	return ix.net.EarliestArrivalTo(src, dst, start)
 }
 
-// lookup is the resident-row path: LRU hit, coalesced wait, or a leader
-// frontier compute.
+// lookup is ModeLRU's row path: a resident-row hit, a coalesced wait, or
+// a leader frontier compute whose row is stored.
 func (ix *Index) lookup(src, dst int, start int32) int32 {
 	k := key(src, start)
 	ix.mu.Lock()
@@ -279,9 +292,7 @@ func (ix *Index) lookup(src, dst int, start int32) int32 {
 	obsComputes.Inc()
 	ix.mu.Lock()
 	delete(ix.inflight, k)
-	if ix.maxRows > 0 {
-		ix.storeLocked(k, f.row)
-	}
+	ix.storeLocked(k, f.row)
 	ix.mu.Unlock()
 	f.wg.Done()
 	a := f.row[dst]

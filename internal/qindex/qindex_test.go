@@ -221,8 +221,8 @@ func TestModeAutoPivot(t *testing.T) {
 	}
 }
 
-// TestFullModeRestrictedStart exercises ModeFull's fallthrough for
-// start > 1 queries (uncached coalesced computes) and its build stats.
+// TestFullModeRestrictedStart exercises ModeFull's start > 1 path (point
+// scans, no stored rows) and its build stats.
 func TestFullModeRestrictedStart(t *testing.T) {
 	net := queryNetwork(t, graph.Grid(4, 4), 20, 2, 13)
 	ix := New(net, Options{Mode: ModeFull, Workers: 3})
@@ -234,8 +234,40 @@ func TestFullModeRestrictedStart(t *testing.T) {
 		}
 	}
 	st := ix.Stats()
-	if st.Mode != "full" || st.ResidentRows != 16 || st.RowsComputed < 16 {
+	if st.Mode != "full" || st.ResidentRows != 16 || st.RowsComputed != 16 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestPointPathStats pins how ModeFull counts late starts: a reachable
+// pair costs one miss and computes no row, and a pair the start = 1 table
+// already marks unreachable is a hit that runs no kernel (no miss).
+func TestPointPathStats(t *testing.T) {
+	// 0 →(3) 1 →(5) 2, and vertex 3 is isolated.
+	b := graph.NewBuilder(4, true)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	net := temporal.MustNew(b.Build(), 6, temporal.LabelingFromSets([][]int{{3}, {5}}))
+	ix := New(net, Options{Mode: ModeFull})
+	for _, tc := range []struct {
+		name         string
+		dst          int
+		want         int32
+		hits, misses uint64
+	}{
+		{"late start", 2, 5, 0, 1},
+		{"unreachable at start=1", 3, temporal.Unreachable, 1, 0},
+	} {
+		before := ix.Stats()
+		if got := ix.Arrival(0, tc.dst, 2); got != tc.want {
+			t.Fatalf("%s: (0,%d,start=2) = %d, want %d", tc.name, tc.dst, got, tc.want)
+		}
+		after := ix.Stats()
+		if after.Hits-before.Hits != tc.hits || after.Misses-before.Misses != tc.misses ||
+			after.RowsComputed != before.RowsComputed || after.Coalesced != 0 {
+			t.Fatalf("%s: stats %+v → %+v, want +%d hits, +%d misses, no row computed",
+				tc.name, before, after, tc.hits, tc.misses)
+		}
 	}
 }
 
@@ -282,4 +314,54 @@ func TestConcurrentMixedQueries(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentPointQueries hammers a ModeFull index with late starts and
+// a ModeOff index with all starts from many goroutines under -race: point
+// scans share only the pooled scratch, and every answer must equal the
+// frontier row's entry.
+func TestConcurrentPointQueries(t *testing.T) {
+	const nv = 30
+	net := queryNetwork(t, graph.Grid(5, 6), 40, 2, 29)
+	full := New(net, Options{Mode: ModeFull})
+	off := New(net, Options{Mode: ModeOff})
+	starts := []int32{1, 2, 9, 20, 33, 41}
+	truth := make(map[[2]int32][]int32)
+	for _, start := range starts {
+		for s := 0; s < nv; s++ {
+			row := make([]int32, nv)
+			net.EarliestArrivalsFromInto(s, start, row)
+			truth[[2]int32{int32(s), start}] = row
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			stream := rng.New(uint64(w) + 300)
+			for i := 0; i < 400; i++ {
+				s, v := stream.Intn(nv), stream.Intn(nv)
+				start := starts[stream.Intn(len(starts))]
+				ix, mode := off, "off"
+				if w%2 == 0 {
+					ix, mode, start = full, "full", max(start, 2)
+				}
+				if got, want := ix.Arrival(s, v, start), truth[[2]int32{int32(s), start}][v]; got != want {
+					t.Errorf("%s: (%d,%d,start=%d) = %d, want %d", mode, s, v, start, got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// Only the full table's build computes rows; no point scan coalesces.
+	for _, c := range []struct {
+		ix   *Index
+		rows uint64
+	}{{full, nv}, {off, 0}} {
+		if st := c.ix.Stats(); st.Misses == 0 || st.RowsComputed != c.rows || st.Coalesced != 0 {
+			t.Fatalf("%s: stats %+v", st.Mode, st)
+		}
+	}
 }

@@ -1,7 +1,11 @@
 package temporal
 
-// Single-source earliest-arrival entry points, all on the frontier kernel
-// (engine.go). The linear-scan and fixpoint oracles live in oracle.go.
+// Single-source earliest-arrival entry points. Row queries run on the
+// frontier kernel (engine.go); the one-pair query EarliestArrivalTo scans
+// the label-sorted time-edge list instead. The linear-scan and fixpoint
+// oracles live in oracle.go.
+
+import "slices"
 
 // EarliestArrivals returns δ(s,·): the earliest arrival time from s to each
 // vertex, with arr[s] = 0 and Unreachable for vertices no journey reaches.
@@ -25,7 +29,8 @@ func (n *Network) EarliestArrivalsInto(s int, arr []int32) int {
 // whose first hop departs no earlier than start (start ≤ 1 is the
 // unrestricted query): arr must have length N() and is overwritten, with
 // arr[s] = 0. It returns the number of reached vertices counting s. This
-// is the on-miss recompute path of the query index (internal/qindex).
+// is the row compute behind a ModeLRU miss in the query index
+// (internal/qindex).
 func (n *Network) EarliestArrivalsFromInto(s int, start int32, arr []int32) int {
 	if start < 1 {
 		start = 1
@@ -34,6 +39,59 @@ func (n *Network) EarliestArrivalsFromInto(s int, start int32, arr []int32) int 
 	reached := n.earliestArrivalsFrontier(s, start, arr, nil, sc)
 	putScratch(sc)
 	return reached
+}
+
+// EarliestArrivalTo returns δ_start(s,t), the earliest arrival at t of a
+// journey from s whose first hop departs no earlier than start (start ≤ 1
+// is the unrestricted query): 0 when s == t, Unreachable when no such
+// journey exists. It answers the one pair without computing a row: a
+// binary search finds the first time edge labelled ≥ start, and a forward
+// scan of the label-sorted list relaxes arr[u] < l < arr[v] until t is
+// first assigned. Labels arrive in non-decreasing order, so that first
+// assignment is already final. The scan reads only the global time-edge
+// list, never the per-vertex index, and allocates nothing in steady state.
+//
+// It pays off when the row would be expensive and t is reached early in
+// the scan, as for late-start point queries (internal/qindex); an
+// unreachable t costs the whole suffix of the list, where the frontier
+// kernel stops once its queue drains.
+func (n *Network) EarliestArrivalTo(s, t int, start int32) int32 {
+	if s == t {
+		return 0
+	}
+	n.ensureTimeEdges()
+	start = max(start, 1)
+	first, _ := slices.BinarySearch(n.teLabel, start)
+	te := n.teEdge[first:]
+	tl := n.teLabel[first:len(n.teEdge)]
+	sc := getScratch()
+	arr := sc.arrival(n.g.N())
+	fillUnreachable(arr)
+	// Every scanned label is ≥ start ≥ 1, so s may leave on any of them.
+	arr[s] = 0
+	from, to := n.edgeEndpointArrays()
+	directed := n.g.Directed()
+	dst := int32(t)
+	ans := Unreachable
+	for i, e := range te {
+		l := tl[i]
+		u, v := from[e], to[e]
+		if arr[u] < l && l < arr[v] {
+			if v == dst {
+				ans = l
+				break
+			}
+			arr[v] = l
+		} else if !directed && arr[v] < l && l < arr[u] {
+			if u == dst {
+				ans = l
+				break
+			}
+			arr[u] = l
+		}
+	}
+	putScratch(sc)
+	return ans
 }
 
 // edgeEndpointArrays exposes the graph's parallel from/to arrays through a

@@ -4,7 +4,8 @@ package temporal_test
 // (start > 1) query surface the query index serves on: ArrivalRowsBatch
 // must agree bit-for-bit with the frontier kernel on every availability
 // model × substrate (including n = 0 and 1), and the restricted entry
-// points must agree with a label-filtered rebuild oracle.
+// points (the frontier row and the point scan) must agree with the linear
+// oracle on a label-filtered rebuild.
 
 import (
 	"testing"
@@ -131,8 +132,10 @@ func restrictedOracle(t testing.TB, net *temporal.Network, start int32) *tempora
 }
 
 // TestEarliestArrivalsFromIntoMatchesFilteredOracle pins the restricted
-// frontier query against the filtered-rebuild oracle for every start in
-// the label range, plus the out-of-range starts a serving layer can see.
+// frontier row and the point scan against the linear oracle on the
+// filtered rebuild, for every start in the label range plus the
+// out-of-range starts a serving layer can see, and every (s, t) pair
+// including s == t.
 func TestEarliestArrivalsFromIntoMatchesFilteredOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -150,7 +153,7 @@ func TestEarliestArrivalsFromIntoMatchesFilteredOracle(t *testing.T) {
 			oracle := restrictedOracle(t, net, max(start, 1))
 			for s := 0; s < nv; s++ {
 				gr := net.EarliestArrivalsFromInto(s, start, got)
-				wr := oracle.EarliestArrivalsInto(s, want)
+				wr := oracle.EarliestArrivalsLinearInto(s, want)
 				if gr != wr {
 					t.Fatalf("%s: start %d source %d: reached %d, oracle %d",
 						tc.name, start, s, gr, wr)
@@ -159,6 +162,10 @@ func TestEarliestArrivalsFromIntoMatchesFilteredOracle(t *testing.T) {
 					if got[v] != want[v] {
 						t.Fatalf("%s: start %d source %d vertex %d: got %d oracle %d",
 							tc.name, start, s, v, got[v], want[v])
+					}
+					if a := net.EarliestArrivalTo(s, v, start); a != want[v] {
+						t.Fatalf("%s: start %d: EarliestArrivalTo(%d, %d) = %d, oracle %d",
+							tc.name, start, s, v, a, want[v])
 					}
 				}
 			}

@@ -11,17 +11,23 @@
 // label. The temporal distance δ(u,v) is the minimum arrival time over all
 // (u,v)-journeys.
 //
-// The hot path is the earliest-arrival engine (engine.go, msreach.go). At
-// construction the network builds two indexes over its M time edges (an
-// (edge, label) pair is one time edge): the global list bucket-sorted by
-// label, and a per-vertex CSR of outgoing time edges sorted by label. Two
-// kernels run on those indexes:
+// The hot path is the earliest-arrival engine (engine.go, msreach.go). The
+// network keeps two indexes over its M time edges (an (edge, label) pair
+// is one time edge): the global list bucket-sorted by label, built at
+// construction, and a per-vertex CSR of outgoing time edges sorted by
+// label, built on the first frontier query. Three kernels run on those
+// indexes:
 //
 //   - the frontier kernel answers single-source queries: a Dial-style
 //     bucket queue settles vertices in arrival order and relaxes only the
 //     time edges leaving settled vertices with labels above their arrival,
 //     so a query costs O(n + reached time edges) rather than O(M), with
 //     early termination once every vertex is settled or the queue drains;
+//   - the point scan (EarliestArrivalTo) answers one (s, t, start) pair:
+//     it binary-searches the global list for the first label ≥ start and
+//     scans forward until t is first reached, which is already its
+//     earliest arrival. It needs no row and no per-vertex index, but pays
+//     the whole suffix of the list when t is unreachable;
 //   - the word scan answers all-pairs questions: 64 sources share one pass
 //     over the label-sorted time-edge list, one uint64 of source bits per
 //     vertex, so Treach, violation counts, reachable sets, arrival rows
@@ -31,8 +37,9 @@
 //
 // The linear kernel (EarliestArrivalsLinearInto, the original single-pass
 // scan) and a Bellman–Ford fixpoint are oracles only (oracle.go): no
-// production path runs them, and the differential tests pin both kernels
-// to them.
+// production path runs them, and the differential tests pin the kernels
+// to them. The point scan is also checked against the linear kernel on a
+// rebuild with every label below start dropped.
 //
 // All public entry points draw their work arrays from a sync.Pool-backed
 // scratch layer, so steady-state queries allocate nothing. For Monte-Carlo

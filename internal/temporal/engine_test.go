@@ -253,13 +253,15 @@ func TestForemostJourneyEngineProperties(t *testing.T) {
 
 // FuzzEarliestArrivalKernels lets the fuzzer drive graph shape, direction,
 // lifetime and the label multiset, cross-checking frontier, linear and
-// fixpoint kernels from every source, and the word-scan diameter against
-// the linear-oracle fold on all, sampled and duplicated sources.
+// fixpoint kernels from every source, the point scan at a fuzzed start
+// (from −1 to lifetime+2) against the restricted frontier row, and the
+// word-scan diameter against the linear-oracle fold on all, sampled and
+// duplicated sources.
 func FuzzEarliestArrivalKernels(f *testing.F) {
-	f.Add(uint64(1), uint8(6), uint8(3), true)
-	f.Add(uint64(42), uint8(12), uint8(1), false)
-	f.Add(uint64(7), uint8(2), uint8(0), true)
-	f.Fuzz(func(t *testing.T, seed uint64, nRaw, labRaw uint8, directed bool) {
+	f.Add(uint64(1), uint8(6), uint8(3), true, uint8(0))
+	f.Add(uint64(42), uint8(12), uint8(1), false, uint8(3))
+	f.Add(uint64(7), uint8(2), uint8(0), true, uint8(11))
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, labRaw uint8, directed bool, startRaw uint8) {
 		r := rng.New(seed)
 		n := int(nRaw)%14 + 1
 		lifetime := int(labRaw)%9 + 1
@@ -284,6 +286,16 @@ func FuzzEarliestArrivalKernels(f *testing.F) {
 				if frontier[v] != fix[v] || linear[v] != fix[v] {
 					t.Fatalf("source %d vertex %d: frontier=%d linear=%d fixpoint=%d",
 						s, v, frontier[v], linear[v], fix[v])
+				}
+			}
+		}
+		start := int32(startRaw)%int32(lifetime+4) - 1
+		for s := 0; s < n; s++ {
+			net.EarliestArrivalsFromInto(s, start, frontier)
+			for v := 0; v < n; v++ {
+				if a := net.EarliestArrivalTo(s, v, start); a != frontier[v] {
+					t.Fatalf("start %d: EarliestArrivalTo(%d, %d) = %d, frontier %d",
+						start, s, v, a, frontier[v])
 				}
 			}
 		}

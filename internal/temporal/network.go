@@ -111,6 +111,8 @@ type Network struct {
 	// sort and the two derived indexes are redone on first use, so a trial
 	// that only runs the bit-parallel kernel (the time-edge list) never
 	// pays for the per-vertex CSR or the per-edge sort, and vice versa.
+	// New builds the per-edge sort and the time-edge list and leaves the
+	// per-vertex CSR to the first frontier query the same way.
 	// (The derived indexes do not depend on per-edge label order: the
 	// counting sort places each (edge, label) pair by its label value, and
 	// equal pairs are interchangeable, so sortedness only matters to the
@@ -166,7 +168,9 @@ func growI32(s []int32, n int) []int32 {
 
 // New assembles a temporal network from a graph and a labeling. It verifies
 // the CSR shape and label range, sorts each edge's labels, and bucket-sorts
-// the global time-edge list.
+// the global time-edge list. The per-vertex index is left for the first
+// frontier query to build (ensureVertexTimeEdges), as after Relabel: the
+// word-scan and point kernels never read it.
 func New(g *graph.Graph, lifetime int, lab Labeling) (*Network, error) {
 	if lifetime < 1 {
 		return nil, fmt.Errorf("temporal: lifetime %d < 1", lifetime)
@@ -177,10 +181,8 @@ func New(g *graph.Graph, lifetime int, lab Labeling) (*Network, error) {
 	n := &Network{g: g, lifetime: int32(lifetime), off: lab.Off, labels: lab.Labels}
 	n.sortPerEdge()
 	n.buildTimeEdges()
-	n.buildVertexTimeEdges()
 	n.labSorted.Store(true)
 	n.teClean.Store(true)
-	n.vteClean.Store(true)
 	return n, nil
 }
 

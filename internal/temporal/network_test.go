@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 )
 
 // pathNet builds the directed path 0→1→…, one label set per edge.
@@ -176,5 +177,29 @@ func TestStringer(t *testing.T) {
 	s := n.String()
 	if !strings.Contains(s, "lifetime=10") || !strings.Contains(s, "labels=2") {
 		t.Fatalf("String() = %q", s)
+	}
+}
+
+// TestNewBuildsVertexIndexLazily pins that New leaves the per-vertex CSR
+// unbuilt: the word-scan kernels and the point scan never read it, so they
+// leave temporal_index_builds_total{index="vertex"} unchanged, and the
+// first frontier query builds it exactly once.
+func TestNewBuildsVertexIndexLazily(t *testing.T) {
+	g := graph.Grid(5, 5)
+	before := obsBuildVertex.Value()
+	net := MustNew(g, 30, uniformSets(g, 30, 2, rng.New(3)))
+	SatisfiesTreachSerial(net, nil)
+	TreachViolations(net)
+	ReachableSets(net, []int{0, 7})
+	Diameter(net)
+	net.ArrivalRowsBatch([]int32{3}, [][]int32{make([]int32, g.N())})
+	net.EarliestArrivalTo(0, 24, 4)
+	if d := obsBuildVertex.Value() - before; d != 0 {
+		t.Fatalf("word-scan and point kernels built the vertex index %d times", d)
+	}
+	net.EarliestArrivals(0)
+	net.EarliestArrivalsFromInto(5, 7, make([]int32, g.N()))
+	if d := obsBuildVertex.Value() - before; d != 1 {
+		t.Fatalf("frontier queries built the vertex index %d times, want 1", d)
 	}
 }
