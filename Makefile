@@ -44,13 +44,16 @@ fmt:
 # reporting and converts the benchfmt output into BENCH_kernels.json for
 # archival; cmd/benchdiff folds the repeats to their median ns/op (and
 # largest allocs/op), so its 30% limit compares medians instead of single
-# runs that swing with host noise. The
+# runs that swing with host noise. -cpu 1 runs every benchmark at
+# GOMAXPROCS=1, the procs the baseline was taken at, whatever the host's
+# core count (benchdiff fails on a procs mismatch), and benchjson is told
+# so. The
 # test output is redirected (not piped through tee) so a benchmark failure
 # fails the target instead of being masked by the pipe's exit status.
 bench:
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -count 5 . > bench.txt || (cat bench.txt; exit 1)
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime $(BENCHTIME) -count 5 -cpu 1 . > bench.txt || (cat bench.txt; exit 1)
 	cat bench.txt
-	$(GO) run ./cmd/benchjson < bench.txt > BENCH_kernels.json
+	$(GO) run ./cmd/benchjson -procs 1 < bench.txt > BENCH_kernels.json
 	@echo "wrote BENCH_kernels.json"
 
 # bench-diff is the performance-regression gate CI runs after `make

@@ -302,30 +302,32 @@ func BenchmarkKernelGnpSparse(b *testing.B) {
 // relabel side must stay at 0 allocs/op (the CI benchdiff gate fails on
 // any alloc regression).
 
-// relabelBenchCases spans the resampling model families on the clique and
-// sparse-G(n,p) substrates the sweeps spend their trials on.
-func relabelBenchCases(b *testing.B) []struct {
+// modelBenchCase is one availability model on one substrate.
+type modelBenchCase struct {
 	name string
 	m    avail.Model
 	g    *graph.Graph
-} {
+}
+
+// buildModel builds a registered availability model or fails the benchmark.
+func buildModel(b *testing.B, name string, p avail.Params) avail.Model {
 	b.Helper()
-	mk := func(name string, p avail.Params) avail.Model {
-		m, err := avail.Build(name, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m
+	m, err := avail.Build(name, p)
+	if err != nil {
+		b.Fatal(err)
 	}
-	return []struct {
-		name string
-		m    avail.Model
-		g    *graph.Graph
-	}{
-		{"uniform-r2-clique-128", mk("uniform", avail.Params{Lifetime: 128, R: 2}), graph.Clique(128, false)},
-		{"markov-clique-128", mk("markov", avail.Params{Lifetime: 128, P: map[string]float64{"pi": 0.05, "runlen": 4}}), graph.Clique(128, false)},
-		{"pt-ramp-clique-128", mk("pt-ramp", avail.Params{Lifetime: 128}), graph.Clique(128, false)},
-		{"uniform-r4-gnp-1024", mk("uniform", avail.Params{Lifetime: 1024, R: 4}), graph.Gnp(1024, 8.0/1024, false, rng.New(3))},
+	return m
+}
+
+// relabelBenchCases spans the resampling model families on the clique and
+// sparse-G(n,p) substrates the sweeps spend their trials on.
+func relabelBenchCases(b *testing.B) []modelBenchCase {
+	b.Helper()
+	return []modelBenchCase{
+		{"uniform-r2-clique-128", buildModel(b, "uniform", avail.Params{Lifetime: 128, R: 2}), graph.Clique(128, false)},
+		{"markov-clique-128", buildModel(b, "markov", avail.Params{Lifetime: 128, P: map[string]float64{"pi": 0.05, "runlen": 4}}), graph.Clique(128, false)},
+		{"pt-ramp-clique-128", buildModel(b, "pt-ramp", avail.Params{Lifetime: 128}), graph.Clique(128, false)},
+		{"uniform-r4-gnp-1024", buildModel(b, "uniform", avail.Params{Lifetime: 1024, R: 4}), graph.Gnp(1024, 8.0/1024, false, rng.New(3))},
 	}
 }
 
@@ -364,12 +366,22 @@ func BenchmarkKernelRelabel(b *testing.B) {
 // split a trial's cost between drawing and the rest. The r=0.03 geometric
 // case runs a 33×33 grid holding 100 points, mostly empty cells, which
 // the automatic radius of BenchmarkSweepBatchedGeometric (a 5×5 grid)
-// never reaches.
+// never reaches. The two Markov cases sit on either side of AppendChain's
+// kernel choice: markov-clique-128 (pi 0.05, runlen 4) switches rarely and
+// runs the run-length kernel, markov-pi0.5-runlen2-clique-128 switches on
+// half its slots and runs the conditional-move kernel. binom-clique-96 is
+// E12's binomial law on E12's quick directed clique, one label per arc.
 func BenchmarkKernelDraw(b *testing.B) {
+	cases := []modelBenchCase{
+		{"markov-pi0.5-runlen2-clique-128", buildModel(b, "markov", avail.Params{Lifetime: 128, P: map[string]float64{"pi": 0.5, "runlen": 2}}), graph.Clique(128, false)},
+		{"binom-clique-96", buildModel(b, "binom", avail.Params{Lifetime: 96}), graph.Clique(96, true)},
+	}
 	for _, tc := range relabelBenchCases(b) {
-		if tc.name != "markov-clique-128" && tc.name != "pt-ramp-clique-128" {
-			continue
+		if tc.name == "markov-clique-128" || tc.name == "pt-ramp-clique-128" {
+			cases = append(cases, tc)
 		}
+	}
+	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			rs := tc.m.(avail.Resampler)
 			var lab temporal.Labeling
@@ -384,10 +396,7 @@ func BenchmarkKernelDraw(b *testing.B) {
 		})
 	}
 	b.Run("geometric-n100-r0.03", func(b *testing.B) {
-		m, err := avail.Build("geometric", avail.Params{Lifetime: 64, P: map[string]float64{"radius": 0.03}})
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := buildModel(b, "geometric", avail.Params{Lifetime: 64, P: map[string]float64{"radius": 0.03}})
 		st := m.(avail.IncrementalScenario).NewScenarioState(100)
 		stream := rng.New(7)
 		// Warm the buffers past the largest trial they are likely to meet.
@@ -584,20 +593,12 @@ func sweepCellBench(b *testing.B, m avail.Model, g *graph.Graph, batched bool) {
 
 func sweepBenchClique(b *testing.B) (avail.Model, *graph.Graph) {
 	b.Helper()
-	m, err := avail.Build("uniform", avail.Params{Lifetime: 96, R: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, graph.Clique(96, false)
+	return buildModel(b, "uniform", avail.Params{Lifetime: 96, R: 4}), graph.Clique(96, false)
 }
 
 func sweepBenchGnp(b *testing.B) (avail.Model, *graph.Graph) {
 	b.Helper()
-	m, err := avail.Build("uniform", avail.Params{Lifetime: 256, R: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, graph.Gnp(256, 8.0/256, false, rng.New(3))
+	return buildModel(b, "uniform", avail.Params{Lifetime: 256, R: 8}), graph.Gnp(256, 8.0/256, false, rng.New(3))
 }
 
 func BenchmarkSweepRebuildIIDClique(b *testing.B) {
@@ -631,10 +632,7 @@ func BenchmarkSweepBatchedIIDGnp(b *testing.B) {
 // two engines rather than a measurement kernel both arms share.
 func sweepGeomCellBench(b *testing.B, batched bool) {
 	b.Helper()
-	m, err := avail.Build("geometric", avail.Params{Lifetime: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := buildModel(b, "geometric", avail.Params{Lifetime: 64})
 	g := graph.Clique(100, false) // scenario models use only the vertex count
 	prec := sweep.Precision{Abs: 1e-9, MaxTrials: 256, Batch: 64}
 	reach := func(net *temporal.Network, arr []int32) float64 {
@@ -880,11 +878,7 @@ func lateStartQueries(b *testing.B) (*temporal.Network, []lateQuery) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := avail.Build("uniform", avail.Params{Lifetime: n})
-	if err != nil {
-		b.Fatal(err)
-	}
-	net := avail.Network(m, g, r)
+	net := avail.Network(buildModel(b, "uniform", avail.Params{Lifetime: n}), g, r)
 	qs := make([]lateQuery, 256)
 	for i := range qs {
 		qs[i] = lateQuery{r.Intn(n), r.Intn(n), int32(2 + r.Intn(n/2-1))}

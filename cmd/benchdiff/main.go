@@ -18,6 +18,12 @@
 //   - it is present in the baseline but missing from the fresh run — a
 //     silently dropped benchmark would blind the gate.
 //
+// Any benchmark, gated or not, fails when its fresh run used a different
+// GOMAXPROCS (the procs field) from its baseline entry: allocation counts
+// change wherever work is sharded over workers, and contention benchmarks
+// measure procs itself, so such a pair compares nothing. `make bench` pins
+// -cpu 1, the procs the baseline was taken at.
+//
 // A benchmark that appears more than once in a file — `go test -count N`
 // writes one entry per run, and `make bench` runs -count 5 — is folded to
 // one entry first: the median ns/op and the largest allocs/op (see fold),
@@ -151,6 +157,11 @@ func diff(base, fresh map[string]Benchmark, baseOrder []string, maxNs float64, g
 			} else {
 				lines = append(lines, fmt.Sprintf("  %-55s missing from fresh run (not gated)", name))
 			}
+			continue
+		}
+		if f.Procs != b.Procs {
+			failures = append(failures, fmt.Sprintf("%s: ran at procs %d, baseline at procs %d (run `make bench`, which pins -cpu 1)", name, f.Procs, b.Procs))
+			lines = append(lines, fmt.Sprintf("  %-55s procs %d → %d  [FAIL procs]", name, b.Procs, f.Procs))
 			continue
 		}
 		bn, fn := b.Metrics["ns/op"], f.Metrics["ns/op"]

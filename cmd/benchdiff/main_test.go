@@ -155,3 +155,32 @@ func TestLoadFoldsRepeats(t *testing.T) {
 		t.Fatalf("folded run flagged: %v", failures)
 	}
 }
+
+// TestDiffProcsMismatch: a fresh entry run at another GOMAXPROCS than its
+// baseline entry fails the run by name, gated or not, whatever its
+// numbers; entries at equal procs are compared as usual.
+func TestDiffProcsMismatch(t *testing.T) {
+	at := func(b Benchmark, procs int) Benchmark {
+		b.Procs = procs
+		return b
+	}
+	base, order := asMaps(
+		at(bench("KernelSame", 1000, 0), 1),
+		at(bench("KernelFaster", 1000, 3), 1),
+		at(bench("SweepAdaptiveOverhead", 3000, 100), 1),
+	)
+	fresh, _ := asMaps(
+		at(bench("KernelSame", 1100, 0), 1),
+		at(bench("KernelFaster", 500, 0), 2), // better numbers, wrong procs
+		at(bench("SweepAdaptiveOverhead", 3000, 100), 2),
+	)
+	_, failures := diff(base, fresh, order, 0.30, "Kernel")
+	if len(failures) != 2 {
+		t.Fatalf("want 2 procs failures, got %v", failures)
+	}
+	for i, name := range []string{"KernelFaster", "SweepAdaptiveOverhead"} {
+		if !strings.HasPrefix(failures[i], name+": ") || !strings.Contains(failures[i], "procs 2, baseline at procs 1") {
+			t.Fatalf("failure %d = %q, want %s named with both procs", i, failures[i], name)
+		}
+	}
+}

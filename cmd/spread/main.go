@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -26,21 +27,39 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("spread", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n        = flag.Int("n", 256, "clique size")
-		lifetime = flag.Int("lifetime", 0, "lifetime (default n)")
-		source   = flag.Int("source", 0, "source vertex")
-		seed     = flag.Uint64("seed", 1, "instance seed")
-		summary  = flag.Bool("summary", false, "coverage summary only: answers from the earliest-arrival engine without the event-by-event replay (no timeline or transmission counts)")
+		n        = fs.Int("n", 256, "clique size (≥ 2)")
+		lifetime = fs.Int("lifetime", 0, "lifetime a ≥ 1; 0 means n")
+		source   = fs.Int("source", 0, "source vertex in [0, n)")
+		seed     = fs.Uint64("seed", 1, "instance seed")
+		summary  = fs.Bool("summary", false, "coverage summary only: answers from the earliest-arrival engine without the event-by-event replay (no timeline or transmission counts)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	a := *lifetime
 	if a == 0 {
 		a = *n
 	}
-	if *source < 0 || *source >= *n {
-		fmt.Fprintln(os.Stderr, "spread: source out of range")
-		os.Exit(2)
+	var usage string
+	switch {
+	case *n < 2:
+		usage = "need n >= 2"
+	case a < 1:
+		usage = "need lifetime >= 1"
+	case *source < 0 || *source >= *n:
+		usage = "need source in [0, n)"
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, "spread:", usage)
+		fs.Usage()
+		return 2
 	}
 
 	g := graph.Clique(*n, true)
@@ -49,38 +68,39 @@ func main() {
 
 	if *summary {
 		_, informed, completion := core.SpreadReach(net, *source)
-		fmt.Printf("flooding the directed URT clique: n=%d lifetime=%d source=%d\n\n", *n, a, *source)
+		fmt.Fprintf(stdout, "flooding the directed URT clique: n=%d lifetime=%d source=%d\n\n", *n, a, *source)
 		if informed == *n {
-			fmt.Printf("all %d vertices informed at t=%d  (ln n = %.1f — §3.5 predicts O(log n))\n",
+			fmt.Fprintf(stdout, "all %d vertices informed at t=%d  (ln n = %.1f — §3.5 predicts O(log n))\n",
 				*n, completion, math.Log(float64(*n)))
 		} else {
-			fmt.Printf("only %d/%d informed within the lifetime (last at t=%d)\n", informed, *n, completion)
+			fmt.Fprintf(stdout, "only %d/%d informed within the lifetime (last at t=%d)\n", informed, *n, completion)
 		}
-		return
+		return 0
 	}
 
 	res := core.Spread(net, *source)
 
-	fmt.Printf("flooding the directed URT clique: n=%d lifetime=%d source=%d\n\n", *n, a, *source)
-	fmt.Println("  time  informed  coverage")
+	fmt.Fprintf(stdout, "flooding the directed URT clique: n=%d lifetime=%d source=%d\n\n", *n, a, *source)
+	fmt.Fprintln(stdout, "  time  informed  coverage")
 	for _, pt := range res.Timeline {
 		frac := float64(pt.Informed) / float64(*n)
 		bar := strings.Repeat("#", int(frac*40))
-		fmt.Printf("  %4d  %8d  %-40s %5.1f%%\n", pt.Time, pt.Informed, bar, 100*frac)
+		fmt.Fprintf(stdout, "  %4d  %8d  %-40s %5.1f%%\n", pt.Time, pt.Informed, bar, 100*frac)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if res.All {
-		fmt.Printf("all %d vertices informed at t=%d  (ln n = %.1f — §3.5 predicts O(log n))\n",
+		fmt.Fprintf(stdout, "all %d vertices informed at t=%d  (ln n = %.1f — §3.5 predicts O(log n))\n",
 			*n, res.CompletionTime, math.Log(float64(*n)))
 	} else {
-		fmt.Printf("only %d/%d informed within the lifetime\n", res.Informed, *n)
+		fmt.Fprintf(stdout, "only %d/%d informed within the lifetime\n", res.Informed, *n)
 	}
-	fmt.Printf("protocol transmissions: %d total, %d useful (n² = %d)\n\n",
+	fmt.Fprintf(stdout, "protocol transmissions: %d total, %d useful (n² = %d)\n\n",
 		res.Transmissions, res.UsefulTransmissions, (*n)*(*n))
 
 	gu := graph.Clique(*n, false)
 	push := phonecall.Push(gu, *source, 0, rng.New(*seed+1))
 	pp := phonecall.PushPull(gu, *source, 0, rng.New(*seed+2))
-	fmt.Printf("phone-call baselines (§1.1): push %d rounds / %d tx; push-pull %d rounds / %d tx\n",
+	fmt.Fprintf(stdout, "phone-call baselines (§1.1): push %d rounds / %d tx; push-pull %d rounds / %d tx\n",
 		push.Rounds, push.Transmissions, pp.Rounds, pp.Transmissions)
+	return 0
 }

@@ -45,22 +45,31 @@
 // # Draw kernels
 //
 // The per-slot models draw through package rng's bulk kernels, one call
-// per edge, which keep the generator state in local variables for the
-// edge's whole lifetime:
+// per edge (per label for binom), which keep the generator state in local
+// variables for the whole call:
 //
 //   - markov: rng.AppendChain, with coins compiled from pi (start), beta
-//     (leave, chain on) and alpha (enter, chain off).
+//     (leave, chain on) and alpha (enter, chain off). A chain with alpha
+//     or beta at most 1/32 — the sweep's pi search, E18's markov arm and
+//     E15's default pi at runlen ≥ 2 — runs the run-length kernel, which
+//     only draws through an off run and branches only when the chain
+//     switches; any other chain runs the branch-free conditional-move
+//     kernel, and a chain with beta = 1 (runlen 1) the per-flip loop.
 //   - pt, pt-ramp, pt-periodic, pt-burst: rng.AppendSchedule over the
 //     schedule's p(t) compiled to one rng.Coin per slot when the model is
 //     built.
-//   - uniform: dist.Uniform.SampleInto; binom, geom and zipf draw label
-//     by label through assign.FromDistributionInto.
+//   - binom: label by label through assign.FromDistributionInto, each
+//     label one rng.CountHeads call over a−1 flips of the law's compiled
+//     coin (dist.Binomial.Sample).
+//   - uniform: dist.Uniform.SampleInto; geom and zipf draw label by label
+//     through assign.FromDistributionInto.
 //   - geometric: its ScenarioState (below) draws two Float64 per point
 //     and slot.
 //
-// Both kernels consume the stream exactly as per-slot Stream.Bernoulli
+// Every kernel consumes the stream exactly as per-slot Stream.Bernoulli
 // loops would; resample_ref_test.go keeps those loops as the reference
-// and compares labels, offsets and the stream's next word.
+// for markov and pt and compares labels, offsets and the stream's next
+// word, and package dist's tests do the same for the binomial law.
 //
 // # Incremental scenarios
 //

@@ -57,28 +57,24 @@ func (u Uniform) PMF() []float64 {
 // Binomial shifts a Binomial(a−1, p) draw to {1,…,a}: the label mass peaks
 // near p·a, modelling links that mostly become available mid-lifetime.
 type Binomial struct {
-	p float64
-	a int
+	p    float64
+	a    int
+	coin rng.Coin // p compiled once for Sample's a−1 flips
 }
 
 // NewBinomial returns the shifted binomial law 1 + Bin(a−1, p).
 func NewBinomial(p float64, a int) Binomial {
 	checkLifetime(a)
 	checkProb(p)
-	return Binomial{p, a}
+	return Binomial{p, a, rng.NewCoin(p)}
 }
 
-func (b Binomial) Sample(r *rng.Stream) int {
-	k := 1
-	for i := 0; i < b.a-1; i++ {
-		if r.Bernoulli(b.p) {
-			k++
-		}
-	}
-	return k
-}
-func (b Binomial) Lifetime() int { return b.a }
-func (b Binomial) Name() string  { return fmt.Sprintf("binom(p=%.3g)", b.p) }
+// Sample counts the heads of a−1 flips of p in one rng.CountHeads call,
+// which draws the same words and the same heads as a−1 Stream.Bernoulli(p)
+// calls.
+func (b Binomial) Sample(r *rng.Stream) int { return 1 + r.CountHeads(b.coin, b.a-1) }
+func (b Binomial) Lifetime() int            { return b.a }
+func (b Binomial) Name() string             { return fmt.Sprintf("binom(p=%.3g)", b.p) }
 
 func (b Binomial) PMF() []float64 {
 	// P(label = k) = C(a−1, k−1) p^{k−1} (1−p)^{a−k}, computed in log space
@@ -132,14 +128,19 @@ func (g Geometric) Sample(r *rng.Stream) int {
 	for u == 0 {
 		u = r.Float64()
 	}
-	k := 1 + int(math.Log(u)/math.Log(1-g.p))
-	if k < 1 {
-		k = 1
+	// Below p ≈ 1.1e-16, 1−p rounds to 1 and its log to 0; Log1p keeps
+	// those p apart from 0 without moving any other p's draws.
+	lq := math.Log(1 - g.p)
+	if lq == 0 {
+		lq = math.Log1p(-g.p)
 	}
-	if k > g.a {
-		k = g.a
+	// The ratio is positive, but for tiny p too large for an int: fold the
+	// tail onto a before converting.
+	x := math.Log(u) / lq
+	if x >= float64(g.a-1) {
+		return g.a
 	}
-	return k
+	return 1 + int(x)
 }
 func (g Geometric) Lifetime() int { return g.a }
 func (g Geometric) Name() string  { return fmt.Sprintf("geom(p=%.3g)", g.p) }

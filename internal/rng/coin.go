@@ -112,8 +112,11 @@ func below(x, cut uint64) uint64 { return (x>>11 - cut) >> 63 }
 //
 // and consumes the stream exactly as that loop does. When both transition
 // coins draw, which every chain with alpha < 1 and beta < 1 does, the
-// state stays in local variables for the whole chain; otherwise the kernel
-// runs that loop as written.
+// state stays in local variables for the whole chain, and each slot
+// compares its word with one cut, the one for the chain's current state.
+// A chain that switches rarely (either transition coin at most 1/32, see
+// rareSwitch) runs chainRuns, and every other chain chainSwitch. When a
+// transition coin draws nothing, the kernel runs the loop above as written.
 func (r *Stream) AppendChain(dst []int32, a int, start, leave, enter Coin) []int32 {
 	on := r.Flip(start)
 	if a < 1 {
@@ -137,34 +140,125 @@ func (r *Stream) AppendChain(dst []int32, a int, start, leave, enter Coin) []int
 	n := len(dst)
 	dst = slices.Grow(dst, a)[:n+a]
 	var k int
-	k, *r = chain(*r, dst[n:], on, leave.cut, enter.cut)
+	if min(leave.cut, enter.cut) <= rareSwitch {
+		k, *r = chainRuns(*r, dst[n:], on, leave.cut, enter.cut)
+	} else {
+		k, *r = chainSwitch(*r, dst[n:], on, leave.cut, enter.cut)
+	}
 	return dst[:n+k]
 }
 
-// chain is AppendChain's loop for two drawing transition coins, on a state
-// passed by value: out has one entry per slot, on is the chain's state at
-// slot 1, and leave and enter are the coins' cuts. It writes the on slots
-// to the front of out and returns their count and the final state. Like
-// schedule it stores every slot and keeps it by adding the state to the
-// count; the state itself is 0 or 1 and steps by arithmetic, so no branch
-// depends on the chain.
-func chain(s Stream, out []int32, on bool, leave, enter uint64) (int, Stream) {
-	var state uint64
-	if on {
-		state = 1
+// rareSwitch is the largest transition cut, 2⁵³/32 for probability 1/32,
+// at which AppendChain runs chainRuns. A chain at stationarity switches
+// on a fraction 2·alpha·beta/(alpha+beta) ≤ 2·min(alpha, beta) of its
+// slots, so under this cut chainRuns mispredicts its branch on at most one
+// slot in 16, where it still beats chainSwitch (see the package doc).
+const rareSwitch = 1 << 48
+
+// chainRuns is AppendChain's loop for a chain that switches rarely, on a
+// state passed by value: out has one entry per slot, on is the chain's
+// state at slot 1, and leave and enter are the transition coins' cuts. It
+// writes the on slots to the front of out and returns their count and the
+// final state. It runs the chain one run at a time: an on run stores its
+// slots, an off run only draws, and each slot's one branch is taken only
+// when the chain switches, so the branch predictor is right on every slot
+// but the switches. The runs are two loops rather than one loop that
+// swaps the cut on a switch, because the compiler turns that swap into
+// conditional moves, which measured no faster than the kernel chainRuns
+// replaced.
+func chainRuns(s Stream, out []int32, on bool, leave, enter uint64) (int, Stream) {
+	k, t, last := 0, 1, len(out)
+	for t < last {
+		if on {
+			for t < last {
+				out[k] = int32(t)
+				k++
+				t++
+				var x uint64
+				x, s = s.next()
+				if x>>11 < leave {
+					on = false
+					break
+				}
+			}
+		} else {
+			for t < last {
+				t++
+				var x uint64
+				x, s = s.next()
+				if x>>11 < enter {
+					on = true
+					break
+				}
+			}
+		}
 	}
+	if on {
+		out[k] = int32(last)
+		k++
+	}
+	return k, s
+}
+
+// chainSwitch is AppendChain's loop for a chain that switches often, with
+// chainRuns's arguments and results. Like schedule it stores every slot
+// and keeps it by adding the state to the count. The state is 0 or 1, cut
+// is the transition cut for the current state, and a switch flips both by
+// arithmetic, so no branch depends on the chain.
+func chainSwitch(s Stream, out []int32, on bool, leave, enter uint64) (int, Stream) {
+	state, cut := uint64(0), enter
+	if on {
+		state, cut = 1, leave
+	}
+	swap := leave ^ enter
 	k := 0
 	for t := 1; t < len(out); t++ {
 		out[k] = int32(t)
 		k += int(state)
 		var x uint64
 		x, s = s.next()
-		// Off, the chain turns on on heads of enter (e); on, it stays on
-		// on tails of leave (l^1). Both cases are e ^ (state & (e^l^1)).
-		l, e := below(x, leave), below(x, enter)
-		state = e ^ (state & (e ^ l ^ 1))
+		sw := below(x, cut)
+		state ^= sw
+		cut ^= swap & -sw
 	}
 	out[k] = int32(len(out))
 	k += int(state)
 	return k, s
+}
+
+// CountHeads flips the coin n times and returns the number of heads. It
+// is the bulk form of
+//
+//	k := 0
+//	for i := 0; i < n; i++ {
+//		if r.Flip(c) {
+//			k++
+//		}
+//	}
+//
+// and consumes the stream exactly as that loop does, with the state in
+// local variables and no branch on the outcomes. It writes nothing, so a
+// law shared between goroutines can call it without a buffer.
+func (r *Stream) CountHeads(c Coin, n int) int {
+	if n <= 0 {
+		return 0
+	}
+	if !c.draw {
+		return n * int(c.cut>>53)
+	}
+	var k int
+	k, *r = countHeads(*r, c.cut, n)
+	return k
+}
+
+// countHeads is CountHeads's loop for a drawing coin of cut cut, on a
+// state passed by value.
+func countHeads(s Stream, cut uint64, n int) (int, Stream) {
+	var k uint64
+	for ; n > 0; n-- {
+		var x uint64
+		x, s = s.next()
+		k += below(x, cut)
+	}
+	return int(k), s
 }

@@ -126,42 +126,169 @@ func TestAppendScheduleMatchesFlips(t *testing.T) {
 	}
 }
 
-func TestAppendChainMatchesFlips(t *testing.T) {
-	gen := New(23)
-	for trial := 0; trial < 300; trial++ {
-		cs := randomCoins(gen, 3)
-		start, leave, enter := cs[0], cs[1], cs[2]
-		a := gen.Intn(40) - 1 // includes a = -1 and a = 0, which still flip start
-		prefix := []int32{5}
-		ra, rb := New(uint64(trial)), New(uint64(trial))
-		got := ra.AppendChain(slices.Clone(prefix), a, start, leave, enter)
-		want := slices.Clone(prefix)
-		on := rb.Flip(start)
-		for t := 1; t <= a; t++ {
+// chainFlips is the reference for AppendChain: the chain run as the Flip
+// loop its doc comment gives.
+func chainFlips(r *Stream, dst []int32, a int, start, leave, enter Coin) []int32 {
+	on := r.Flip(start)
+	for t := 1; t <= a; t++ {
+		if on {
+			dst = append(dst, int32(t))
+		}
+		if t < a {
 			if on {
-				want = append(want, int32(t))
-			}
-			if t < a {
-				if on {
-					on = !rb.Flip(leave)
-				} else {
-					on = rb.Flip(enter)
-				}
+				on = !r.Flip(leave)
+			} else {
+				on = r.Flip(enter)
 			}
 		}
-		if !slices.Equal(got, want) || ra.Uint64() != rb.Uint64() {
-			t.Fatalf("trial %d (a=%d): AppendChain %v, Flip loop %v", trial, a, got, want)
+	}
+	return dst
+}
+
+// headsFlips is the reference for CountHeads.
+func headsFlips(r *Stream, c Coin, n int) int {
+	k := 0
+	for i := 0; i < n; i++ {
+		if r.Flip(c) {
+			k++
+		}
+	}
+	return k
+}
+
+// checkChain draws one chain with AppendChain, and with each of its two
+// kernels whenever both transition coins draw, and compares every result
+// and the stream's next word with chainFlips on a twin stream.
+func checkChain(t *testing.T, seed uint64, a int, start, leave, enter Coin) {
+	t.Helper()
+	prefix := []int32{5}
+	ref := New(seed)
+	want := chainFlips(ref, slices.Clone(prefix), a, start, leave, enter)
+	next := ref.Uint64()
+	r := New(seed)
+	if got := r.AppendChain(slices.Clone(prefix), a, start, leave, enter); !slices.Equal(got, want) || r.Uint64() != next {
+		t.Fatalf("seed %d a=%d coins %v %v %v: AppendChain %v, Flip loop %v", seed, a, start, leave, enter, got, want)
+	}
+	if a < 1 || !leave.draw || !enter.draw {
+		return
+	}
+	for _, k := range []struct {
+		name string
+		run  func(Stream, []int32, bool, uint64, uint64) (int, Stream)
+	}{{"chainRuns", chainRuns}, {"chainSwitch", chainSwitch}} {
+		r := New(seed)
+		on := r.Flip(start)
+		out := make([]int32, a)
+		n, s := k.run(*r, out, on, leave.cut, enter.cut)
+		if got := append(slices.Clone(prefix), out[:n]...); !slices.Equal(got, want) || s.Uint64() != next {
+			t.Fatalf("seed %d a=%d coins %v %v %v: %s %v, Flip loop %v", seed, a, start, leave, enter, k.name, got, want)
 		}
 	}
 }
 
+func TestAppendChainMatchesFlips(t *testing.T) {
+	gen := New(23)
+	for trial := 0; trial < 300; trial++ {
+		cs := randomCoins(gen, 3)
+		a := gen.Intn(40) - 1 // includes a = -1 and a = 0, which still flip start
+		checkChain(t, uint64(trial), a, cs[0], cs[1], cs[2])
+	}
+}
+
+// TestAppendChainKernelChoice runs chains whose smaller transition
+// probability sits on both sides of the 1/32 that picks chainRuns and on
+// it, against starts that draw nothing, the extreme drawing cuts 1 and
+// 2⁵³−1, and the shortest lifetimes.
+func TestAppendChainKernelChoice(t *testing.T) {
+	const ulp = 1.0 / (1 << 53)
+	if NewCoin(1.0/32).cut != rareSwitch {
+		t.Fatalf("NewCoin(1/32) has cut %d, want rareSwitch %d", NewCoin(1.0/32).cut, rareSwitch)
+	}
+	rare := []float64{ulp, 1e-4, 1.0 / 64, math.Nextafter(1.0/32, 0), 1.0 / 32}
+	often := []float64{math.Nextafter(1.0/32, 1), 0.04, 0.25, 0.5, 0.9, 1 - ulp}
+	starts := []Coin{NewCoin(0), NewCoin(1), NewCoin(ulp), NewCoin(0.5), NewCoin(1 - ulp)}
+	seed := uint64(0)
+	for _, ps := range [][2][]float64{{rare, rare}, {rare, often}, {often, rare}, {often, often}} {
+		for _, pl := range ps[0] {
+			for _, pe := range ps[1] {
+				leave, enter := NewCoin(pl), NewCoin(pe)
+				if got, want := min(leave.cut, enter.cut) <= rareSwitch, min(pl, pe) <= 1.0/32; got != want {
+					t.Fatalf("leave %v enter %v: run-length choice %v, want %v", pl, pe, got, want)
+				}
+				for _, start := range starts {
+					for _, a := range []int{0, 1, 2, 3, 64, 300} {
+						seed++
+						checkChain(t, seed, a, start, leave, enter)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestCountHeadsMatchesFlips(t *testing.T) {
+	ps := []float64{0, 5e-324, 0.5, 1 - 1.0/(1<<53), 1, math.NaN()}
+	for _, p := range ps {
+		for _, n := range []int{0, 1, 95, 1000} {
+			a, b := New(uint64(n)+3), New(uint64(n)+3)
+			c := NewCoin(p)
+			if got, want := a.CountHeads(c, n), headsFlips(b, c, n); got != want || a.Uint64() != b.Uint64() {
+				t.Fatalf("p=%v n=%d: CountHeads %d, Flip loop %d", p, n, got, want)
+			}
+		}
+	}
+}
+
+// FuzzCoinKernels checks AppendChain and CountHeads against their Flip
+// loops for arbitrary probabilities, lifetimes and seeds.
+func FuzzCoinKernels(f *testing.F) {
+	f.Add(uint64(1), 128, 0.05, 0.25, 0.25*0.05/0.95)
+	f.Add(uint64(2), 128, 0.5, 0.5, 0.5)
+	f.Add(uint64(3), 2, 1.0, 1.0/32, 1.0)
+	f.Add(uint64(4), 95, math.NaN(), 5e-324, 1-1.0/(1<<53))
+	f.Fuzz(func(t *testing.T, seed uint64, a int, ps, pl, pe float64) {
+		a %= 1 << 12
+		start, leave, enter := NewCoin(ps), NewCoin(pl), NewCoin(pe)
+		checkChain(t, seed, a, start, leave, enter)
+		for _, c := range []Coin{start, leave, enter} {
+			r, ref := New(seed), New(seed)
+			if got, want := r.CountHeads(c, a), headsFlips(ref, c, a); got != want || r.Uint64() != ref.Uint64() {
+				t.Fatalf("seed %d n=%d coin %v: CountHeads %d, Flip loop %d", seed, a, c, got, want)
+			}
+		}
+	})
+}
+
+// BenchmarkAppendChain draws one 128-slot chain per op at the sweep's
+// pi = 0.05, runlen 4 (chainRuns) and at pi = 0.5, runlen 2 (chainSwitch).
 func BenchmarkAppendChain(b *testing.B) {
-	r := New(1)
-	start, leave, enter := NewCoin(0.05), NewCoin(0.25), NewCoin(0.25*0.05/0.95)
-	var dst []int32
+	for _, tc := range []struct {
+		name     string
+		pi, beta float64
+	}{{"pi0.05-runlen4", 0.05, 0.25}, {"pi0.5-runlen2", 0.5, 0.5}} {
+		b.Run(tc.name, func(b *testing.B) {
+			r := New(1)
+			start, leave, enter := NewCoin(tc.pi), NewCoin(tc.beta), NewCoin(tc.beta*tc.pi/(1-tc.pi))
+			var dst []int32
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = r.AppendChain(dst[:0], 128, start, leave, enter)
+			}
+		})
+	}
+}
+
+// BenchmarkCountHeads counts 95 flips of a fair coin per op, E12's
+// binomial label on a 96-slot lifetime.
+func BenchmarkCountHeads(b *testing.B) {
+	r, c := New(1), NewCoin(0.5)
+	k := 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dst = r.AppendChain(dst[:0], 128, start, leave, enter)
+		k += r.CountHeads(c, 95)
+	}
+	if k < 0 {
+		b.Fatal(k)
 	}
 }
 
