@@ -58,8 +58,9 @@ bench:
 
 # bench-diff is the performance-regression gate CI runs after `make
 # bench`: it compares the fresh BENCH_kernels.json against the committed
-# baseline and fails on Kernel* and Obs* regressions (>30% ns/op growth
-# or any allocs/op increase). Refresh the baseline after intentional perf
+# baseline and fails on Kernel*, Obs*, Query* and SweepBatched*
+# regressions, benchdiff's default -gate (>30% ns/op growth or any
+# allocs/op increase). Refresh the baseline after intentional perf
 # changes with: make bench && cp BENCH_kernels.json testdata/bench_baseline.json
 bench-diff:
 	$(GO) run ./cmd/benchdiff -baseline testdata/bench_baseline.json BENCH_kernels.json

@@ -363,14 +363,17 @@ func BenchmarkKernelRelabel(b *testing.B) {
 // into reused buffers: Resample for the substrate models, one
 // ScenarioState trial for the geometric scenario. KernelRelabel adds
 // Relabel and a Treach check on top of the same draw, so the two together
-// split a trial's cost between drawing and the rest. The r=0.03 geometric
-// case runs a 33×33 grid holding 100 points, mostly empty cells, which
-// the automatic radius of BenchmarkSweepBatchedGeometric (a 5×5 grid)
-// never reaches. The two Markov cases sit on either side of AppendChain's
-// kernel choice: markov-clique-128 (pi 0.05, runlen 4) switches rarely and
-// runs the run-length kernel, markov-pi0.5-runlen2-clique-128 switches on
-// half its slots and runs the conditional-move kernel. binom-clique-96 is
-// E12's binomial law on E12's quick directed clique, one label per arc.
+// split a trial's cost between drawing and the rest. The two geometric
+// cases (n = 100, lifetime 64) sit at either end of the grid's occupancy:
+// r=0.03 bins the points into a 33×33 grid, about 0.1 points per cell,
+// and the automatic radius of E17's full configuration and
+// BenchmarkSweepBatchedGeometric into a 5×5 grid, about 4 per cell, where
+// most of the time goes to distance tests and close pairs. The two Markov
+// cases sit on either side of AppendChain's kernel choice:
+// markov-clique-128 (pi 0.05, runlen 4) switches rarely and runs the
+// run-length kernel, markov-pi0.5-runlen2-clique-128 switches on half its
+// slots and runs the conditional-move kernel. binom-clique-96 is E12's
+// binomial law on E12's quick directed clique, one label per arc.
 func BenchmarkKernelDraw(b *testing.B) {
 	cases := []modelBenchCase{
 		{"markov-pi0.5-runlen2-clique-128", buildModel(b, "markov", avail.Params{Lifetime: 128, P: map[string]float64{"pi": 0.5, "runlen": 2}}), graph.Clique(128, false)},
@@ -395,22 +398,30 @@ func BenchmarkKernelDraw(b *testing.B) {
 			b.ReportMetric(float64(len(lab.Labels)), "labels")
 		})
 	}
-	b.Run("geometric-n100-r0.03", func(b *testing.B) {
-		m := buildModel(b, "geometric", avail.Params{Lifetime: 64, P: map[string]float64{"radius": 0.03}})
-		st := m.(avail.IncrementalScenario).NewScenarioState(100)
-		stream := rng.New(7)
-		// Warm the buffers past the largest trial they are likely to meet.
-		for i := 0; i < 64; i++ {
-			st.Resample(stream)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var from []int32
-		for i := 0; i < b.N; i++ {
-			from, _, _ = st.Resample(stream)
-		}
-		b.ReportMetric(float64(len(from)), "edges")
-	})
+	for _, gc := range []struct {
+		name string
+		p    map[string]float64
+	}{
+		{"geometric-n100-r0.03", map[string]float64{"radius": 0.03}},
+		{"geometric-n100-auto", nil},
+	} {
+		b.Run(gc.name, func(b *testing.B) {
+			m := buildModel(b, "geometric", avail.Params{Lifetime: 64, P: gc.p})
+			st := m.(avail.IncrementalScenario).NewScenarioState(100)
+			stream := rng.New(7)
+			// Warm the buffers past the largest trial they are likely to meet.
+			for i := 0; i < 64; i++ {
+				st.Resample(stream)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var from []int32
+			for i := 0; i < b.N; i++ {
+				from, _, _ = st.Resample(stream)
+			}
+			b.ReportMetric(float64(len(from)), "edges")
+		})
+	}
 }
 
 func BenchmarkKernelRelabelRebuild(b *testing.B) {
@@ -625,7 +636,7 @@ func BenchmarkSweepBatchedIIDGnp(b *testing.B) {
 // (n = 100 torus walkers, lifetime 64, auto radius) driven to the same
 // fixed 256-trial budget. The rebuild arm draws every trial's support
 // graph, labels and indexes from scratch (avail.Network); the batched arm
-// runs the incremental engine — persistent grid buckets in the scenario
+// runs the incremental engine — per-slot grid runs in the scenario
 // state, then ScenarioState + RelabelEdges topology patches on a
 // worker-owned network. The observable is a single-source earliest-arrival
 // sweep, cheap relative to instance construction, so the ratio gauges the

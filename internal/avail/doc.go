@@ -82,13 +82,17 @@
 // diffs consecutive trials' edge lists and patches one worker-owned
 // network in place through temporal.RelabelEdges (topology delta + full
 // relabel) instead of rebuilding graph, labels and time-edge indexes from
-// scratch. The geometric model's state keeps its torus grid buckets
-// consistent across walk steps by delta cell moves, together with the
-// list of occupied cells, so each slot's close-pair scan visits at most n
-// cells however fine the grid; it wraps coordinates with two comparisons
-// instead of math.Mod, exact because a step moves a point by at most 0.5;
-// and it groups the packed (pair, slot) events with a stable per-pair
-// counting sort, so a steady-state trial allocates nothing. Generate itself stays the simple
+// scratch. The geometric model's state rebuilds its torus grid every
+// slot: it bins the points into one contiguous run per occupied cell,
+// with epoch-stamped run bounds so the grid is never cleared, and scans
+// each run against itself and its four forward neighbours' runs, so a
+// slot visits at most n cells however fine the grid. The grid side is
+// bounded by 4·⌈√n⌉ as well as by 1/r, so the state stays O(n) at any
+// radius. The state wraps coordinates with two comparisons instead of
+// math.Mod, exact because a step moves a point by at most 0.5, and groups
+// the slot-major pair keys with a stable per-pair counting sort whose
+// distinct keys come out of a bitmap in ascending order, so a
+// steady-state trial allocates nothing. Generate itself stays the simple
 // map-accumulating reference implementation — the differential oracle the
 // engine is pinned against — and NewScenarioState may return nil for
 // sizes the packed representation cannot cover, which drops that worker

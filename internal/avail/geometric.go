@@ -3,6 +3,7 @@ package avail
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -25,8 +26,8 @@ import (
 // ever live; Assign labels an explicit substrate instead, gating each of
 // its edges by the same mobility. As an IncrementalScenario it also hands
 // batch engines a reusable per-worker trial state (NewScenarioState) that
-// redraws whole trials into retained buffers — persistent grid buckets,
-// packed time-edge events, canonical edge list — bit-identical to Generate.
+// redraws whole trials into retained buffers — per-slot grid runs, pair
+// keys, canonical edge list — bit-identical to Generate.
 type Geometric struct {
 	a      int
 	radius float64 // 0 = auto: 1.5·sqrt(ln n/(π·n)) at build time
@@ -104,14 +105,16 @@ func wrap01(x float64) float64 {
 }
 
 // dist2 is the squared torus distance between points i and j.
-func (w *walk) dist2(i, j int) float64 { return torusDist2(w.xs, w.ys, i, j) }
+func (w *walk) dist2(i, j int) float64 { return torusDist2(w.xs[i], w.ys[i], w.xs[j], w.ys[j]) }
 
-func torusDist2(xs, ys []float64, i, j int) float64 {
-	dx := math.Abs(xs[i] - xs[j])
+// torusDist2 is the squared torus distance between (xi, yi) and (xj, yj).
+// It is symmetric bit for bit, as |a−b| and |b−a| round alike.
+func torusDist2(xi, yi, xj, yj float64) float64 {
+	dx := math.Abs(xi - xj)
 	if dx > 0.5 {
 		dx = 1 - dx
 	}
-	dy := math.Abs(ys[i] - ys[j])
+	dy := math.Abs(yi - yj)
 	if dy > 0.5 {
 		dy = 1 - dy
 	}
@@ -145,7 +148,7 @@ func (m Geometric) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling 
 // is ever live, labeled with its live slots. Edges come out in canonical
 // order (from < to, lexicographically ascending). This is the simple
 // map-accumulating reference implementation, kept deliberately independent
-// of the packed-event engine batched trials run on (NewScenarioState): the
+// of the incremental engine batched trials run on (NewScenarioState): the
 // differential tests pin the engine bit-identical to this path, which only
 // works as evidence while the two stay separate implementations.
 func (m Geometric) Generate(n int, stream *rng.Stream) (*graph.Graph, temporal.Labeling) {
@@ -168,54 +171,90 @@ func (m Geometric) NewScenarioState(n int) ScenarioState {
 }
 
 // geomState is the incremental trial engine. Everything a trial needs is
-// retained: the point coordinates, the torus grid buckets (kept consistent
-// across steps by delta cell moves instead of being rebuilt), the packed
-// time-edge event buffer, and the output edge list + labeling. After the
-// first trial at a stable size, Resample allocates nothing.
+// retained: the point coordinates, the torus grid's per-cell run bounds,
+// the slot-major pair-key buffer, and the output edge list + labeling.
+// After the first trial at a stable size, Resample allocates nothing.
 type geomState struct {
 	geo   Geometric
 	n     int
 	r2    float64
-	cells int    // grid side; 0 = brute-force pair scan per step
-	aP1   uint64 // lifetime+1, the packed-event time radix
+	cells int    // grid side; 0 = every point in one run, all pairs scanned
+	aP1   uint64 // lifetime+1, the packed-event time radix of the sort path
 
-	xs, ys []float64
+	pos []point // the walk, in vertex order
 
-	// Grid state (cells > 0): cell[i] is point i's current cell, buckets
-	// the members of each cell. advance moves points between buckets only
-	// when their cell actually changes — most steps move only a fraction of
-	// points across cell borders, and no per-step allocation or O(cells²)
-	// reset happens either way. occ lists the occupied cells in no
-	// particular order and occAt[c] is occupied cell c's index in occ, so
-	// scanGrid visits at most n cells however fine the grid, and a cell
-	// joins or leaves the list in O(1).
-	cell    []int32
-	buckets [][]int32
-	occ     []int32
-	occAt   []int32
+	// run and runID hold the points regrouped into one contiguous run
+	// per occupied grid cell, in vertex order inside a run, with their
+	// vertex ids; without a grid, run is pos itself, one run of every
+	// point. The grid (cells > 0) is rebuilt every slot rather than
+	// maintained across steps: with the cell side near the radius and
+	// the radius near the step, most points change cell every slot.
+	// cellOf[i] is point i's cell this slot; grid[c] carries cell c's run
+	// bounds, valid only while its stamp equals epoch, so the grid is
+	// never cleared between slots; occ lists this slot's occupied cells.
+	run    []point
+	runID  []int32
+	cellOf []int32
+	grid   []gridCell
+	occ    []cellXY
+	epoch  uint32
 
-	// events collects one packed word per (pair, slot) liveness:
-	// (u·n+v)·(a+1)+t with u < v. The scan emits them t-major, so a stable
-	// counting sort keyed by pair (groupCounting, when counts is non-nil)
-	// puts them in canonical edge order with ascending labels inside each
-	// edge without comparison-sorting the whole buffer; states too large
-	// for a per-pair cursor array sort the events instead (group).
-	events []uint64
+	// keys collects one pair key u·n+v (u < v) per (pair, slot) liveness,
+	// slot by slot: keys[slotEnd[t-1]:slotEnd[t]] are slot t's. Grouping
+	// by key with a stable counting sort (groupCounting, when counts is
+	// non-nil) yields canonical edge order with ascending labels inside
+	// each edge without comparison-sorting the buffer; states too large
+	// for a per-pair cursor array pack each key with its slot and sort
+	// the packed words instead (group).
+	keys    []uint64
+	slotEnd []int32
 
-	// counts/touched are the counting-sort cursors: counts is indexed by
-	// pair key u·n+v (zero outside a trial), touched lists the keys hit
-	// this trial so resetting is O(edges), not O(n²).
-	counts  []int32
-	touched []int32
+	// counts/seen are the counting-sort cursors and a bitmap over pair
+	// keys (both zero outside a trial): walking the bitmap in word order
+	// lists the touched keys in ascending order, so no comparison sort
+	// runs, and resetting is O(edges + n²/64), not O(n²).
+	counts []int32
+	seen   []uint64
 
 	from, to []int32
 	lab      temporal.Labeling
+}
+
+type point struct{ x, y float64 }
+
+// cellXY is a grid cell by column and row.
+type cellXY struct{ x, y int32 }
+
+// gridCell is one grid cell's run bounds [lo, hi) into run/runID, valid
+// while stamp equals the state's epoch.
+type gridCell struct {
+	stamp  uint32
+	lo, hi int32
 }
 
 // countingMaxKeys bounds the pair-key space (n²) the counting-sort path
 // allocates a cursor array for — 2²⁰ int32 cursors is 4 MiB per state,
 // i.e. per batch worker. Larger states comparison-sort the events.
 const countingMaxKeys = 1 << 20
+
+// gridSide is the side of the torus grid the engine bins points into for
+// an n-point instance at radius r, or 0 when a grid does not pay off (a
+// side below 4, or fewer than 16 points). Any side up to ⌊1/r⌋ keeps
+// every close pair within the 3×3 block of cells around either point,
+// and the finest such grid scans fastest, as an empty neighbour cell
+// costs less than a distance test. Bounding the side by 4·⌈√n⌉ as well
+// keeps the grid at O(n) cells, about 16 per point, however small the
+// radius.
+func gridSide(n int, r float64) int {
+	if n < 16 {
+		return 0
+	}
+	side := math.Min(math.Floor(1/r), 4*math.Ceil(math.Sqrt(float64(n))))
+	if side < 4 {
+		return 0
+	}
+	return int(side)
+}
 
 // newState builds the engine, or returns nil when n²·(a+1) would overflow
 // the packed-event word.
@@ -229,21 +268,23 @@ func (m Geometric) newState(n int) *geomState {
 	r := m.Radius(n)
 	s := &geomState{
 		geo: m, n: n, r2: r * r, aP1: uint64(m.a) + 1,
-		xs: make([]float64, n), ys: make([]float64, n),
+		pos: make([]point, n), runID: make([]int32, n),
 	}
-	// Same guard as the original generator: a grid pays off only when it
-	// is at least 4×4 and there are enough points to spread over it.
-	if cells := int(math.Floor(1 / r)); cells >= 4 && n >= 16 {
+	if cells := gridSide(n, r); cells > 0 {
 		s.cells = cells
-		s.buckets = make([][]int32, cells*cells)
-		// One allocation backs cell, occAt and occ, whose length never
-		// exceeds the number of points or cells.
-		nc := cells * cells
-		grid := make([]int32, n+nc+min(n, nc))
-		s.cell, s.occAt, s.occ = grid[:n:n], grid[n:n+nc:n+nc], grid[n+nc:n+nc]
+		s.run = make([]point, n)
+		s.cellOf = make([]int32, n)
+		s.grid = make([]gridCell, cells*cells)
+		s.occ = make([]cellXY, 0, min(n, cells*cells))
+	} else {
+		s.run = s.pos
+		for i := range s.runID {
+			s.runID[i] = int32(i)
+		}
 	}
 	if nk := n * n; nk > 0 && nk <= countingMaxKeys {
 		s.counts = make([]int32, nk)
+		s.seen = make([]uint64, (nk+63)/64)
 	}
 	return s
 }
@@ -253,30 +294,19 @@ func (m Geometric) newState(n int) *geomState {
 // x,y per point, a−1 advances), identical pair set, identical canonical
 // output order. Implements avail.ScenarioState.
 func (s *geomState) Resample(stream *rng.Stream) ([]int32, []int32, temporal.Labeling) {
-	n := s.n
-	for i := 0; i < n; i++ {
-		s.xs[i] = stream.Float64()
-		s.ys[i] = stream.Float64()
+	for i := range s.pos {
+		s.pos[i].x = stream.Float64()
+		s.pos[i].y = stream.Float64()
 	}
-	if s.cells > 0 {
-		for _, c := range s.occ {
-			s.buckets[c] = s.buckets[c][:0]
-		}
-		s.occ = s.occ[:0]
-		for i := 0; i < n; i++ {
-			c := s.cellIndex(i)
-			s.cell[i] = c
-			s.join(c, i)
-		}
-	}
-	s.events = s.events[:0]
+	s.keys, s.slotEnd = s.keys[:0], append(s.slotEnd[:0], 0)
 	a := s.geo.a
 	for t := 1; t <= a; t++ {
 		if s.cells > 0 {
-			s.scanGrid(t)
+			s.scanGrid()
 		} else {
-			s.scanBrute(t)
+			s.pairsWithin(s.run, s.runID)
 		}
+		s.slotEnd = append(s.slotEnd, int32(len(s.keys)))
 		if t < a {
 			s.advance(stream)
 		}
@@ -284,26 +314,17 @@ func (s *geomState) Resample(stream *rng.Stream) ([]int32, []int32, temporal.Lab
 	if s.counts != nil {
 		return s.groupCounting()
 	}
-	slices.Sort(s.events)
 	return s.group()
 }
 
-// advance moves every point one slot (drawing uniforms in exactly the
-// walk.advance order) and migrates the points whose grid cell changed.
+// advance moves every point one slot, drawing uniforms in exactly the
+// walk.advance order.
 func (s *geomState) advance(stream *rng.Stream) {
 	step := s.geo.step
-	for i := range s.xs {
-		s.xs[i] = wrapStep(s.xs[i] + (2*stream.Float64()-1)*step)
-		s.ys[i] = wrapStep(s.ys[i] + (2*stream.Float64()-1)*step)
-		if s.cells == 0 {
-			continue
-		}
-		c := s.cellIndex(i)
-		if old := s.cell[i]; c != old {
-			s.leave(old, i)
-			s.cell[i] = c
-			s.join(c, i)
-		}
+	for i := range s.pos {
+		p := &s.pos[i]
+		p.x = wrapStep(p.x + (2*stream.Float64()-1)*step)
+		p.y = wrapStep(p.y + (2*stream.Float64()-1)*step)
 	}
 }
 
@@ -323,120 +344,141 @@ func wrapStep(x float64) float64 {
 	return x
 }
 
-// join adds point i to cell c, listing c as occupied if it was empty.
-func (s *geomState) join(c int32, i int) {
-	if len(s.buckets[c]) == 0 {
-		s.occAt[c] = int32(len(s.occ))
-		s.occ = append(s.occ, c)
+// scanGrid emits the key of every pair within the radius at the current
+// slot. It bins the points into per-cell runs — one pass to find each
+// point's cell and count the occupied cells' sizes, one over the occupied
+// cells to lay the runs out, one to copy the points in — and then scans
+// each occupied run against itself and the runs of its four forward
+// neighbours (x+1, y), (x+1, y+1), (x, y+1) and (x−1, y+1): one offset of
+// each ± pair of the eight, so every unordered pair of adjacent cells is
+// visited once, and on a grid of side ≥ 4, which gridSide guarantees, the
+// four are distinct. No pair is emitted twice, and the order in which
+// cells are visited does not reach the output, as both groupers order a
+// slot's keys by pair.
+func (s *geomState) scanGrid() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: stale stamps could read as current
+		clear(s.grid)
+		s.epoch = 1
 	}
-	s.buckets[c] = append(s.buckets[c], int32(i))
-}
-
-// leave removes point i from cell c and unlists c once it is empty. Both
-// removals are swap-removes; the bucket one follows a linear scan, as
-// buckets hold a few points each by construction (cell side ≥ radius).
-func (s *geomState) leave(c int32, i int) {
-	b := s.buckets[c]
-	for k, p := range b {
-		if p == int32(i) {
-			b[k] = b[len(b)-1]
-			b = b[:len(b)-1]
-			break
+	ep, cells, fc := s.epoch, s.cells, float64(s.cells)
+	grid, cellOf := s.grid, s.cellOf[:len(s.pos)]
+	occ := s.occ[:0]
+	for i, p := range s.pos {
+		cx := int(p.x * fc)
+		if cx >= cells {
+			cx = cells - 1
 		}
-	}
-	s.buckets[c] = b
-	if len(b) == 0 {
-		at, last := s.occAt[c], s.occ[len(s.occ)-1]
-		s.occ[at] = last
-		s.occAt[last] = at
-		s.occ = s.occ[:len(s.occ)-1]
-	}
-}
-
-func (s *geomState) cellIndex(i int) int32 {
-	cells := s.cells
-	cx := int(s.xs[i] * float64(cells))
-	if cx >= cells {
-		cx = cells - 1
-	}
-	cy := int(s.ys[i] * float64(cells))
-	if cy >= cells {
-		cy = cells - 1
-	}
-	return int32(cy*cells + cx)
-}
-
-// halfOffsets is one representative of each ± class of the eight grid
-// neighbor offsets. Scanning only these (plus same-cell pairs with j > i)
-// visits every unordered pair of adjacent cells exactly once, so no pair
-// can be emitted twice — distinct offsets here never alias the same
-// neighbor for a grid of side ≥ 4, which newState guarantees.
-var halfOffsets = [4][2]int{{1, 0}, {1, 1}, {0, 1}, {-1, 1}}
-
-// scanGrid emits a packed event for every pair within the radius at slot
-// t, visiting only the occupied cells. The order in which cells are
-// visited does not reach the output: each pair is emitted at most once
-// per slot, and both groupers order a slot's events by pair.
-func (s *geomState) scanGrid(t int) {
-	cells := s.cells
-	for _, c := range s.occ {
-		b := s.buckets[c]
-		for ai := 0; ai < len(b); ai++ {
-			for bi := ai + 1; bi < len(b); bi++ {
-				s.tryPair(int(b[ai]), int(b[bi]), t)
-			}
+		cy := int(p.y * fc)
+		if cy >= cells {
+			cy = cells - 1
 		}
-		cx, cy := int(c)%cells, int(c)/cells
-		for _, d := range halfOffsets {
-			bx := cx + d[0]
-			if bx < 0 {
-				bx += cells
-			} else if bx >= cells {
-				bx -= cells
+		c := int32(cy*cells + cx)
+		cellOf[i] = c
+		g := &grid[c]
+		if g.stamp != ep {
+			*g = gridCell{stamp: ep}
+			occ = append(occ, cellXY{int32(cx), int32(cy)})
+		}
+		g.hi++ // the cell's size until the runs are laid out
+	}
+	s.occ = occ
+	end := int32(0)
+	for _, o := range occ {
+		g := &grid[o.y*int32(cells)+o.x]
+		g.lo, g.hi, end = end, end, end+g.hi
+	}
+	run, runID := s.run, s.runID
+	for i, c := range cellOf {
+		g := &grid[c]
+		run[g.hi], runID[g.hi] = s.pos[i], int32(i)
+		g.hi++
+	}
+	un, r2 := uint64(s.n), s.r2
+	side := int32(cells)
+	for _, o := range occ {
+		row := o.y * side
+		g := grid[row+o.x]
+		if g.hi-g.lo > 1 {
+			s.pairsWithin(run[g.lo:g.hi], runID[g.lo:g.hi])
+		}
+		right, left, down := o.x+1, o.x-1, row+side
+		if right == side {
+			right = 0
+		}
+		if left < 0 {
+			left = side - 1
+		}
+		if o.y == side-1 {
+			down = 0
+		}
+		for _, nc := range [4]int32{row + right, down + right, down + o.x, down + left} {
+			h := grid[nc]
+			if h.stamp != ep {
+				continue
 			}
-			by := cy + d[1]
-			if by >= cells {
-				by -= cells
-			}
-			nb := s.buckets[by*cells+bx]
-			for _, i := range b {
-				for _, j := range nb {
-					s.tryPair(int(i), int(j), t)
+			buf, k := s.room(int(g.hi-g.lo)*int(h.hi-h.lo)), 0
+			for i := g.lo; i < g.hi; i++ {
+				p, u := run[i], runID[i]
+				for j := h.lo; j < h.hi; j++ {
+					q, v := run[j], runID[j]
+					buf[k] = uint64(min(u, v))*un + uint64(max(u, v))
+					if torusDist2(p.x, p.y, q.x, q.y) <= r2 {
+						k++
+					}
 				}
 			}
+			s.keys = s.keys[:len(s.keys)+k]
 		}
 	}
 }
 
-// scanBrute is the dense-radius / tiny-n pair scan.
-func (s *geomState) scanBrute(t int) {
-	for u := 0; u < s.n; u++ {
-		for v := u + 1; v < s.n; v++ {
-			s.tryPair(u, v, t)
+// room returns the unused tail of keys, grown to hold at least k more.
+// The pair scans store every candidate's key there and advance their
+// count only for pairs within the radius, a conditional move instead of
+// a branch the radius test would mispredict.
+func (s *geomState) room(k int) []uint64 {
+	if cap(s.keys)-len(s.keys) < k {
+		s.keys = slices.Grow(s.keys, k)
+	}
+	return s.keys[len(s.keys):cap(s.keys)]
+}
+
+// pairsWithin emits every close pair inside one run, whose ids ascend.
+func (s *geomState) pairsWithin(ps []point, ids []int32) {
+	ids = ids[:len(ps)]
+	un, r2 := uint64(s.n), s.r2
+	for i, p := range ps {
+		buf, k := s.room(len(ps)-i-1), 0
+		ki := uint64(ids[i]) * un
+		for j := i + 1; j < len(ps); j++ {
+			q := ps[j]
+			buf[k] = ki + uint64(ids[j])
+			if torusDist2(p.x, p.y, q.x, q.y) <= r2 {
+				k++
+			}
 		}
+		s.keys = s.keys[:len(s.keys)+k]
 	}
 }
 
-func (s *geomState) tryPair(i, j, t int) {
-	if torusDist2(s.xs, s.ys, i, j) <= s.r2 {
-		if i > j {
-			i, j = j, i
-		}
-		key := uint64(i)*uint64(s.n) + uint64(j)
-		s.events = append(s.events, key*s.aP1+uint64(t))
-	}
-}
-
-// group converts the sorted event buffer into the canonical edge list and
-// CSR labeling, all in state-owned reused buffers.
+// group converts the slot-major key buffer into the canonical edge list
+// and CSR labeling by packing each key with its slot as key·(a+1)+t and
+// sorting the packed words, all in state-owned reused buffers.
 func (s *geomState) group() ([]int32, []int32, temporal.Labeling) {
+	for t := 1; t <= s.geo.a; t++ {
+		for i := s.slotEnd[t-1]; i < s.slotEnd[t]; i++ {
+			s.keys[i] = s.keys[i]*s.aP1 + uint64(t)
+		}
+	}
+	slices.Sort(s.keys)
 	s.from, s.to = s.from[:0], s.to[:0]
 	s.lab.Labels = s.lab.Labels[:0]
 	s.lab.Off = append(s.lab.Off[:0], 0)
 	const none = ^uint64(0)
 	last := none
 	un := uint64(s.n)
-	for _, ev := range s.events {
+	for _, ev := range s.keys {
 		key := ev / s.aP1
 		if key != last {
 			if last != none {
@@ -454,58 +496,65 @@ func (s *geomState) group() ([]int32, []int32, temporal.Labeling) {
 	return s.from, s.to, s.lab
 }
 
-// groupCounting converts the t-major event buffer into the canonical edge
-// list and CSR labeling without touching the events' order: a stable
-// two-pass counting sort keyed by pair. The scan's outer loop is t, so
-// each pair's events are already ascending in t and stability alone keeps
-// every label run sorted; only the distinct pair keys — one per support
-// edge, a small fraction of the events — go through a real sort.
+// groupCounting converts the slot-major key buffer into the canonical
+// edge list and CSR labeling without reordering the buffer: a stable
+// two-pass counting sort keyed by pair. The buffer is slot-major, so each
+// pair's occurrences already ascend in t and stability alone keeps every
+// label run sorted; the distinct keys come out of the seen bitmap in
+// ascending order.
 func (s *geomState) groupCounting() ([]int32, []int32, temporal.Labeling) {
-	for _, ev := range s.events {
-		k := int32(ev / s.aP1)
-		if s.counts[k] == 0 {
-			s.touched = append(s.touched, k)
-		}
-		s.counts[k]++
+	counts, seen := s.counts, s.seen
+	for _, k := range s.keys {
+		counts[k]++
+		seen[k>>6] |= 1 << (k & 63)
 	}
-	slices.Sort(s.touched)
 	s.from, s.to = s.from[:0], s.to[:0]
 	s.lab.Off = append(s.lab.Off[:0], 0)
 	un := int32(s.n)
 	total := int32(0)
-	for _, k := range s.touched {
-		s.from = append(s.from, k/un)
-		s.to = append(s.to, k%un)
-		c := s.counts[k]
-		s.counts[k] = total // becomes this pair's write cursor
-		total += c
-		s.lab.Off = append(s.lab.Off, total)
+	for w, word := range seen {
+		if word == 0 {
+			continue
+		}
+		seen[w] = 0
+		for ; word != 0; word &= word - 1 {
+			k := int32(w<<6 | bits.TrailingZeros64(word))
+			s.from = append(s.from, k/un)
+			s.to = append(s.to, k%un)
+			c := counts[k]
+			counts[k] = total // becomes this pair's write cursor
+			total += c
+			s.lab.Off = append(s.lab.Off, total)
+		}
 	}
-	if cap(s.lab.Labels) < len(s.events) {
-		s.lab.Labels = make([]int32, len(s.events))
+	if cap(s.lab.Labels) < len(s.keys) {
+		s.lab.Labels = make([]int32, len(s.keys))
 	}
-	s.lab.Labels = s.lab.Labels[:len(s.events)]
-	for _, ev := range s.events {
-		k := int32(ev / s.aP1)
-		s.lab.Labels[s.counts[k]] = int32(ev % s.aP1)
-		s.counts[k]++
+	labels := s.lab.Labels[:len(s.keys)]
+	for t := 1; t <= s.geo.a; t++ {
+		for _, k := range s.keys[s.slotEnd[t-1]:s.slotEnd[t]] {
+			labels[counts[k]] = int32(t)
+			counts[k]++
+		}
 	}
-	for _, k := range s.touched {
-		s.counts[k] = 0
+	s.lab.Labels = labels
+	for e, u := range s.from {
+		counts[u*un+s.to[e]] = 0
 	}
-	s.touched = s.touched[:0]
 	return s.from, s.to, s.lab
 }
 
 // generateMap is the original map-accumulating generator, kept as the
-// overflow fallback and as the differential oracle for the packed-event
+// overflow fallback and as the differential oracle for the incremental
 // engine.
 func (m Geometric) generateMap(n int, stream *rng.Stream) (*graph.Graph, temporal.Labeling) {
 	r := m.Radius(n)
 	r2 := r * r
 	w := newWalk(n, m.step, stream)
 	pairs := make(map[int64][]int)
-	cells := int(math.Floor(1 / r))
+	// Any side up to ⌊1/r⌋ finds every close pair; the 2·⌈√n⌉ bound keeps
+	// the per-slot bucket array at O(n) however small the radius.
+	cells := int(math.Min(math.Floor(1/r), 2*math.Ceil(math.Sqrt(float64(n)))))
 	for t := 1; t <= m.a; t++ {
 		if cells < 4 || n < 16 {
 			for u := 0; u < n; u++ {

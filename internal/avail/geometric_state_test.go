@@ -10,17 +10,23 @@ package avail
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/temporal"
 )
 
-// assertTrialEqual compares a state trial to the oracle generator's output.
-func assertTrialEqual(t *testing.T, name string, from, to []int32, lab temporal.Labeling, m Geometric, n int, seed, trial uint64) {
+// checkTrial runs one state trial and the oracle generator on identical
+// streams and compares their outputs and where they leave the stream.
+func checkTrial(t *testing.T, name string, st ScenarioState, m Geometric, n int, seed, trial uint64) {
 	t.Helper()
-	og, olab := m.generateMap(n, rng.NewStream(seed, trial))
+	ss, ref := rng.NewStream(seed, trial), rng.NewStream(seed, trial)
+	from, to, lab := st.Resample(ss)
+	og, olab := m.generateMap(n, ref)
+	if a, b := ss.Uint64(), ref.Uint64(); a != b {
+		t.Fatalf("%s: stream after the trial reads %#x, oracle's %#x", name, a, b)
+	}
 	if len(from) != og.M() {
 		t.Fatalf("%s: %d edges, oracle %d", name, len(from), og.M())
 	}
@@ -69,8 +75,16 @@ func TestGeometricStateMatchesGenerate(t *testing.T) {
 		{"grid-10", 8, 0.1, 0.05, 100, 10},
 		{"grid-20", 8, 0.05, 0.05, 100, 20},
 		{"grid-33", 8, 0.03, 0.05, 100, 33},
-		{"grid-52", 8, 0.019, 0.05, 100, 52},
+		{"grid-52", 8, 0.019, 0.05, 100, 40},        // ⌊1/r⌋ = 52, capped at 4·⌈√n⌉
 		{"grid-52-slow", 16, 0.019, 0.004, 160, 52}, // steps below a cell side
+		// The sweep workload's radius search (n = 100, lifetime 100) at
+		// both ends of its bracket and at the crossing, where a point
+		// keeps its cell with probability ≈ 0.17 per slot.
+		{"sweep-r0.01", 100, 0.01, 0.05, 100, 40},
+		{"sweep-r0.041", 100, 0.041, 0.05, 100, 24},
+		{"sweep-r0.1", 100, 0.1, 0.05, 100, 10},
+		{"e17-quick", 32, 0, 0.05, 48, 4}, // E17's quick configuration
+		{"tiny-radius", 8, 1e-6, 0.05, 100, 40},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,12 +99,80 @@ func TestGeometricStateMatchesGenerate(t *testing.T) {
 			if got := st.(*geomState).cells; got != tc.cells {
 				t.Fatalf("grid side %d, want %d", got, tc.cells)
 			}
-			const seed = 99
 			for trial := uint64(0); trial < 6; trial++ {
-				from, to, lab := st.Resample(rng.NewStream(seed, trial))
-				assertTrialEqual(t, tc.name, from, to, lab, m, tc.n, seed, trial)
+				checkTrial(t, tc.name, st, m, tc.n, 99, trial)
 			}
 		})
+	}
+}
+
+// TestGeometricStateEpochWrap runs trials across the wrap of the grid's
+// epoch counter, where every cell's stale stamp must stop reading as
+// current.
+func TestGeometricStateEpochWrap(t *testing.T) {
+	m, err := NewGeometric(6, 0.1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := m.NewScenarioState(100)
+	gs := st.(*geomState)
+	checkTrial(t, "before-wrap", st, m, 100, 5, 0)
+	gs.epoch = math.MaxUint32 - 2
+	for trial := uint64(1); trial < 4; trial++ {
+		checkTrial(t, "across-wrap", st, m, 100, 5, trial)
+	}
+	if gs.epoch > 100 {
+		t.Fatalf("epoch %d did not wrap", gs.epoch)
+	}
+}
+
+// FuzzGeometricState compares a reused state with the oracle generator
+// over several trials, for any size, lifetime, radius (0 = automatic),
+// step and seed.
+func FuzzGeometricState(f *testing.F) {
+	f.Add(uint8(100), uint8(24), 0.041, 0.05, uint64(1))
+	f.Add(uint8(48), uint8(24), 0.0, 0.05, uint64(2))
+	f.Add(uint8(64), uint8(4), 1e-6, 0.05, uint64(3))
+	f.Add(uint8(40), uint8(7), 0.3, 0.1, uint64(4))
+	f.Add(uint8(160), uint8(16), 0.019, 0.004, uint64(5))
+	f.Add(uint8(64), uint8(8), 0.24, 0.5, uint64(6))
+	f.Add(uint8(1), uint8(1), 0.2, 0.05, uint64(7))
+	f.Fuzz(func(t *testing.T, n8, a8 uint8, radius, step float64, seed uint64) {
+		n, a := int(n8)%161, 1+int(a8)%24
+		m, err := NewGeometric(a, radius, step)
+		if err != nil {
+			t.Skip()
+		}
+		st := m.NewScenarioState(n)
+		for trial := uint64(0); trial < 3; trial++ {
+			checkTrial(t, "fuzz", st, m, n, seed, trial)
+		}
+	})
+}
+
+// TestGeometricTinyRadiusMemory: the grid side is bounded by the point
+// count, not only by 1/r. Sized at ⌊1/r⌋², the grid for r = 1e-3 is a
+// million cells, tens of megabytes per state and per Generate slot, and
+// the one for r = 1e-6 is 10¹² cells, an allocation failure Go cannot
+// recover from.
+func TestGeometricTinyRadiusMemory(t *testing.T) {
+	m, err := NewGeometric(4, 1e-3, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, limit = 64, 1 << 20
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if b := allocated(func() { m.NewScenarioState(n) }); b > limit {
+		t.Errorf("NewScenarioState allocates %d bytes at r = 1e-3, want at most %d", b, limit)
+	}
+	if b := allocated(func() { m.Generate(n, rng.NewStream(1, 0)) }); b > limit {
+		t.Errorf("Generate allocates %d bytes at r = 1e-3, want at most %d", b, limit)
 	}
 }
 
@@ -138,10 +220,8 @@ func TestGeometricStateSortPathMatchesOracle(t *testing.T) {
 	if st.(*geomState).counts != nil {
 		t.Fatal("state past the gate still carries counting cursors")
 	}
-	const seed = 31
 	for trial := uint64(0); trial < 3; trial++ {
-		from, to, lab := st.Resample(rng.NewStream(seed, trial))
-		assertTrialEqual(t, "sort-path", from, to, lab, m, n, seed, trial)
+		checkTrial(t, "sort-path", st, m, n, 31, trial)
 	}
 }
 

@@ -262,3 +262,40 @@ func TestDurationPercentilesEmpty(t *testing.T) {
 		t.Fatalf("empty percentiles = %v, %v, %v", p50, p95, p99)
 	}
 }
+
+// TestSweepTinyRadiusCompletes: a geometric sweep at radius 1e-6 runs to
+// done. The mobility engine bounds its grid by the point count; sized by
+// 1/r² alone the grid would be 10¹² cells, an allocation failure that
+// ends the whole server instead of failing the job.
+func TestSweepTinyRadiusCompletes(t *testing.T) {
+	a := newAPI(t, Options{Workers: 1})
+	req := SweepRequest{
+		Model: "geometric", Metric: "treach", Seed: 7,
+		Grid: []sweep.Axis{
+			{Name: "n", Values: []float64{64}},
+			{Name: "lifetime", Values: []float64{8}},
+			{Name: "radius", Values: []float64{1e-6}},
+		},
+		Precision: sweep.Precision{Abs: 0.2, MinTrials: 4, MaxTrials: 16, Batch: 8},
+	}
+	var v View
+	if status, body := a.do("POST", "/sweeps", req, &v); status != http.StatusAccepted {
+		t.Fatalf("POST /sweeps → %d %s", status, body)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for v.State != StateDone {
+		if v.State.Terminal() {
+			t.Fatalf("sweep settled as %s (%s)", v.State, v.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("sweep never finished")
+		}
+		time.Sleep(5 * time.Millisecond)
+		if status, _ := a.do("GET", "/sweeps/"+v.ID, nil, &v); status != http.StatusOK {
+			t.Fatalf("GET /sweeps/%s → %d", v.ID, status)
+		}
+	}
+	if v.Trials == 0 {
+		t.Fatalf("done sweep ran no trials: %+v", v)
+	}
+}
