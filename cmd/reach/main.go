@@ -25,26 +25,11 @@ import (
 	"repro/internal/graph"
 )
 
-func buildFamily(name string, n int) (*graph.Graph, error) {
-	switch name {
-	case "star":
-		return graph.Star(n), nil
-	case "path":
-		return graph.Path(n), nil
-	case "cycle":
-		return graph.Cycle(n), nil
-	case "grid":
-		rows := (n + 3) / 4
-		return graph.Grid(rows, 4), nil
-	case "hypercube":
-		d := int(math.Floor(math.Log2(float64(n))))
-		return graph.Hypercube(d), nil
-	case "bintree":
-		return graph.BinaryTree(n), nil
-	case "clique":
-		return graph.Clique(n, false), nil
-	}
-	return nil, fmt.Errorf("unknown family %q", name)
+// minN is the smallest n each -family value accepts: the smallest that
+// builds the two vertices reachability is asked between. A cycle needs
+// three, and a grid is one row of four vertices from n = 1.
+var minN = map[string]int{
+	"star": 2, "path": 2, "cycle": 3, "grid": 1, "hypercube": 2, "bintree": 2, "clique": 2,
 }
 
 func main() {
@@ -57,20 +42,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		family   = fs.String("family", "star", "graph family")
 		n        = fs.Int("n", 64, "requested size (some families round)")
-		r        = fs.Int("r", 0, "labels per edge (0 = Theorem 7's 2·d·ln n)")
+		r        = fs.Int("r", 0, "labels per edge, ≥ 0 (0 = Theorem 7's 2·d·ln n)")
 		estimate = fs.Bool("estimate", false, "estimate the threshold r(n) instead")
-		trials   = fs.Int("trials", 60, "Monte-Carlo trials")
+		trials   = fs.Int("trials", 60, "Monte-Carlo trials (≥ 1)")
 		seed     = fs.Uint64("seed", 1, "base seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	g, err := buildFamily(*family, *n)
-	if err != nil {
-		fmt.Fprintf(stderr, "reach: %v\n", err)
+	least, known := minN[*family]
+	var usage string
+	switch {
+	case !known:
+		usage = fmt.Sprintf("unknown family %q", *family)
+	case *n < least:
+		usage = fmt.Sprintf("%s needs n >= %d", *family, least)
+	case *family == "hypercube" && int64(*n) >= 1<<31:
+		usage = "hypercube needs n < 2^31"
+	case *r < 0:
+		usage = "need r >= 0"
+	case *trials < 1:
+		usage = "need trials >= 1"
+	}
+	if usage != "" {
+		fmt.Fprintln(stderr, "reach:", usage)
+		fs.Usage()
 		return 2
 	}
+
+	// The families are deterministic, so Family draws nothing and cannot
+	// fail on a name minN knows.
+	g, _ := graph.Family(*family, *n, graph.FamilyOpts{}, nil)
 	nv := g.N()
 	diam, conn := graph.Diameter(g)
 	if !conn {

@@ -2,12 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// TestBuildFamily pins the size rounding of each family and the unknown
-// error.
+// TestBuildFamily pins the size rounding of each family in the header
+// line.
 func TestBuildFamily(t *testing.T) {
 	cases := []struct {
 		family string
@@ -23,16 +24,14 @@ func TestBuildFamily(t *testing.T) {
 		{"clique", 5, 5},
 	}
 	for _, c := range cases {
-		g, err := buildFamily(c.family, c.n)
-		if err != nil {
-			t.Fatalf("buildFamily(%q, %d): %v", c.family, c.n, err)
+		var stdout, stderr bytes.Buffer
+		args := []string{"-family", c.family, "-n", fmt.Sprint(c.n), "-r", "1", "-trials", "1"}
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
 		}
-		if g.N() != c.wantN {
-			t.Errorf("buildFamily(%q, %d).N() = %d, want %d", c.family, c.n, g.N(), c.wantN)
+		if want := fmt.Sprintf("%s: n=%d ", c.family, c.wantN); !strings.HasPrefix(stdout.String(), want) {
+			t.Errorf("%v: header %q, want prefix %q", args, stdout.String(), want)
 		}
-	}
-	if _, err := buildFamily("mobius", 8); err == nil {
-		t.Fatal("unknown family accepted")
 	}
 }
 
@@ -93,14 +92,37 @@ func TestEstimateRun(t *testing.T) {
 	}
 }
 
-// TestFlagErrors covers the non-zero exits.
+// TestFlagErrors pins the usage errors: exit code 2, a message naming the
+// bad flag, and no output on stdout.
 func TestFlagErrors(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-family", "mobius"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("unknown family → %d, want 2", code)
-	}
-	stderr.Reset()
-	if code := run([]string{"-bogus"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("bad flag → %d, want 2", code)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-r", "-3"}, "need r >= 0"},
+		{[]string{"-trials", "-5"}, "need trials >= 1"},
+		{[]string{"-trials", "0"}, "need trials >= 1"},
+		{[]string{"-trials", "0", "-estimate"}, "need trials >= 1"},
+		{[]string{"-n", "0"}, "star needs n >= 2"},
+		{[]string{"-family", "path", "-n", "1"}, "path needs n >= 2"},
+		{[]string{"-family", "cycle", "-n", "2"}, "cycle needs n >= 3"},
+		{[]string{"-family", "grid", "-n", "0"}, "grid needs n >= 1"},
+		{[]string{"-family", "hypercube", "-n", "1"}, "hypercube needs n >= 2"},
+		{[]string{"-family", "hypercube", "-n", "4294967296"}, "hypercube needs n < 2^31"},
+		{[]string{"-family", "bintree", "-n", "1"}, "bintree needs n >= 2"},
+		{[]string{"-family", "clique", "-n", "1"}, "clique needs n >= 2"},
+		{[]string{"-family", "mobius"}, `unknown family "mobius"`},
+		{[]string{"-bogus"}, "flag provided but not defined"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", tc.args, code)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, stderr.String(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: stdout %q, want empty", tc.args, stdout.String())
+		}
 	}
 }

@@ -90,6 +90,15 @@ func FromDistributionInto(lab *temporal.Labeling, g *graph.Graph, d dist.Distrib
 // recovers the UNI-CASE exactly; growing w interpolates toward the
 // continuous case where links stay up for whole intervals.
 func UniformWindows(g *graph.Graph, lifetime, w int, stream *rng.Stream) temporal.Labeling {
+	var lab temporal.Labeling
+	UniformWindowsInto(&lab, g, lifetime, w, stream)
+	return lab
+}
+
+// UniformWindowsInto is UniformWindows drawing into lab, reusing its
+// backing arrays, with the same stream consumption and labeling — the
+// in-place redraw a batched trial engine relabels from.
+func UniformWindowsInto(lab *temporal.Labeling, g *graph.Graph, lifetime, w int, stream *rng.Stream) {
 	if lifetime < 1 {
 		panic("assign: lifetime must be >= 1")
 	}
@@ -97,9 +106,11 @@ func UniformWindows(g *graph.Graph, lifetime, w int, stream *rng.Stream) tempora
 		panic("assign: window width must be in [1, lifetime]")
 	}
 	m := g.M()
-	lab := temporal.Labeling{
-		Off:    make([]int32, m+1),
-		Labels: make([]int32, m*w),
+	lab.Reset(m)
+	if cap(lab.Labels) < m*w {
+		lab.Labels = make([]int32, m*w)
+	} else {
+		lab.Labels = lab.Labels[:m*w]
 	}
 	for e := 0; e < m; e++ {
 		lab.Off[e+1] = int32((e + 1) * w)
@@ -108,7 +119,6 @@ func UniformWindows(g *graph.Graph, lifetime, w int, stream *rng.Stream) tempora
 			lab.Labels[e*w+i] = start + int32(i)
 		}
 	}
-	return lab
 }
 
 // Consecutive assigns the labels {1,…,d} to every edge — the

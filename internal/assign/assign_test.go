@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -529,6 +530,33 @@ func TestUniformWindowsPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestUniformWindowsIntoMatchesUniformWindows pins the in-place redraw
+// against the allocating draw from the same stream state — into one reused
+// labeling, after a larger draw and then after a smaller one — including
+// where each leaves the stream.
+func TestUniformWindowsIntoMatchesUniformWindows(t *testing.T) {
+	var lab temporal.Labeling
+	for i, tc := range []struct {
+		name        string
+		g           *graph.Graph
+		lifetime, w int
+	}{
+		{"fresh", graph.Clique(12, true), 30, 5},
+		{"after-larger", graph.Cycle(7), 30, 2},
+		{"after-smaller", graph.Clique(9, false), 20, 3},
+	} {
+		s, ref := rng.New(uint64(i)+7), rng.New(uint64(i)+7)
+		want := UniformWindows(tc.g, tc.lifetime, tc.w, ref)
+		UniformWindowsInto(&lab, tc.g, tc.lifetime, tc.w, s)
+		if !slices.Equal(lab.Off, want.Off) || !slices.Equal(lab.Labels, want.Labels) {
+			t.Fatalf("%s: in-place labeling %v/%v, want %v/%v", tc.name, lab.Off, lab.Labels, want.Off, want.Labels)
+		}
+		if got, next := s.Uint64(), ref.Uint64(); got != next {
+			t.Fatalf("%s: stream left at %#x, want %#x", tc.name, got, next)
+		}
 	}
 }
 

@@ -4,7 +4,8 @@ import (
 	"context"
 	"math"
 
-	"repro/internal/assign"
+	"repro/internal/avail"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -21,7 +22,8 @@ import (
 
 // ReachabilityRate estimates Pr[Treach] when every edge of g receives r
 // independent uniform labels from {1,…,lifetime}: the success fraction over
-// the given number of trials, with its Wilson 95% confidence interval.
+// the given number of trials, with its Wilson 95% confidence interval. It
+// panics unless r >= 1 and trials >= 1.
 func ReachabilityRate(g *graph.Graph, lifetime, r, trials int, seed uint64) (rate, lo, hi float64) {
 	return ReachabilityRateCtx(context.Background(), g, lifetime, r, trials, seed)
 }
@@ -30,10 +32,16 @@ func ReachabilityRate(g *graph.Graph, lifetime, r, trials int, seed uint64) (rat
 // stops the Monte-Carlo early and the rate covers completed trials only
 // (the confidence interval still divides by the requested trial count, so
 // a cancelled probe under-reports — callers abandon the search anyway).
+// The trials relabel one network per worker in place (sim.BatchRunner).
 func ReachabilityRateCtx(ctx context.Context, g *graph.Graph, lifetime, r, trials int, seed uint64) (rate, lo, hi float64) {
-	res, _ := sim.Runner{Trials: trials, Seed: seed}.RunContext(ctx, func(trial int, stream *rng.Stream) sim.Metrics {
-		lab := assign.Uniform(g, lifetime, r, stream)
-		net := temporal.MustNew(g, lifetime, lab)
+	if r < 1 {
+		panic("core: ReachabilityRate needs r >= 1")
+	}
+	if trials < 1 {
+		panic("core: ReachabilityRate needs trials >= 1")
+	}
+	b := sim.BatchRunner{Model: avail.NewIID(dist.NewUniform(lifetime), r), Substrate: g, Seed: seed}
+	res, _ := b.RunFromContext(ctx, 0, trials, func(_ int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
 		ok := 0.0
 		if temporal.SatisfiesTreachSerial(net, nil) {
 			ok = 1
@@ -50,7 +58,8 @@ func ReachabilityRateCtx(ctx context.Context, g *graph.Graph, lifetime, r, trial
 // monotone in r (extra labels only add journeys), so the bisection is
 // sound up to Monte-Carlo noise; use enough trials that the phase
 // transition is sharp relative to the binomial error. The second result is
-// false when even rMax does not reach the target.
+// false when even rMax does not reach the target. It panics unless target
+// is in (0, 1], trials >= 1 and rMax >= 1.
 func EstimateR(g *graph.Graph, lifetime int, target float64, trials int, seed uint64, rMax int) (int, bool) {
 	return EstimateRCtx(context.Background(), g, lifetime, target, trials, seed, rMax)
 }
@@ -61,6 +70,9 @@ func EstimateR(g *graph.Graph, lifetime int, target float64, trials int, seed ui
 func EstimateRCtx(ctx context.Context, g *graph.Graph, lifetime int, target float64, trials int, seed uint64, rMax int) (int, bool) {
 	if target <= 0 || target > 1 {
 		panic("core: EstimateR target must be in (0,1]")
+	}
+	if trials < 1 {
+		panic("core: EstimateR needs trials >= 1")
 	}
 	if rMax < 1 {
 		panic("core: EstimateR needs rMax >= 1")

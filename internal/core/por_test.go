@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -79,18 +81,53 @@ func TestEstimateRUnreachableTarget(t *testing.T) {
 
 func TestEstimateRPanics(t *testing.T) {
 	g := graph.Path(3)
-	for name, fn := range map[string]func(){
-		"target-0": func() { EstimateR(g, 3, 0, 5, 1, 4) },
-		"target-2": func() { EstimateR(g, 3, 2, 5, 1, 4) },
-		"rmax-0":   func() { EstimateR(g, 3, 0.5, 5, 1, 0) },
-	} {
+	ctx := context.Background()
+	assertPanics(t, []panicCase{
+		{"target-0", func() { EstimateR(g, 3, 0, 5, 1, 4) }, "target must be in (0,1]"},
+		{"target-2", func() { EstimateR(g, 3, 2, 5, 1, 4) }, "target must be in (0,1]"},
+		{"rmax-0", func() { EstimateR(g, 3, 0.5, 5, 1, 0) }, "rMax >= 1"},
+		// With no trials every probe is NaN, and NaN < target would end
+		// the search at r = 1 as if it had succeeded.
+		{"trials-0", func() { EstimateR(g, 3, 0.5, 0, 1, 4) }, "EstimateR needs trials >= 1"},
+		{"trials-neg", func() { EstimateRCtx(ctx, g, 3, 0.5, -5, 1, 4) }, "EstimateR needs trials >= 1"},
+	})
+}
+
+// TestReachabilityRatePanics pins the input checks: the i.i.d. model the
+// trials draw from would raise r < 1 to 1 silently, and zero trials would
+// report a NaN rate.
+func TestReachabilityRatePanics(t *testing.T) {
+	g := graph.Path(3)
+	ctx := context.Background()
+	assertPanics(t, []panicCase{
+		{"r-0", func() { ReachabilityRate(g, 3, 0, 5, 1) }, "r >= 1"},
+		{"r-neg", func() { ReachabilityRate(g, 3, -3, 5, 1) }, "r >= 1"},
+		{"trials-0", func() { ReachabilityRate(g, 3, 2, 0, 1) }, "ReachabilityRate needs trials >= 1"},
+		{"trials-neg", func() { ReachabilityRateCtx(ctx, g, 3, 2, -5, 1) }, "ReachabilityRate needs trials >= 1"},
+		{"lifetime-0", func() { ReachabilityRate(g, 0, 2, 5, 1) }, "lifetime"},
+	})
+}
+
+type panicCase struct {
+	name string
+	fn   func()
+	want string // substring of the panic message
+}
+
+func assertPanics(t *testing.T, cases []panicCase) {
+	t.Helper()
+	for _, tc := range cases {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s should panic", name)
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s should panic", tc.name)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+					t.Fatalf("%s panicked with %q, want it to mention %q", tc.name, msg, tc.want)
 				}
 			}()
-			fn()
+			tc.fn()
 		}()
 	}
 }

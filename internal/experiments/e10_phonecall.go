@@ -3,14 +3,13 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/assign"
+	"repro/internal/avail"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/phonecall"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/table"
-	"repro/internal/temporal"
 )
 
 // E10PhoneCall puts the paper's model next to the random phone-call model
@@ -48,9 +47,7 @@ func E10PhoneCall(cfg Config) Result {
 				m["ppRounds"] = float64(pp.Rounds)
 				m["ppTx"] = float64(pp.Transmissions)
 			}
-			lab := assign.NormalizedURTN(gd, r)
-			net := temporal.MustNew(gd, n, lab)
-			sp := core.Spread(net, src)
+			sp := core.Spread(avail.Network(uniform(n, 1), gd, r), src)
 			if sp.All {
 				m["floodTime"] = float64(sp.CompletionTime)
 				m["floodTx"] = float64(sp.Transmissions)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/assign"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -33,9 +32,7 @@ func E11MultiLabel(cfg Config) Result {
 	lnN := math.Log(float64(n))
 	var xs, ys []float64
 	for _, r := range rs {
-		res := cfg.run(trials, cfg.Seed+uint64(r)<<10, func(trial int, stream *rng.Stream) sim.Metrics {
-			lab := assign.Uniform(g, n, r, stream)
-			net := temporal.MustNew(g, n, lab)
+		res := cfg.runNet(trials, cfg.Seed+uint64(r)<<10, uniform(n, r), g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, 128, stream)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {

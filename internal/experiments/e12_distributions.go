@@ -3,7 +3,7 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/assign"
+	"repro/internal/avail"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -48,9 +48,7 @@ func E12Distributions(cfg Config) Result {
 	for li, law := range laws(n) {
 		// Seed by law index: name-derived seeds collide (the two geometric
 		// laws format to equal-length names), correlating their trials.
-		res := cfg.run(trials, cfg.Seed+uint64(li+1)<<9, func(trial int, stream *rng.Stream) sim.Metrics {
-			lab := assign.FromDistribution(g, law, 1, stream)
-			net := temporal.MustNew(g, n, lab)
+		res := cfg.runNet(trials, cfg.Seed+uint64(li+1)<<9, avail.NewIID(law, 1), g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, 96, stream)
 			m := sim.Metrics{"reach": 0, "meanDelta": d.MeanFinite}
 			if d.AllReachable {
@@ -93,9 +91,7 @@ func E12Distributions(cfg Config) Result {
 		"law", "r/edge", "Pr[Treach]", "mean label",
 	)
 	for li, law := range laws(np) {
-		res := cfg.run(trials*2, cfg.Seed^0xE12B+uint64(li+1), func(trial int, stream *rng.Stream) sim.Metrics {
-			lab := assign.FromDistribution(path, law, r, stream)
-			net := temporal.MustNew(path, np, lab)
+		res := cfg.runNet(trials*2, cfg.Seed^0xE12B+uint64(li+1), avail.NewIID(law, r), path, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
 			ok := 0.0
 			if temporal.SatisfiesTreachSerial(net, nil) {
 				ok = 1

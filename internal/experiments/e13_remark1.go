@@ -3,7 +3,7 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/assign"
+	"repro/internal/avail"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -34,15 +34,15 @@ func E13Remark1(cfg Config) Result {
 	for _, n := range ns {
 		gd := graph.Clique(n, true)
 		gu := graph.Clique(n, false)
-		res := cfg.run(trials, cfg.Seed^0xE13+uint64(n), func(trial int, r *rng.Stream) sim.Metrics {
+		res := cfg.runNet(trials, cfg.Seed^0xE13+uint64(n), uniform(n, 1), gd, func(trial int, netD *temporal.Network, r *rng.Stream) sim.Metrics {
 			m := sim.Metrics{}
-			netD := temporal.MustNew(gd, n, assign.NormalizedURTN(gd, r))
 			dD := serialDiameter(netD, 128, r)
 			if dD.AllReachable {
 				m["tdDir"] = float64(dD.Max)
 			}
-			netU := temporal.MustNew(gu, n, assign.NormalizedURTN(gu, r))
-			dU := serialDiameter(netU, 128, r)
+			// The undirected twin is a second network of the same trial,
+			// drawn after the directed instance's source sample.
+			dU := serialDiameter(avail.Network(uniform(n, 1), gu, r), 128, r)
 			if dU.AllReachable {
 				m["tdUnd"] = float64(dU.Max)
 			}

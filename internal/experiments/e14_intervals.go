@@ -37,9 +37,7 @@ func E14Windows(cfg Config) Result {
 	)
 	var xs, ys []float64
 	for _, w := range ws {
-		res := cfg.run(trials, cfg.Seed^0xE14+uint64(w)<<8, func(trial int, stream *rng.Stream) sim.Metrics {
-			lab := assign.UniformWindows(g, n, w, stream)
-			net := temporal.MustNew(g, n, lab)
+		res := cfg.runNet(trials, cfg.Seed^0xE14+uint64(w)<<8, windows{n, w}, g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, 128, stream)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {
@@ -65,4 +63,21 @@ func E14Windows(cfg Config) Result {
 	fig := table.Plot("Figure E14: TD vs window width", 60, 12,
 		table.Series{Name: "TD(w)", X: xs, Y: ys})
 	return Result{Tables: []*table.Table{tb}, Figures: []string{fig}}
+}
+
+// windows is E14's availability model: every edge gets one window of w
+// consecutive labels at a uniform start in {1,…,a−w+1}
+// (assign.UniformWindows). Resample redraws in place, so the trials ride
+// the batched engine's relabel path.
+type windows struct{ a, w int }
+
+func (m windows) Name() string  { return "windows" }
+func (m windows) Lifetime() int { return m.a }
+
+func (m windows) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
+	return assign.UniformWindows(g, m.a, m.w, stream)
+}
+
+func (m windows) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
+	assign.UniformWindowsInto(lab, g, m.a, m.w, stream)
 }

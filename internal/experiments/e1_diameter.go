@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -36,9 +35,7 @@ func E1Diameter(cfg Config) Result {
 	var xs, ys []float64
 	for _, n := range ns {
 		g := graph.Clique(n, true)
-		res := cfg.run(trials, cfg.Seed+uint64(n), func(trial int, r *rng.Stream) sim.Metrics {
-			lab := assign.NormalizedURTN(g, r)
-			net := temporal.MustNew(g, n, lab)
+		res := cfg.runNet(trials, cfg.Seed+uint64(n), uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, maxSources, r)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {
@@ -74,9 +71,7 @@ func E1Diameter(cfg Config) Result {
 	)
 	for _, n := range ns {
 		g := graph.Clique(n, true)
-		res := cfg.run(trials, cfg.Seed^0xE1B+uint64(n), func(trial int, r *rng.Stream) sim.Metrics {
-			lab := assign.NormalizedURTN(g, r)
-			net := temporal.MustNew(g, n, lab)
+		res := cfg.runNet(trials, cfg.Seed^0xE1B+uint64(n), uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			k := smallestConnectedPrefix(net)
 			m := sim.Metrics{"conn": float64(k)}
 			d := serialDiameter(net, 32, r)

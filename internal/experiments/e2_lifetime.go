@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -33,9 +32,7 @@ func E2Lifetime(cfg Config) Result {
 	var xs, ys []float64
 	for _, c := range cs {
 		a := c * n
-		res := cfg.run(trials, cfg.Seed+uint64(c)<<8, func(trial int, r *rng.Stream) sim.Metrics {
-			lab := assign.Uniform(g, a, 1, r)
-			net := temporal.MustNew(g, a, lab)
+		res := cfg.runNet(trials, cfg.Seed+uint64(c)<<8, uniform(a, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, 128, r)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/assign"
+	"repro/internal/avail"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -32,9 +32,7 @@ func E3Expansion(cfg Config) Result {
 	)
 	for _, n := range ns {
 		g := graph.Clique(n, true)
-		res := cfg.run(trials, cfg.Seed+uint64(n)*3, func(trial int, r *rng.Stream) sim.Metrics {
-			lab := assign.NormalizedURTN(g, r)
-			net := temporal.MustNew(g, n, lab)
+		res := cfg.runNet(trials, cfg.Seed+uint64(n)*3, uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			s := r.Intn(n)
 			t := r.Intn(n - 1)
 			if t >= s {
@@ -87,9 +85,7 @@ func E3Expansion(cfg Config) Result {
 		c1 float64
 		c2 int
 	}{{1, 4}, {2, 4}, {2, 8}, {3, 8}, {4, 16}} {
-		res := cfg.run(trials, cfg.Seed^0xE3B+uint64(pc.c2)<<16+uint64(pc.c1), func(trial int, r *rng.Stream) sim.Metrics {
-			lab := assign.NormalizedURTN(gAb, r)
-			net := temporal.MustNew(gAb, nAb, lab)
+		res := cfg.runNet(trials, cfg.Seed^0xE3B+uint64(pc.c2)<<16+uint64(pc.c1), uniform(nAb, 1), gAb, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			s := r.Intn(nAb)
 			t := r.Intn(nAb - 1)
 			if t >= s {
@@ -131,8 +127,7 @@ func E3Expansion(cfg Config) Result {
 		nFig = 256
 	}
 	gFig := graph.Clique(nFig, true)
-	lab := assign.NormalizedURTN(gFig, rng.NewStream(cfg.Seed, 0xF16))
-	net := temporal.MustNew(gFig, nFig, lab)
+	net := avail.Network(uniform(nFig, 1), gFig, rng.NewStream(cfg.Seed, 0xF16))
 	exp := core.Expansion(net, 0, 1, core.ExpansionConfig{})
 	var fx, fy, rx, ry []float64
 	for i, sz := range exp.ForwardSizes {

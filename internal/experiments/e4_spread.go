@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/assign"
+	"repro/internal/avail"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -33,9 +33,7 @@ func E4Spread(cfg Config) Result {
 	var xs, ys []float64
 	for _, n := range ns {
 		g := graph.Clique(n, true)
-		res := cfg.run(trials, cfg.Seed+uint64(n)*7, func(trial int, r *rng.Stream) sim.Metrics {
-			lab := assign.NormalizedURTN(g, r)
-			net := temporal.MustNew(g, n, lab)
+		res := cfg.runNet(trials, cfg.Seed+uint64(n)*7, uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			src := r.Intn(n)
 			sp := core.Spread(net, src)
 			m := sim.Metrics{
@@ -78,8 +76,7 @@ func E4Spread(cfg Config) Result {
 		nFig = 128
 	}
 	g := graph.Clique(nFig, true)
-	lab := assign.NormalizedURTN(g, rng.NewStream(cfg.Seed, 0xF4))
-	net := temporal.MustNew(g, nFig, lab)
+	net := avail.Network(uniform(nFig, 1), g, rng.NewStream(cfg.Seed, 0xF4))
 	sp := core.Spread(net, 0)
 	var tx2, ty2 []float64
 	for _, pt := range sp.Timeline {

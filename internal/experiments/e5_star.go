@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -37,9 +36,7 @@ func E5StarReachability(cfg Config) Result {
 		for _, rho := range rhos {
 			r := int(math.Max(1, math.Round(rho*log2n)))
 			g := graph.Star(n)
-			res := cfg.run(trials, cfg.Seed+uint64(n)<<20+uint64(rho*16), func(trial int, stream *rng.Stream) sim.Metrics {
-				lab := assign.Uniform(g, n, r, stream)
-				net := temporal.MustNew(g, n, lab)
+			res := cfg.runNet(trials, cfg.Seed+uint64(n)<<20+uint64(rho*16), uniform(n, r), g, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
 				m := sim.Metrics{"reach": 0, "split": 0}
 				if temporal.SatisfiesTreachSerial(net, nil) {
 					m["reach"] = 1

@@ -88,9 +88,7 @@ func E7GeneralReachability(cfg Config) Result {
 		boxOK := treachOf(fam.g, q, boxLab)
 		for _, c := range cs {
 			r := int(math.Max(1, math.Round(c*float64(fam.diam)*lnN)))
-			res := cfg.run(trials, cfg.Seed+uint64(n)<<24+uint64(c*1000), func(trial int, stream *rng.Stream) sim.Metrics {
-				lab := assign.Uniform(fam.g, n, r, stream)
-				net := temporal.MustNew(fam.g, n, lab)
+			res := cfg.runNet(trials, cfg.Seed+uint64(n)<<24+uint64(c*1000), uniform(n, r), fam.g, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
 				ok := 0.0
 				if temporal.SatisfiesTreachSerial(net, nil) {
 					ok = 1

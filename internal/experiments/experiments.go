@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/avail"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -43,28 +44,35 @@ type Config struct {
 }
 
 // run executes trials through the shared Monte-Carlo harness with the
-// Config's context and progress hook wired in. Per-trial seeds and
-// aggregation order are exactly those of sim.Runner.Run, so completed runs
-// are bit-identical with or without the plumbing.
+// Config's context and progress hook wired in — the route for trials that
+// are not one randomly labeled network over a fixed substrate: E7b's
+// coupon draws, E9's G(n, p) substrates and E10's phone-call walks (whose
+// flood network is drawn after the walks). Per-trial seeds and aggregation
+// order are exactly those of sim.Runner, so completed runs are
+// bit-identical with or without the plumbing.
 func (cfg Config) run(trials int, seed uint64, trial sim.Trial) *sim.Results {
 	res, _ := sim.Runner{Trials: trials, Seed: seed, Workers: cfg.Workers, OnTrial: cfg.Progress}.
 		RunContext(cfg.ctx(), trial)
 	return res
 }
 
-// runNet is run for the fixed-substrate model workload: each trial
-// measures one freshly drawn instance of availability model m over
-// substrate g. Trials flow through the batched engine (sim.BatchRunner),
-// which relabels one per-worker network in place when the model supports
-// in-place resampling and transparently falls back to per-trial rebuilds
-// otherwise; either way per-trial streams, metrics and aggregation are
-// bit-identical to calling avail.Network inside a cfg.run trial body —
-// only faster.
+// runNet is run for trials that each measure one freshly drawn instance of
+// availability model m over the fixed substrate g — the route of every
+// such trial in E1–E5, E7 and E11–E17. Trials flow through the batched
+// engine (sim.BatchRunner), which relabels one per-worker network in place
+// when the model supports in-place resampling and transparently falls back
+// to per-trial rebuilds otherwise. The labels are drawn first and the
+// trial body gets the advanced stream, so results are bit-identical to
+// calling avail.Network at the top of a cfg.run trial body — only faster.
 func (cfg Config) runNet(trials int, seed uint64, m avail.Model, g *graph.Graph, trial sim.NetTrial) *sim.Results {
 	b := sim.BatchRunner{Model: m, Substrate: g, Seed: seed, Workers: cfg.Workers, OnTrial: cfg.Progress}
 	res, _ := b.RunFromContext(cfg.ctx(), 0, trials, trial)
 	return res
 }
+
+// uniform is the UNI-CASE model: r i.i.d. uniform labels per edge from
+// {1,…,a}; uniform(n, 1) on n vertices is the normalized URT network.
+func uniform(a, r int) avail.IID { return avail.NewIID(dist.NewUniform(a), r) }
 
 // mp returns the named model-parameter override, or def when absent.
 func (cfg Config) mp(name string, def float64) float64 {

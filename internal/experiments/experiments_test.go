@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/temporal"
 )
@@ -92,6 +93,34 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLabeledTrialsRelabelInPlace pins the trial route: every trial that
+// measures one randomly labeled network over a fixed substrate (E1–E8 and
+// E11–E14 here, with E6 and E8 through core's r(n) probes) relabels a
+// per-worker network in place, and no driver falls back to rebuilding a
+// network per batched trial. It reads process-wide counters, so it must
+// not run in parallel with other tests of this package.
+func TestLabeledTrialsRelabelInPlace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every driver")
+	}
+	resample := obs.Default().Counter("sim_batch_resample_trials_total", "")
+	rebuild := obs.Default().Counter("sim_batch_rebuild_trials_total", "")
+	relabels := map[string]bool{}
+	for _, id := range strings.Fields("E1 E2 E3 E4 E5 E6 E7 E8 E11 E12 E13 E14") {
+		relabels[id] = true
+	}
+	for _, e := range All() {
+		r0, b0 := resample.Value(), rebuild.Value()
+		e.Run(Config{Seed: 1, Quick: true})
+		if d := rebuild.Value() - b0; d != 0 {
+			t.Errorf("%s: %d batched trials rebuilt their network", e.ID, d)
+		}
+		if relabels[e.ID] && resample.Value() == r0 {
+			t.Errorf("%s: no trial relabeled a network in place", e.ID)
+		}
 	}
 }
 

@@ -231,16 +231,10 @@ func (w *batchWorker) diffEdges(from, to []int32) {
 	}
 }
 
-// Run executes trials 0 … count−1 and aggregates their metrics, mirroring
-// Runner.Run on the batched path.
-func (b *BatchRunner) Run(count int, trial NetTrial) *Results {
-	res, _ := b.RunFromContext(context.Background(), 0, count, trial)
-	return res
-}
-
 // RunFromContext runs the count trials with global indices start, …,
-// start+count−1 under Runner.RunFromContext's determinism, cancellation
-// and panic contract, handing each trial its worker's relabeled network.
+// start+count−1 under Runner.ScalarsFromContext's determinism and
+// RunContext's cancellation and panic contract, handing each trial its
+// worker's relabeled network.
 func (b *BatchRunner) RunFromContext(ctx context.Context, start, count int, trial NetTrial) (*Results, error) {
 	return b.runner().runFromWorkers(ctx, start, count, func() (Trial, func()) {
 		w := b.acquire()

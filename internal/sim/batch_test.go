@@ -192,7 +192,7 @@ func TestBatchRunnerPanicPropagates(t *testing.T) {
 		}
 	}()
 	b := sim.BatchRunner{Model: m, Substrate: g, Seed: 1}
-	b.Run(8, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+	b.RunFromContext(context.Background(), 0, 8, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 		if trial == 5 {
 			panic("boom")
 		}

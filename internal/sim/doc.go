@@ -31,4 +31,12 @@
 // (seed, trial) stream; the counters
 // sim_batch_{resample,scenario,rebuild}_trials_total record which route
 // each trial took.
+//
+// Which trials take which executor: every trial that measures one
+// randomly labeled network over a fixed substrate runs on BatchRunner —
+// the experiment drivers' E1–E5, E7 and E11–E17 trials, core's r(n)
+// probes behind E6 and E8, and the batched sweep cells. Runner keeps the
+// trials that are not one labeled network over a fixed substrate: E7b's
+// coupon draws, E9's G(n, p) substrates, E10's phone-call walks, and
+// sweep cells over randomized substrate families such as gnp.
 package sim

@@ -54,36 +54,19 @@ func (c Runner) RunContext(ctx context.Context, trial Trial) (*Results, error) {
 	if c.Trials < 0 {
 		panic("sim: negative trial count")
 	}
-	return c.RunFromContext(ctx, 0, c.Trials, trial)
-}
-
-// RunFrom is the batch-resumable entry point: it runs the count trials with
-// global indices start, start+1, …, start+count−1, each under its canonical
-// stream rng.NewStream(Seed, index). Runner.Trials is ignored; the range is
-// the argument. Because per-trial seeds depend only on the global index,
-// RunFrom(0, k) followed by RunFrom(k, m) visits exactly the trials of a
-// single Run with Trials = k+m, and merging the two Results (Results.Merge)
-// reproduces that Run's aggregates bit-identically — the contract the
-// adaptive sweep engine (internal/sweep) extends trial sequences on.
-func (c Runner) RunFrom(start, count int, trial Trial) *Results {
-	res, _ := c.RunFromContext(context.Background(), start, count, trial)
-	return res
-}
-
-// RunFromContext is RunFrom under a context, with RunContext's
-// cancellation and panic semantics.
-func (c Runner) RunFromContext(ctx context.Context, start, count int, trial Trial) (*Results, error) {
-	return c.runFromWorkers(ctx, start, count, func() (Trial, func()) { return trial, nil })
+	return c.runFromWorkers(ctx, 0, c.Trials, func() (Trial, func()) { return trial, nil })
 }
 
 // ScalarTrial is a single-valued trial body: one observation per trial.
 type ScalarTrial func(trial int, r *rng.Stream) float64
 
 // ScalarsFromContext runs the count trials with global indices start, …,
-// start+count−1 under RunFromContext's determinism, cancellation and panic
-// contract, returning the completed observations in trial order. It is the
-// allocation-lean core the adaptive sweep engine (internal/sweep) batches
-// through: no Metrics map per trial, one float64 slot instead.
+// start+count−1 (Runner.Trials is ignored), each under its canonical
+// stream rng.NewStream(Seed, index), with RunContext's cancellation and
+// panic contract, returning the completed observations in trial order. So
+// (0, k) followed by (k, m) returns exactly the observations of (0, k+m):
+// the allocation-lean, batch-resumable core the adaptive sweep engine
+// (internal/sweep) extends trial sequences through.
 func (c Runner) ScalarsFromContext(ctx context.Context, start, count int, trial ScalarTrial) ([]float64, error) {
 	return c.scalarsFromWorkers(ctx, start, count, func() (ScalarTrial, func()) { return trial, nil })
 }
@@ -149,10 +132,11 @@ func (c Runner) runLoop(ctx context.Context, count int, makeRun func() (run func
 	return completed
 }
 
-// runFromWorkers is RunFromContext with a per-worker trial factory; the
-// optional done hook returned alongside the trial runs when its worker
-// goroutine exits (BatchRunner releases worker state back to its free
-// list there).
+// runFromWorkers runs the count trials with global indices start, …,
+// start+count−1 and aggregates their metrics, with a per-worker trial
+// factory; the optional done hook returned alongside the trial runs when
+// its worker goroutine exits (BatchRunner releases worker state back to
+// its free list there).
 func (c Runner) runFromWorkers(ctx context.Context, start, count int, makeTrial func() (Trial, func())) (*Results, error) {
 	if start < 0 || count < 0 {
 		panic("sim: negative trial range")
@@ -227,26 +211,6 @@ func (c Runner) scalarsFromWorkers(ctx context.Context, start, count int, makeTr
 type Results struct {
 	byName map[string]*stats.Sample
 	trials int
-}
-
-// Merge appends every observation of o after r's own, per metric, in o's
-// trial order. Because stats.Sample aggregates by a sequential Welford
-// fold, merging the Results of RunFrom(0, k) and RunFrom(k, m) — in that
-// order — yields aggregates bit-identical to a single Run with
-// Trials = k+m; TestRunFromSplitGolden pins this.
-func (r *Results) Merge(o *Results) {
-	for _, name := range o.Names() {
-		dst := r.byName[name]
-		if dst == nil {
-			dst = &stats.Sample{}
-			if r.byName == nil {
-				r.byName = make(map[string]*stats.Sample)
-			}
-			r.byName[name] = dst
-		}
-		dst.AddAll(o.byName[name].Values())
-	}
-	r.trials += o.trials
 }
 
 // Sample returns the sample for a metric; missing metrics yield an empty

@@ -248,96 +248,82 @@ func TestTrialPanicReachesCaller(t *testing.T) {
 	})
 }
 
-// TestRunFromSplitGolden is the batch-resume contract: RunFrom(0, k)
-// followed by RunFrom(k, m), merged in order, must equal a single Run with
-// Trials = k+m bit-for-bit — per metric, down to the float64 encoding of
-// every aggregate and every stored observation.
-func TestRunFromSplitGolden(t *testing.T) {
-	trial := func(i int, r *rng.Stream) Metrics {
-		m := Metrics{"v": r.Float64(), "w": float64(r.Intn(1000))}
+// TestScalarsFromSplitGolden is the batch-resume contract the adaptive
+// sweep engine extends trial sequences on: ScalarsFromContext over (0, k)
+// followed by (k, m) must return the observations of (0, k+m) bit for bit.
+func TestScalarsFromSplitGolden(t *testing.T) {
+	trial := func(i int, r *rng.Stream) float64 {
+		v := r.Float64() + float64(r.Intn(1000))
 		if i%3 == 0 {
-			m["sparse"] = r.Float64() - 0.5
+			v -= r.Float64()
 		}
-		return m
+		return v
 	}
 	const k, m = 17, 46
+	ctx := context.Background()
 	for _, workers := range []int{1, 4, 0} {
-		runner := Runner{Trials: k + m, Seed: 1234, Workers: workers}
-		full := runner.Run(trial)
-		split := runner.RunFrom(0, k, trial)
-		split.Merge(runner.RunFrom(k, m, trial))
-
-		if split.Trials() != full.Trials() {
-			t.Fatalf("workers=%d: trials %d != %d", workers, split.Trials(), full.Trials())
+		runner := Runner{Seed: 1234, Workers: workers}
+		full, err := runner.ScalarsFromContext(ctx, 0, k+m, trial)
+		if err != nil {
+			t.Fatal(err)
 		}
-		names := full.Names()
-		if len(names) != len(split.Names()) {
-			t.Fatalf("workers=%d: metric sets differ: %v vs %v", workers, split.Names(), names)
+		head, err := runner.ScalarsFromContext(ctx, 0, k, trial)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, name := range names {
-			a, b := split.Sample(name), full.Sample(name)
-			if a.N() != b.N() {
-				t.Fatalf("workers=%d %s: N %d != %d", workers, name, a.N(), b.N())
-			}
-			for _, pair := range [][2]float64{
-				{a.Mean(), b.Mean()}, {a.Var(), b.Var()},
-				{a.Min(), b.Min()}, {a.Max(), b.Max()},
-			} {
-				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-					t.Fatalf("workers=%d %s: aggregate %v != %v", workers, name, pair[0], pair[1])
-				}
-			}
-			av, bv := a.Values(), b.Values()
-			for i := range bv {
-				if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
-					t.Fatalf("workers=%d %s: observation %d: %v != %v", workers, name, i, av[i], bv[i])
-				}
+		tail, err := runner.ScalarsFromContext(ctx, k, m, trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		split := append(head, tail...)
+		if len(split) != len(full) {
+			t.Fatalf("workers=%d: %d observations, want %d", workers, len(split), len(full))
+		}
+		for i := range full {
+			if math.Float64bits(split[i]) != math.Float64bits(full[i]) {
+				t.Fatalf("workers=%d: observation %d: %v != %v", workers, i, split[i], full[i])
 			}
 		}
 	}
 }
 
-// TestRunFromStreamsMatchGlobalIndex pins that trial g of any batch sees
-// rng.NewStream(seed, g) — the whole point of batch resumability.
-func TestRunFromStreamsMatchGlobalIndex(t *testing.T) {
+// TestScalarsFromStreamsMatchGlobalIndex pins that trial g of any batch
+// sees rng.NewStream(seed, g) — the whole point of batch resumability.
+func TestScalarsFromStreamsMatchGlobalIndex(t *testing.T) {
 	var mu sync.Mutex
 	got := map[int]float64{}
-	Runner{Seed: 7, Workers: 3}.RunFrom(100, 20, func(g int, r *rng.Stream) Metrics {
+	vals, err := Runner{Seed: 7, Workers: 3}.ScalarsFromContext(context.Background(), 100, 20, func(g int, r *rng.Stream) float64 {
 		v := r.Float64()
 		mu.Lock()
 		got[g] = v
 		mu.Unlock()
-		return nil
+		return v
 	})
-	if len(got) != 20 {
-		t.Fatalf("ran %d trials, want 20", len(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 20 || len(vals) != 20 {
+		t.Fatalf("ran %d trials returning %d observations, want 20", len(got), len(vals))
 	}
 	for g := 100; g < 120; g++ {
 		want := rng.NewStream(7, uint64(g)).Float64()
-		if got[g] != want {
-			t.Fatalf("trial %d drew %v, want canonical stream value %v", g, got[g], want)
+		if got[g] != want || vals[g-100] != want {
+			t.Fatalf("trial %d drew %v (observation %v), want canonical stream value %v", g, got[g], vals[g-100], want)
 		}
 	}
 }
 
-func TestMergeIntoZeroValueResults(t *testing.T) {
-	src := Runner{Seed: 2}.RunFrom(0, 10, func(i int, _ *rng.Stream) Metrics {
-		return Metrics{"x": float64(i)}
-	})
-	var dst Results
-	dst.Merge(src)
-	if dst.Trials() != 10 || dst.Mean("x") != 4.5 {
-		t.Fatalf("merged zero-value results: trials=%d mean=%v", dst.Trials(), dst.Mean("x"))
+func TestScalarsFromNegativePanics(t *testing.T) {
+	for _, r := range [][2]int{{-1, 5}, {0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("range (%d, %d) should panic", r[0], r[1])
+				}
+			}()
+			Runner{Seed: 1}.ScalarsFromContext(context.Background(), r[0], r[1], func(int, *rng.Stream) float64 { return 0 })
+		}()
 	}
-}
-
-func TestRunFromNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative range should panic")
-		}
-	}()
-	Runner{Seed: 1}.RunFrom(-1, 5, func(i int, _ *rng.Stream) Metrics { return nil })
 }
 
 func BenchmarkRunnerOverhead(b *testing.B) {

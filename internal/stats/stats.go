@@ -80,8 +80,6 @@ func (s *Sample) Sum() float64 {
 }
 
 // Values returns the observations in insertion order as a fresh slice.
-// sim.Results.Merge replays them to extend one sample by another with the
-// exact floating-point state a single sequential feed would produce.
 func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)

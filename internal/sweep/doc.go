@@ -16,7 +16,8 @@
 //   - Cell c of a grid derives its own seed CellSeed(seed, c), and trial i
 //     of that cell always draws from rng.NewStream(CellSeed(seed, c), i) —
 //     the same stream discipline as internal/sim.
-//   - Batches extend the trial sequence via sim.Runner.RunFrom, and
+//   - Batches extend the trial sequence via sim.Runner.ScalarsFromContext
+//     (or a Source, such as one backed by sim.BatchRunner.ObserveFrom), and
 //     observations are folded into the streaming estimator in trial order,
 //     so the accumulated state after n trials is a fold over the first n
 //     observations regardless of scheduling.
