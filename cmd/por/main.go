@@ -24,20 +24,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// families maps each -family value to its constructor from the requested
-// size n and the smallest n it accepts: the smallest that builds the two
-// vertices r(n) and the PoR need. A cycle needs three, and a grid is one
-// row of four vertices from n = 1.
-var families = map[string]struct {
-	build func(n int) *graph.Graph
-	minN  int
-}{
-	"star":      {graph.Star, 2},
-	"path":      {graph.Path, 2},
-	"cycle":     {graph.Cycle, 3},
-	"grid":      {func(n int) *graph.Graph { return graph.Grid((n+3)/4, 4) }, 1},
-	"hypercube": {func(n int) *graph.Graph { return graph.Hypercube(int(math.Floor(math.Log2(float64(n))))) }, 2},
-	"bintree":   {graph.BinaryTree, 2},
+// minN is the smallest n each -family value accepts: the smallest that
+// builds the two vertices r(n) and the PoR need. A cycle needs three, and a
+// grid is one row of four vertices from n = 1.
+var minN = map[string]int{
+	"star": 2, "path": 2, "cycle": 3, "grid": 1, "hypercube": 2, "bintree": 2,
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -52,13 +43,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fam, known := families[*family]
+	least, known := minN[*family]
 	var usage string
 	switch {
 	case !known:
 		usage = fmt.Sprintf("unknown family %q", *family)
-	case *n < fam.minN:
-		usage = fmt.Sprintf("%s needs n >= %d", *family, fam.minN)
+	case *n < least:
+		usage = fmt.Sprintf("%s needs n >= %d", *family, least)
 	case *family == "hypercube" && int64(*n) >= 1<<31:
 		usage = "hypercube needs n < 2^31"
 	case *trials < 1:
@@ -70,7 +61,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	g := fam.build(*n)
+	// The families are deterministic, so Family draws nothing and cannot
+	// fail on a name minN knows.
+	g, _ := graph.Family(*family, *n, graph.FamilyOpts{}, nil)
 	nv, m := g.N(), g.M()
 	diam, _ := graph.Diameter(g)
 

@@ -23,6 +23,10 @@
 // from start until dst is first reached. When the start = 1 table already
 // says dst is unreachable, ModeFull answers Unreachable as a hit without
 // scanning, because raising the departure floor only removes journeys.
+// Point scans read the network's lazily filled endpoint column, counted
+// as temporal_index_builds_total{index="ends"} (see
+// temporal.EarliestArrivalTo); the network is never relabeled under an
+// Index, so it is filled once.
 //
 // Coalescing applies only to stored rows: concurrent ModeLRU misses for
 // the same (src, start) row share one underlying kernel run, and the

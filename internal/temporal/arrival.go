@@ -48,8 +48,12 @@ func (n *Network) EarliestArrivalsFromInto(s int, start int32, arr []int32) int 
 // binary search finds the first time edge labelled ≥ start, and a forward
 // scan of the label-sorted list relaxes arr[u] < l < arr[v] until t is
 // first assigned. Labels arrive in non-decreasing order, so that first
-// assignment is already final. The scan reads only the global time-edge
-// list, never the per-vertex index, and allocates nothing in steady state.
+// assignment is already final. The scan reads the list's label column and
+// its endpoint column (teEnds, from | to<<32 per time edge) as two
+// sequential streams, never the per-vertex index, and allocates nothing in
+// steady state. The first scan on a labeling fills the endpoint column
+// (one pass over the list, counted as temporal_index_builds_total{index=
+// "ends"}); Relabel and RelabelEdges drop it.
 //
 // It pays off when the row would be expensive and t is reached early in
 // the scan, as for late-start point queries (internal/qindex); an
@@ -59,23 +63,22 @@ func (n *Network) EarliestArrivalTo(s, t int, start int32) int32 {
 	if s == t {
 		return 0
 	}
-	n.ensureTimeEdges()
+	n.ensureTimeEdgeEnds()
 	start = max(start, 1)
 	first, _ := slices.BinarySearch(n.teLabel, start)
-	te := n.teEdge[first:]
-	tl := n.teLabel[first:len(n.teEdge)]
+	ends := n.teEnds[first:]
+	tl := n.teLabel[first:len(n.teEnds)]
 	sc := getScratch()
 	arr := sc.arrival(n.g.N())
 	fillUnreachable(arr)
 	// Every scanned label is ≥ start ≥ 1, so s may leave on any of them.
 	arr[s] = 0
-	from, to := n.edgeEndpointArrays()
 	directed := n.g.Directed()
 	dst := int32(t)
 	ans := Unreachable
-	for i, e := range te {
+	for i, uv := range ends {
 		l := tl[i]
-		u, v := from[e], to[e]
+		u, v := int32(uint32(uv)), int32(uv>>32)
 		if arr[u] < l && l < arr[v] {
 			if v == dst {
 				ans = l

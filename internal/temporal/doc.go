@@ -27,7 +27,9 @@
 //     it binary-searches the global list for the first label ≥ start and
 //     scans forward until t is first reached, which is already its
 //     earliest arrival. It needs no row and no per-vertex index, but pays
-//     the whole suffix of the list when t is unreachable;
+//     the whole suffix of the list when t is unreachable. It reads the
+//     list's labels beside a lazily filled endpoint column, both
+//     sequentially (see EarliestArrivalTo);
 //   - the word scan answers all-pairs questions: 64 sources share one pass
 //     over the label-sorted time-edge list, one uint64 of source bits per
 //     vertex, so Treach, violation counts, reachable sets, arrival rows

@@ -3,3 +3,7 @@ package temporal
 // DiameterOracle exposes the linear-oracle diameter to the external test
 // package, whose availability-model networks cannot be built in here.
 var DiameterOracle = diameterOracle
+
+// EndsFills reads temporal_index_builds_total{index="ends"}, the number of
+// endpoint-column fills in this process.
+func EndsFills() uint64 { return obsBuildEnds.Value() }

@@ -7,10 +7,11 @@ package temporal
 import "repro/internal/obs"
 
 var obsIndexBuilds = obs.NewCounterVec("temporal_index_builds_total",
-	"Lazy index rebuilds by index kind (labelsort, timeedges, vertex).", "index")
+	"Lazy index rebuilds by index kind (labelsort, timeedges, vertex, ends).", "index")
 
 var (
 	obsBuildLabelSort = obsIndexBuilds.With("labelsort")
 	obsBuildTimeEdges = obsIndexBuilds.With("timeedges")
 	obsBuildVertex    = obsIndexBuilds.With("vertex")
+	obsBuildEnds      = obsIndexBuilds.With("ends")
 )

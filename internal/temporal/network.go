@@ -75,9 +75,13 @@ type Network struct {
 	labels []int32
 
 	// Time edges bucket-sorted by label: time edge i is (edge teEdge[i],
-	// label teLabel[i]), with teLabel non-decreasing.
+	// label teLabel[i]), with teLabel non-decreasing. teEnds[i] packs the
+	// endpoints of edge teEdge[i] as from | to<<32, so the point scan reads
+	// two sequential columns instead of gathering through the edge id; it
+	// is filled lazily (below).
 	teEdge  []int32
 	teLabel []int32
+	teEnds  []uint64
 
 	// distinct holds the sorted distinct labels in use. The frontier
 	// kernel's bucket queue is indexed by rank in this array, so its time
@@ -119,11 +123,15 @@ type Network struct {
 	// per-edge query surface — EdgeLabels, LabelIn.) The clean flags use
 	// double-checked locking around idxMu, so concurrent queries on a
 	// relabeled network remain safe — whichever caller arrives first
-	// builds, everyone else proceeds after the atomic acquire.
+	// builds, everyone else proceeds after the atomic acquire. The endpoint
+	// column (endsClean) is built the same way by the first point scan on
+	// a labeling, so a served network fills it once and a per-trial
+	// labeling that is never point-queried never fills it.
 	idxMu     sync.Mutex
 	teClean   atomic.Bool
 	vteClean  atomic.Bool
 	labSorted atomic.Bool
+	endsClean atomic.Bool
 }
 
 // validateLabelingShape checks the CSR offset invariants New and Relabel
@@ -234,10 +242,17 @@ func (n *Network) Relabel(lab Labeling) error {
 	copy(n.off, lab.Off)
 	n.labels = growI32(n.labels, len(lab.Labels))
 	copy(n.labels, lab.Labels)
+	n.invalidateIndexes()
+	return nil
+}
+
+// invalidateIndexes marks every lazy index stale, the endpoint column
+// included, after Relabel or RelabelEdges replaced the labels.
+func (n *Network) invalidateIndexes() {
 	n.labSorted.Store(false)
 	n.teClean.Store(false)
 	n.vteClean.Store(false)
-	return nil
+	n.endsClean.Store(false)
 }
 
 // ensureSortedLabels re-sorts each edge's label run if a Relabel left them
@@ -287,6 +302,25 @@ func (n *Network) ensureVertexTimeEdges() {
 		}
 		n.buildVertexTimeEdges()
 		n.vteClean.Store(true)
+	}
+	n.idxMu.Unlock()
+}
+
+// ensureTimeEdgeEnds fills the endpoint column teEnds if New or a Relabel
+// left it stale; the fill reads the global list, so it brings that up to
+// date first.
+func (n *Network) ensureTimeEdgeEnds() {
+	if n.endsClean.Load() {
+		return
+	}
+	n.idxMu.Lock()
+	if !n.endsClean.Load() {
+		if !n.teClean.Load() {
+			n.buildTimeEdges()
+			n.teClean.Store(true)
+		}
+		n.buildTimeEdgeEnds()
+		n.endsClean.Store(true)
 	}
 	n.idxMu.Unlock()
 }
@@ -352,6 +386,23 @@ func (n *Network) buildTimeEdges() {
 		}
 		prev = end
 	}
+}
+
+// buildTimeEdgeEnds fills the endpoint column from the label-sorted list
+// and the graph's edge arrays, over the column's previous buffer.
+func (n *Network) buildTimeEdgeEnds() {
+	obsBuildEnds.Inc()
+	from, to := n.g.FromArray(), n.g.ToArray()
+	ends := n.teEnds
+	if cap(ends) < len(n.teEdge) {
+		ends = make([]uint64, len(n.teEdge))
+	} else {
+		ends = ends[:len(n.teEdge)]
+	}
+	for i, e := range n.teEdge {
+		ends[i] = uint64(uint32(from[e])) | uint64(uint32(to[e]))<<32
+	}
+	n.teEnds = ends
 }
 
 // buildVertexTimeEdges builds the per-vertex time-edge CSR. Filling it by a

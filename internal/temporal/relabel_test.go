@@ -1,10 +1,10 @@
 package temporal_test
 
 // Differential coverage for the in-place Relabel path: a network relabeled
-// with lab must be indistinguishable — arrivals, reachability, label
-// queries, time-edge enumeration — from a network freshly built with New
-// on the same lab. This is the correctness contract the batched trial
-// engine (sim.BatchRunner) stands on.
+// with lab must be indistinguishable — arrivals, point scans,
+// reachability, label queries, time-edge enumeration — from a network
+// freshly built with New on the same lab. This is the correctness contract
+// the batched trial engine (sim.BatchRunner) stands on.
 
 import (
 	"fmt"
@@ -34,7 +34,9 @@ func randomLabeling(g *graph.Graph, lifetime int, r *rng.Stream) temporal.Labeli
 }
 
 // assertNetworksEqual compares every observable surface of two networks on
-// the same substrate.
+// the same substrate. The point scans cover every (s, t) at starts around
+// both ends of the lifetime; the first fills got's endpoint column, so a
+// later relabel that failed to drop it shows on the next call.
 func assertNetworksEqual(t *testing.T, name string, got, want *temporal.Network) {
 	t.Helper()
 	if got.LabelCount() != want.LabelCount() {
@@ -77,6 +79,16 @@ func assertNetworksEqual(t *testing.T, name string, got, want *temporal.Network)
 		for v := 0; v < nv; v++ {
 			if ga[v] != wa[v] {
 				t.Fatalf("%s: arrival (%d,%d) = %d, want %d", name, s, v, ga[v], wa[v])
+			}
+		}
+	}
+	a := int32(want.Lifetime())
+	for _, start := range []int32{-1, 1, 2, (a + 1) / 2, a, a + 1} {
+		for s := 0; s < nv; s++ {
+			for v := 0; v < nv; v++ {
+				if g, w := got.EarliestArrivalTo(s, v, start), want.EarliestArrivalTo(s, v, start); g != w {
+					t.Fatalf("%s: point scan (%d,%d) from %d = %d, want %d", name, s, v, start, g, w)
+				}
 			}
 		}
 	}
@@ -270,6 +282,8 @@ func TestTreachStaticMatchesSerial(t *testing.T) {
 
 // FuzzRelabel lets the fuzzer pick the substrate, lifetime and two label
 // draws, relabels across them, and pins the result against a fresh build.
+// The first labeling is pinned too, which also fills its endpoint column
+// before the relabel has to drop it.
 func FuzzRelabel(f *testing.F) {
 	f.Add(uint64(1), uint8(6), uint8(9), false)
 	f.Add(uint64(2), uint8(0), uint8(1), true)
@@ -283,6 +297,7 @@ func FuzzRelabel(f *testing.F) {
 		first := randomLabeling(g, lifetime, r)
 		second := randomLabeling(g, lifetime, r)
 		net := temporal.MustNew(g, lifetime, first)
+		assertNetworksEqual(t, "fuzz first", net, temporal.MustNew(g, lifetime, first))
 		if err := net.Relabel(second); err != nil {
 			t.Fatalf("Relabel: %v", err)
 		}

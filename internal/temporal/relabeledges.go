@@ -145,9 +145,7 @@ func (n *Network) RelabelEdges(d EdgeDelta) error {
 	copy(n.off, d.Labels.Off)
 	n.labels = growI32(n.labels, len(d.Labels.Labels))
 	copy(n.labels, d.Labels.Labels)
-	n.labSorted.Store(false)
-	n.teClean.Store(false)
-	n.vteClean.Store(false)
+	n.invalidateIndexes()
 	return nil
 }
 
