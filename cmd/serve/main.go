@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -136,15 +137,22 @@ func newServer(addr string, handler http.Handler) *http.Server {
 	}
 }
 
-// buildQueryEngine loads the network at path and precomputes its arrival
-// index; a "" path means no query surface (qe == nil).
+// maxIndexMiB is the largest -qindex-mem whose byte count fits an int64.
+const maxIndexMiB int64 = math.MaxInt64 >> 20
+
+// buildQueryEngine checks the index flags, then loads the network at path
+// and precomputes its arrival index; a "" path means no query surface
+// (qe == nil).
 func buildQueryEngine(path, mode string, memMiB int64) (*service.QueryEngine, error) {
-	if path == "" {
-		return nil, nil
-	}
 	qm, err := qindex.ParseMode(mode)
 	if err != nil {
 		return nil, err
+	}
+	if memMiB < 1 || memMiB > maxIndexMiB {
+		return nil, fmt.Errorf("-qindex-mem %d: want a budget between 1 and %d MiB", memMiB, maxIndexMiB)
+	}
+	if path == "" {
+		return nil, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -157,8 +165,8 @@ func buildQueryEngine(path, mode string, memMiB int64) (*service.QueryEngine, er
 	}
 	ix := qindex.New(net, qindex.Options{Mode: qm, MemBudget: memMiB << 20})
 	st := ix.Stats()
-	log.Printf("serve: query index over %s: n=%d mode=%s resident_rows=%d build_ms=%d",
-		path, st.N, st.Mode, st.ResidentRows, st.BuildMS)
+	log.Printf("serve: query index over %s: n=%d mode=%s resident_rows=%d resident_bytes=%d build_ms=%d",
+		path, st.N, st.Mode, st.ResidentRows, st.ResidentBytes, st.BuildMS)
 	return service.NewQueryEngine(ix), nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -199,7 +200,7 @@ func TestQueryMode(t *testing.T) {
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	for _, series := range []string{"qindex_hits_total", "qindex_rows_computed_total", "qindex_resident_rows"} {
+	for _, series := range []string{"qindex_hits_total", "qindex_rows_computed_total", "qindex_resident_rows", "qindex_resident_bytes"} {
 		if !strings.Contains(rec.Body.String(), series) {
 			t.Errorf("metrics missing %q", series)
 		}
@@ -223,6 +224,18 @@ func TestBuildQueryEngineErrors(t *testing.T) {
 	}
 	if _, err := buildQueryEngine(bad, "auto", 1); err == nil {
 		t.Fatal("garbage network accepted")
+	}
+	// Budgets that cannot be one fail before the network is read, and
+	// without -net too.
+	for _, path := range []string{bad, ""} {
+		for _, mib := range []int64{0, -1, maxIndexMiB + 1, math.MaxInt64} {
+			if _, err := buildQueryEngine(path, "auto", mib); err == nil || !strings.Contains(err.Error(), "-qindex-mem") {
+				t.Fatalf("%q, -qindex-mem %d → %v, want a budget error", path, mib, err)
+			}
+		}
+	}
+	if _, err := buildQueryEngine("", "banana", 1); err == nil {
+		t.Fatal("bad mode accepted without -net")
 	}
 }
 

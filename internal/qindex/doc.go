@@ -6,9 +6,11 @@
 // An Index holds precomputed per-source arrival rows in one of three
 // modes:
 //
-//   - ModeFull: the complete n×n arrival table at start = 1, built 64
-//     sources per pass on the bit-parallel batch kernel
-//     (temporal.ArrivalRowsBatch). A query hit is one slice lookup.
+//   - ModeFull: the complete n×n arrival table at start = 1 in 16-bit
+//     entries (2n² bytes), built 64 sources per pass on the bit-parallel
+//     word scan: temporal.ArrivalGroups hands each label group's new
+//     arrivals to the build, which stamps them straight into the table.
+//     A query hit is one slice lookup.
 //   - ModeLRU: a memory-budgeted LRU of arrival rows keyed (src, start).
 //     A miss runs one pooled frontier query
 //     (temporal.EarliestArrivalsFromInto) and caches the row; eviction
@@ -16,6 +18,15 @@
 //   - ModeOff: no resident rows. Every query runs one point scan
 //     (temporal.EarliestArrivalTo) and no frontier kernel: the baseline
 //     the differential tests pin the cached modes against.
+//
+// ModeFull's entries hold the exact start = 1 arrival (0 at src == dst)
+// except for two sentinels: 0xFFFF means no journey, answered as
+// temporal.Unreachable at every start without scanning, and 0xFFFE means
+// an arrival ≥ 0xFFFE, which 16 bits cannot hold beside the sentinels and
+// which a point scan answers, counted as a miss, at start = 1 too. In the
+// paper's normalized model (lifetime a = n) no entry saturates below
+// n = 65534; networks with longer lifetimes keep exact answers and pay a
+// scan on their saturated pairs only. LRU rows stay int32.
 //
 // Only ModeLRU computes rows at query time. A lookup that would not keep
 // its row does not compute one: ModeFull answers a restricted query
@@ -40,6 +51,7 @@
 //
 // The package is instrumented through internal/obs: qindex_hits_total,
 // qindex_misses_total, qindex_evictions_total, qindex_coalesced_total,
-// qindex_rows_computed_total, the qindex_resident_rows gauge, and
+// qindex_rows_computed_total, the qindex_resident_rows and
+// qindex_resident_bytes gauges (2n² per full table, 4n per LRU row), and
 // build/compute latency histograms.
 package qindex

@@ -3,7 +3,7 @@ package qindex
 // Process-wide metrics for the query index, exposed through internal/obs.
 // Counters are event-driven, so several Index instances in one process
 // (tests, one index per loaded network) aggregate instead of clobbering
-// each other; the resident-rows gauge moves by deltas for the same reason.
+// each other; the resident gauges move by deltas for the same reason.
 
 import "repro/internal/obs"
 
@@ -20,6 +20,8 @@ var (
 		"Arrival rows computed: the full-table build and LRU frontier computes; point scans compute none.")
 	obsResident = obs.NewGauge("qindex_resident_rows",
 		"Arrival rows currently resident across all indexes.")
+	obsResidentBytes = obs.NewGauge("qindex_resident_bytes",
+		"Bytes of arrival storage currently resident across all indexes: 2n^2 per full table, 4n per LRU row.")
 	obsComputeNS = obs.NewHistogram("qindex_row_compute_ns",
 		"Latency of one on-miss frontier row compute in nanoseconds.")
 	obsBuildNS = obs.NewHistogram("qindex_build_ns",

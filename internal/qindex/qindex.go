@@ -3,6 +3,7 @@ package qindex
 import (
 	"container/list"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,12 +60,24 @@ func ParseMode(s string) (Mode, error) {
 // DefaultMemBudget bounds row storage when Options.MemBudget is zero.
 const DefaultMemBudget = 256 << 20 // 256 MiB
 
-// rowBytes is the storage cost of one resident arrival row.
+// rowBytes is the storage cost of one resident int32 LRU arrival row.
 func rowBytes(n int) int64 { return 4 * int64(n) }
 
-// FullTableBytes returns the row storage a ModeFull index on n vertices
-// holds — the quantity ModeAuto compares against the memory budget.
-func FullTableBytes(n int) int64 { return rowBytes(n) * int64(n) }
+// FullTableBytes returns the table storage a ModeFull index on n vertices
+// holds, 2n² bytes for n² 16-bit entries — the quantity ModeAuto compares
+// against the memory budget.
+func FullTableBytes(n int) int64 { return 2 * int64(n) * int64(n) }
+
+// ModeFull's 16-bit table entries. Every other value is the exact start = 1
+// arrival: 0 at src == dst, else a label below saturated.
+const (
+	// noJourney marks a pair with no journey at all: Unreachable at every
+	// start, answered from the table.
+	noJourney uint16 = 0xFFFF
+	// saturated marks an arrival ≥ 0xFFFE, which 16 bits cannot hold
+	// beside the sentinels; such a pair is answered by a point scan.
+	saturated uint16 = 0xFFFE
+)
 
 // Options configures New.
 type Options struct {
@@ -86,7 +99,7 @@ type Index struct {
 	n    int
 	mode Mode
 
-	full []int32 // ModeFull: row-major n×n table of start=1 arrivals
+	full []uint16 // ModeFull: row-major n×n table of start=1 arrival entries
 
 	maxRows int // LRU row bound; 0 in full/off modes
 	freeCap int // free-list bound: peak concurrent computes worth keeping
@@ -177,15 +190,19 @@ func New(net *temporal.Network, o Options) *Index {
 }
 
 // build fills the full table, batches of 64 sources claimed off an atomic
-// cursor by up to workers goroutines. Rows are disjoint, so the result is
-// bit-identical for any worker count.
+// cursor by up to workers goroutines. Each batch's word scan stamps its
+// label groups straight into the batch's 16-bit rows, so the build needs
+// no scratch rows. Rows are disjoint, so the result is bit-identical for
+// any worker count.
 func (ix *Index) build(workers int) {
 	start := time.Now()
-	ix.full = make([]int32, ix.n*ix.n)
+	n := ix.n
+	full := make([]uint16, n*n)
+	ix.full = full
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	batches := (ix.n + 63) / 64
+	batches := (n + 63) / 64
 	if workers > batches {
 		workers = batches
 	}
@@ -196,28 +213,52 @@ func (ix *Index) build(workers int) {
 		go func() {
 			defer wg.Done()
 			var srcs [64]int32
-			var rows [64][]int32
+			lo := 0 // first source of the batch being scanned
+			stamp := func(label int32, dirty []int32, pend []uint64) {
+				a := saturated
+				if label < int32(saturated) {
+					a = uint16(label)
+				}
+				for _, v := range dirty {
+					for b := pend[v]; b != 0; b &= b - 1 {
+						full[(lo+bits.TrailingZeros64(b))*n+int(v)] = a
+					}
+				}
+			}
 			for {
 				b := int(cursor.Add(1)) - 1
 				if b >= batches {
 					return
 				}
-				lo := b * 64
-				hi := min(lo+64, ix.n)
+				lo = b * 64
+				hi := min(lo+64, n)
+				fillNoJourney(full[lo*n : hi*n])
 				for s := lo; s < hi; s++ {
 					srcs[s-lo] = int32(s)
-					rows[s-lo] = ix.full[s*ix.n : (s+1)*ix.n]
+					full[s*n+s] = 0
 				}
-				ix.net.ArrivalRowsBatch(srcs[:hi-lo], rows[:hi-lo])
+				ix.net.ArrivalGroups(srcs[:hi-lo], stamp)
 			}
 		}()
 	}
 	wg.Wait()
 	ix.buildDur = time.Since(start)
 	obsBuildNS.ObserveDuration(ix.buildDur)
-	obsResident.Add(int64(ix.n))
-	obsComputes.Add(uint64(ix.n))
-	ix.computes.Add(uint64(ix.n))
+	obsResident.Add(int64(n))
+	obsResidentBytes.Add(FullTableBytes(n))
+	obsComputes.Add(uint64(n))
+	ix.computes.Add(uint64(n))
+}
+
+// fillNoJourney sets every entry of rows to noJourney by doubling copies.
+func fillNoJourney(rows []uint16) {
+	if len(rows) == 0 {
+		return
+	}
+	rows[0] = noJourney
+	for i := 1; i < len(rows); i *= 2 {
+		copy(rows[i:], rows[:i])
+	}
 }
 
 // Arrival returns the earliest arrival time of a journey from src to dst
@@ -226,20 +267,25 @@ func (ix *Index) build(workers int) {
 // and dst must be valid vertices — the serving layer validates.
 //
 // Only ModeLRU computes rows here. ModeFull answers start = 1 from its
-// table and a late start with one point scan (temporal.EarliestArrivalTo),
-// unless the table already says dst is unreachable: raising the departure
-// floor only removes journeys. ModeOff answers every query with a point
-// scan.
+// 16-bit table and a late start with one point scan
+// (temporal.EarliestArrivalTo), unless the table already says dst is
+// unreachable: raising the departure floor only removes journeys. An
+// entry saturated at 0xFFFE holds no exact arrival, so it costs a point
+// scan at start = 1 too. ModeOff answers every query with a point scan.
 func (ix *Index) Arrival(src, dst int, start int32) int32 {
 	if start < 1 {
 		start = 1
 	}
 	switch ix.mode {
 	case ModeFull:
-		if a := ix.full[src*ix.n+dst]; start == 1 || a == temporal.Unreachable {
-			ix.hits.Add(1)
-			obsHits.Inc()
-			return a
+		a := ix.full[src*ix.n+dst]
+		if a == noJourney {
+			ix.hit()
+			return temporal.Unreachable
+		}
+		if start == 1 && a != saturated {
+			ix.hit()
+			return int32(a)
 		}
 	case ModeLRU:
 		return ix.lookup(src, dst, start)
@@ -247,6 +293,12 @@ func (ix *Index) Arrival(src, dst int, start int32) int32 {
 	ix.misses.Add(1)
 	obsMisses.Inc()
 	return ix.net.EarliestArrivalTo(src, dst, start)
+}
+
+// hit counts one query answered from a resident entry.
+func (ix *Index) hit() {
+	ix.hits.Add(1)
+	obsHits.Inc()
 }
 
 // lookup is ModeLRU's row path: a resident-row hit, a coalesced wait, or
@@ -258,8 +310,7 @@ func (ix *Index) lookup(src, dst int, start int32) int32 {
 		a := el.Value.(*rowEntry).row[dst]
 		ix.ll.MoveToFront(el)
 		ix.mu.Unlock()
-		ix.hits.Add(1)
-		obsHits.Inc()
+		ix.hit()
 		return a
 	}
 	if f, ok := ix.inflight[k]; ok {
@@ -318,6 +369,7 @@ func (ix *Index) storeLocked(k uint64, row []int32) {
 	copy(buf, row)
 	ix.rows[k] = ix.ll.PushFront(&rowEntry{key: k, row: buf})
 	obsResident.Add(1)
+	obsResidentBytes.Add(rowBytes(ix.n))
 	for ix.ll.Len() > ix.maxRows {
 		oldest := ix.ll.Back()
 		ix.ll.Remove(oldest)
@@ -327,6 +379,7 @@ func (ix *Index) storeLocked(k uint64, row []int32) {
 		ix.evictions.Add(1)
 		obsEvictions.Inc()
 		obsResident.Add(-1)
+		obsResidentBytes.Add(-rowBytes(ix.n))
 	}
 }
 
@@ -365,12 +418,15 @@ type Stats struct {
 	N            int    `json:"n"`
 	MaxRows      int    `json:"max_rows"`      // 0 outside ModeLRU
 	ResidentRows int    `json:"resident_rows"` // n in ModeFull
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Coalesced    uint64 `json:"coalesced"`
-	Evictions    uint64 `json:"evictions"`
-	RowsComputed uint64 `json:"rows_computed"`
-	BuildMS      int64  `json:"build_ms"` // full-table build wall time
+	// ResidentBytes is the row storage held: 2n² for ModeFull's table,
+	// 4n per resident LRU row.
+	ResidentBytes int64  `json:"resident_bytes"`
+	Hits          uint64 `json:"hits"`
+	Misses        uint64 `json:"misses"`
+	Coalesced     uint64 `json:"coalesced"`
+	Evictions     uint64 `json:"evictions"`
+	RowsComputed  uint64 `json:"rows_computed"`
+	BuildMS       int64  `json:"build_ms"` // full-table build wall time
 }
 
 // Stats returns the snapshot.
@@ -378,19 +434,22 @@ func (ix *Index) Stats() Stats {
 	ix.mu.Lock()
 	resident := ix.ll.Len()
 	ix.mu.Unlock()
+	bytes := int64(resident) * rowBytes(ix.n)
 	if ix.mode == ModeFull {
 		resident += ix.n
+		bytes += FullTableBytes(ix.n)
 	}
 	return Stats{
-		Mode:         ix.mode.String(),
-		N:            ix.n,
-		MaxRows:      ix.maxRows,
-		ResidentRows: resident,
-		Hits:         ix.hits.Load(),
-		Misses:       ix.misses.Load(),
-		Coalesced:    ix.coalesced.Load(),
-		Evictions:    ix.evictions.Load(),
-		RowsComputed: ix.computes.Load(),
-		BuildMS:      ix.buildDur.Milliseconds(),
+		Mode:          ix.mode.String(),
+		N:             ix.n,
+		MaxRows:       ix.maxRows,
+		ResidentRows:  resident,
+		ResidentBytes: bytes,
+		Hits:          ix.hits.Load(),
+		Misses:        ix.misses.Load(),
+		Coalesced:     ix.coalesced.Load(),
+		Evictions:     ix.evictions.Load(),
+		RowsComputed:  ix.computes.Load(),
+		BuildMS:       ix.buildDur.Milliseconds(),
 	}
 }

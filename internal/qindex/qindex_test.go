@@ -12,17 +12,17 @@ import (
 	"repro/internal/temporal"
 )
 
-// availNetworks is the differential matrix: every registered availability
-// model over substrates including the degenerate n = 0 and 1.
-func availNetworks(t testing.TB) []struct {
+// namedNet is one differential input.
+type namedNet struct {
 	name string
 	net  *temporal.Network
-} {
+}
+
+// availNetworks is the differential matrix: every registered availability
+// model over substrates including the degenerate n = 0 and 1.
+func availNetworks(t testing.TB) []namedNet {
 	t.Helper()
-	var out []struct {
-		name string
-		net  *temporal.Network
-	}
+	var out []namedNet
 	substrates := []struct {
 		name string
 		g    *graph.Graph
@@ -41,10 +41,7 @@ func availNetworks(t testing.TB) []struct {
 		}
 		for _, sub := range substrates {
 			idx++
-			out = append(out, struct {
-				name string
-				net  *temporal.Network
-			}{fmt.Sprintf("%s/%s", name, sub.name), avail.Network(m, sub.g, rng.NewStream(41, idx))})
+			out = append(out, namedNet{fmt.Sprintf("%s/%s", name, sub.name), avail.Network(m, sub.g, rng.NewStream(41, idx))})
 		}
 	}
 	return out
@@ -66,9 +63,22 @@ func modesFor(net *temporal.Network) map[string]*Index {
 // bit-identical to the frontier ground truth — and, at start = 1, to
 // ForemostJourney — for every model × substrate, every (src, dst) pair
 // and a spread of departure floors. Queries repeat so hits, misses,
-// evictions and recomputes all occur mid-stream.
+// evictions and recomputes all occur mid-stream. One extra network has
+// lifetime 2^20 and one label per edge, so ModeFull's 16-bit table
+// saturates on most of its pairs and answers them by point scans.
 func TestDifferentialAcrossModesAndModels(t *testing.T) {
-	for _, tn := range availNetworks(t) {
+	wide := queryNetwork(t, graph.Clique(10, false), 1<<20, 1, 45)
+	sat := 0
+	for _, a := range New(wide, Options{Mode: ModeFull}).full {
+		if a == saturated {
+			sat++
+		}
+	}
+	if sat < 90/2 {
+		t.Fatalf("lifetime-2^20 clique saturates %d of 90 pairs, want most", sat)
+	}
+	nets := append(availNetworks(t), namedNet{"uniform-life2^20/clique10", wide})
+	for _, tn := range nets {
 		nv := tn.net.Graph().N()
 		life := int32(tn.net.Lifetime())
 		truth := make([]int32, nv)
@@ -183,8 +193,11 @@ func TestCoalescingSingleCompute(t *testing.T) {
 
 // TestLRUEvictionAndRecompute squeezes the budget to two rows and walks
 // three sources: the oldest row must fall out and cost a recompute on
-// return, with buffers recycled rather than reallocated.
+// return, with buffers recycled rather than reallocated. The two resident
+// rows hold 4n bytes each, in Stats and on the qindex_resident_bytes
+// gauge, which the eviction moved back down.
 func TestLRUEvictionAndRecompute(t *testing.T) {
+	gauge0 := obsResidentBytes.Value()
 	net := queryNetwork(t, graph.Clique(12, false), 24, 2, 5)
 	ix := New(net, Options{Mode: ModeLRU, MemBudget: 2 * rowBytes(12)})
 	if ix.maxRows != 2 {
@@ -194,8 +207,11 @@ func TestLRUEvictionAndRecompute(t *testing.T) {
 		ix.Arrival(src, 5, 1)
 	}
 	st := ix.Stats()
-	if st.Evictions == 0 || st.ResidentRows != 2 {
+	if st.Evictions == 0 || st.ResidentRows != 2 || st.ResidentBytes != 2*48 {
 		t.Fatalf("after 3 sources: %+v", st)
+	}
+	if d := obsResidentBytes.Value() - gauge0; d != 2*48 {
+		t.Fatalf("qindex_resident_bytes moved by %d, want 96", d)
 	}
 	// Source 0 was evicted: asking again recomputes; sources 1 and 2 hit.
 	ix.Arrival(2, 7, 1)
@@ -210,8 +226,12 @@ func TestLRUEvictionAndRecompute(t *testing.T) {
 	}
 }
 
-// TestModeAutoPivot checks the budget pivot between full and LRU.
+// TestModeAutoPivot checks the budget pivot between full and LRU, which
+// sits at the 16-bit table's 2n² bytes.
 func TestModeAutoPivot(t *testing.T) {
+	if got := FullTableBytes(16); got != 512 {
+		t.Fatalf("FullTableBytes(16) = %d, want 512", got)
+	}
 	net := queryNetwork(t, graph.Path(16), 10, 1, 9)
 	if ix := New(net, Options{MemBudget: FullTableBytes(16)}); ix.Mode() != ModeFull {
 		t.Fatalf("ample budget resolved to %v", ix.Mode())
@@ -222,10 +242,15 @@ func TestModeAutoPivot(t *testing.T) {
 }
 
 // TestFullModeRestrictedStart exercises ModeFull's start > 1 path (point
-// scans, no stored rows) and its build stats.
+// scans, no stored rows) and its build stats: the 16-bit table holds 2n²
+// bytes, in Stats and on the qindex_resident_bytes gauge.
 func TestFullModeRestrictedStart(t *testing.T) {
+	gauge0 := obsResidentBytes.Value()
 	net := queryNetwork(t, graph.Grid(4, 4), 20, 2, 13)
 	ix := New(net, Options{Mode: ModeFull, Workers: 3})
+	if d := obsResidentBytes.Value() - gauge0; d != 512 {
+		t.Fatalf("qindex_resident_bytes moved by %d, want 512", d)
+	}
 	truth := make([]int32, 16)
 	net.EarliestArrivalsFromInto(2, 9, truth)
 	for v := 0; v < 16; v++ {
@@ -234,33 +259,45 @@ func TestFullModeRestrictedStart(t *testing.T) {
 		}
 	}
 	st := ix.Stats()
-	if st.Mode != "full" || st.ResidentRows != 16 || st.RowsComputed != 16 {
+	if st.Mode != "full" || st.ResidentRows != 16 || st.ResidentBytes != 512 || st.RowsComputed != 16 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
-// TestPointPathStats pins how ModeFull counts late starts: a reachable
-// pair costs one miss and computes no row, and a pair the start = 1 table
-// already marks unreachable is a hit that runs no kernel (no miss).
+// TestPointPathStats pins how ModeFull counts what its table cannot
+// answer: a reachable late start costs one miss and computes no row, and
+// a pair the start = 1 table already marks unreachable is a hit that runs
+// no kernel (no miss). At start = 1 an arrival of 0xFFFD is a table hit,
+// while an arrival of 0xFFFE or more saturates its 16-bit entry and costs
+// one point scan — 0xFFFF included, which must not read as "no journey".
 func TestPointPathStats(t *testing.T) {
-	// 0 →(3) 1 →(5) 2, and vertex 3 is isolated.
-	b := graph.NewBuilder(4, true)
+	// 0 →(3) 1 →(5) 2, vertex 3 isolated, and 0 → 4, 5, 6 at 0xFFFD,
+	// 0xFFFE and 0xFFFF.
+	b := graph.NewBuilder(7, true)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
-	net := temporal.MustNew(b.Build(), 6, temporal.LabelingFromSets([][]int{{3}, {5}}))
+	b.AddEdge(0, 4)
+	b.AddEdge(0, 5)
+	b.AddEdge(0, 6)
+	net := temporal.MustNew(b.Build(), 0xFFFF,
+		temporal.LabelingFromSets([][]int{{3}, {5}, {0xFFFD}, {0xFFFE}, {0xFFFF}}))
 	ix := New(net, Options{Mode: ModeFull})
 	for _, tc := range []struct {
 		name         string
 		dst          int
+		start        int32
 		want         int32
 		hits, misses uint64
 	}{
-		{"late start", 2, 5, 0, 1},
-		{"unreachable at start=1", 3, temporal.Unreachable, 1, 0},
+		{"late start", 2, 2, 5, 0, 1},
+		{"unreachable at start=1", 3, 2, temporal.Unreachable, 1, 0},
+		{"0xFFFD at start=1", 4, 1, 0xFFFD, 1, 0},
+		{"0xFFFE at start=1", 5, 1, 0xFFFE, 0, 1},
+		{"0xFFFF at start=1", 6, 1, 0xFFFF, 0, 1},
 	} {
 		before := ix.Stats()
-		if got := ix.Arrival(0, tc.dst, 2); got != tc.want {
-			t.Fatalf("%s: (0,%d,start=2) = %d, want %d", tc.name, tc.dst, got, tc.want)
+		if got := ix.Arrival(0, tc.dst, tc.start); got != tc.want {
+			t.Fatalf("%s: (0,%d,start=%d) = %d, want %d", tc.name, tc.dst, tc.start, got, tc.want)
 		}
 		after := ix.Stats()
 		if after.Hits-before.Hits != tc.hits || after.Misses-before.Misses != tc.misses ||

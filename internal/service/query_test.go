@@ -239,7 +239,7 @@ func TestQueryStatsEndpoint(t *testing.T) {
 	if st.N != 16 || st.Lifetime != 12 || st.Index.Mode != "full" {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.Index.Hits == 0 || st.Index.ResidentRows != 16 {
+	if st.Index.Hits == 0 || st.Index.ResidentRows != 16 || st.Index.ResidentBytes != 2*16*16 {
 		t.Fatalf("index stats %+v", st.Index)
 	}
 }

@@ -52,6 +52,55 @@ func TestArrivalRowsBatchMatchesFrontier(t *testing.T) {
 	}
 }
 
+// TestArrivalGroupsContract checks what ArrivalGroups promises its
+// callers beyond the rows ArrivalRowsBatch builds from it: labels strictly
+// increase from call to call, no (source, vertex) pair is reported twice,
+// a source's own vertex never, and the reported pairs are exactly the
+// reachable ones, each at its frontier arrival.
+func TestArrivalGroupsContract(t *testing.T) {
+	for _, tn := range availNetworks(t, 3) {
+		nv := tn.net.Graph().N()
+		sources := make([]int32, min(nv, 64))
+		for j := range sources {
+			sources[j] = int32(nv - 1 - j) // reversed: bit j is not vertex j
+		}
+		got := make(map[[2]int32]int32)
+		last := int32(0)
+		tn.net.ArrivalGroups(sources, func(label int32, dirty []int32, pend []uint64) {
+			if label <= last {
+				t.Fatalf("%s: label %d after %d", tn.name, label, last)
+			}
+			last = label
+			for _, v := range dirty {
+				for j := range sources {
+					if pend[v]>>uint(j)&1 == 0 {
+						continue
+					}
+					k := [2]int32{int32(j), v}
+					if _, dup := got[k]; dup || sources[j] == v {
+						t.Fatalf("%s: source %d vertex %d reported at %d (dup=%v)", tn.name, sources[j], v, label, dup)
+					}
+					got[k] = label
+				}
+			}
+		})
+		want := make([]int32, nv)
+		for j, s := range sources {
+			tn.net.EarliestArrivalsInto(int(s), want)
+			for v := 0; v < nv; v++ {
+				a, ok := got[[2]int32{int32(j), int32(v)}]
+				if int32(v) == s || want[v] == temporal.Unreachable {
+					if ok {
+						t.Fatalf("%s: source %d vertex %d reported at %d, frontier %d", tn.name, s, v, a, want[v])
+					}
+				} else if !ok || a != want[v] {
+					t.Fatalf("%s: source %d vertex %d: reported=%v at %d, frontier %d", tn.name, s, v, ok, a, want[v])
+				}
+			}
+		}
+	}
+}
+
 // TestArrivalRowsBatchOddBatches exercises non-aligned batch shapes: a
 // single source, a duplicated source, and a reversed source order must all
 // reproduce the frontier rows.

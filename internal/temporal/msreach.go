@@ -10,16 +10,17 @@ package temporal
 //     staged in a pending word and merged only at group boundaries. The
 //     bits staged in a group are exactly the (source, vertex) pairs whose
 //     earliest arrival is that group's label, so a per-group hook turns
-//     the reachability pass into an arrival-time pass: ArrivalRowsBatch
-//     stamps them into rows, the temporal diameter folds them into counts.
+//     the reachability pass into an arrival-time pass: ArrivalGroups hands
+//     them to its caller, ArrivalRowsBatch stamps them into rows, the
+//     temporal diameter folds them into counts.
 //   - staticReachWords answers "which sources have a static path to v"
 //     with a chaotic-order worklist closure: each source bit crosses each
 //     arc at most once, so a batch costs at most what 64 separate BFS
 //     passes would, and typically far less.
 //
-// SatisfiesTreach, TreachViolations, ReachableSets, ArrivalRowsBatch and
-// Diameter run on batches of these words: ⌈n/64⌉ passes over the time
-// edges instead of n.
+// SatisfiesTreach, TreachViolations, ReachableSets, ArrivalGroups,
+// ArrivalRowsBatch and Diameter run on batches of these words: ⌈n/64⌉
+// passes over the time edges instead of n.
 
 import (
 	"math/bits"
