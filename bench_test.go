@@ -158,6 +158,22 @@ func BenchmarkKernelTreachClique(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelConnectedPrefix is E1b's per-trial question, the least
+// label k whose ≤k-prefix strongly connects a directed normalized URT
+// 128-clique (E1's largest quick size), answered from the time-edge list
+// with reused scratch: 0 allocs/op.
+func BenchmarkKernelConnectedPrefix(b *testing.B) {
+	net := urtClique(128, 1)
+	scratch := new(temporal.PrefixScratch)
+	k := temporal.ConnectedPrefix(net, scratch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		temporal.ConnectedPrefix(net, scratch)
+	}
+	b.ReportMetric(float64(k), "k")
+}
+
 // BenchmarkKernelMultiSourceReach measures the bit-parallel word kernel
 // answering 64 sources in one pass.
 func BenchmarkKernelMultiSourceReach(b *testing.B) {

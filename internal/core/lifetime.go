@@ -16,7 +16,8 @@ import (
 
 // PrefixSubgraph returns the static graph on the same vertex set containing
 // exactly the edges of net that carry at least one label ≤ k. Edge
-// identifiers are not preserved (the result is a fresh graph).
+// identifiers are not preserved (the result is a fresh graph). It is the
+// oracle half of PrefixConnected; no production path builds prefix graphs.
 func PrefixSubgraph(net *temporal.Network, k int32) *graph.Graph {
 	g := net.Graph()
 	b := graph.NewBuilder(g.N(), g.Directed())
@@ -31,7 +32,10 @@ func PrefixSubgraph(net *temporal.Network, k int32) *graph.Graph {
 
 // PrefixConnected reports whether the label-prefix subgraph at time k is
 // connected (strongly connected for directed networks) — the necessary
-// condition for the temporal diameter to be at most k.
+// condition for the temporal diameter to be at most k. It is an oracle:
+// it builds the prefix graph per call, so E1b asks temporal.ConnectedPrefix
+// for the least such k instead, and the differential tests pin that kernel
+// to a bisection over this function.
 func PrefixConnected(net *temporal.Network, k int32) bool {
 	sub := PrefixSubgraph(net, k)
 	if sub.Directed() {

@@ -34,13 +34,19 @@ func ReachabilityRate(g *graph.Graph, lifetime, r, trials int, seed uint64) (rat
 // a cancelled probe under-reports — callers abandon the search anyway).
 // The trials relabel one network per worker in place (sim.BatchRunner).
 func ReachabilityRateCtx(ctx context.Context, g *graph.Graph, lifetime, r, trials int, seed uint64) (rate, lo, hi float64) {
+	return reachabilityRate(ctx, nil, g, lifetime, r, trials, seed)
+}
+
+// reachabilityRate is ReachabilityRateCtx drawing its worker networks from
+// free, g's free list (nil: a private one).
+func reachabilityRate(ctx context.Context, free *sim.FreeList, g *graph.Graph, lifetime, r, trials int, seed uint64) (rate, lo, hi float64) {
 	if r < 1 {
 		panic("core: ReachabilityRate needs r >= 1")
 	}
 	if trials < 1 {
 		panic("core: ReachabilityRate needs trials >= 1")
 	}
-	b := sim.BatchRunner{Model: avail.NewIID(dist.NewUniform(lifetime), r), Substrate: g, Seed: seed}
+	b := sim.BatchRunner{Model: avail.NewIID(dist.NewUniform(lifetime), r), Substrate: g, Seed: seed, FreeList: free}
 	res, _ := b.RunFromContext(ctx, 0, trials, func(_ int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
 		ok := 0.0
 		if temporal.SatisfiesTreachSerial(net, nil) {
@@ -77,9 +83,12 @@ func EstimateRCtx(ctx context.Context, g *graph.Graph, lifetime int, target floa
 	if rMax < 1 {
 		panic("core: EstimateR needs rMax >= 1")
 	}
+	// Every probe's labels share the lifetime, so all of them relabel one
+	// pool of worker networks.
+	free := new(sim.FreeList)
 	rate := func(r int) float64 {
 		// Derive a distinct seed per r so searches don't reuse instances.
-		got, _, _ := ReachabilityRateCtx(ctx, g, lifetime, r, trials, seed+uint64(r)*0x9e37)
+		got, _, _ := reachabilityRate(ctx, free, g, lifetime, r, trials, seed+uint64(r)*0x9e37)
 		return got
 	}
 	// Doubling phase.

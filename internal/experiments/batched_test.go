@@ -122,10 +122,12 @@ func TestSweepSourceInfeasibleCellFails(t *testing.T) {
 // its observable, cell by cell and across worker counts, including the
 // infeasible corner both must refuse identically.
 func TestE18SourceMatchesObservable(t *testing.T) {
-	cliques := map[int]*graph.Graph{12: graph.Clique(12, true)}
+	sub := newE18Substrate(12)
+	cliques := map[int]*graph.Graph{12: sub.g}
+	subs := map[int]e18Substrate{12: sub}
 	for _, fam := range e18Models(4) {
 		obs := e18Observable(cliques, fam.mk)
-		src := e18Source(cliques, fam.mk)
+		src := e18Source(subs, fam.mk)
 		prec := sweep.Precision{Abs: 0.2, MinTrials: 4, MaxTrials: 16, Batch: 8}
 		for _, c := range []float64{0.1, 0.6} {
 			vals := map[string]float64{"n": 12, "c": c}
@@ -160,13 +162,13 @@ func TestE18SourceMatchesObservable(t *testing.T) {
 	}
 	a := sweep.Adaptive{Seed: 1, Kind: sweep.Proportion,
 		Prec: sweep.Precision{Abs: 0.2, MaxTrials: 8, Batch: 4}}
-	obs := e18Observable(map[int]*graph.Graph{12: graph.Clique(12, true)}, markov.mk)
+	obs := e18Observable(cliques, markov.mk)
 	if _, err := a.Estimate(context.Background(), func(trial int, r *rng.Stream) float64 {
 		return obs(vals, trial, r)
 	}); err == nil {
 		t.Fatal("observable path accepted an infeasible cell")
 	}
-	src := e18Source(map[int]*graph.Graph{12: graph.Clique(12, true)}, markov.mk)
+	src := e18Source(subs, markov.mk)
 	if _, err := a.EstimateSource(context.Background(), src(vals, 1, 1, nil)); err == nil {
 		t.Fatal("batched path accepted an infeasible cell")
 	}

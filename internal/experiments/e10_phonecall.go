@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/avail"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/phonecall"
@@ -34,7 +33,7 @@ func E10PhoneCall(cfg Config) Result {
 	for _, n := range ns {
 		gu := graph.Clique(n, false)
 		gd := graph.Clique(n, true)
-		res := cfg.run(trials, cfg.Seed+uint64(n)*11, func(trial int, r *rng.Stream) sim.Metrics {
+		res := cfg.runDraw(trials, cfg.Seed+uint64(n)*11, uniform(n, 1), gd, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
 			m := sim.Metrics{}
 			src := r.Intn(n)
 			pu := phonecall.Push(gu, src, 0, r)
@@ -47,7 +46,7 @@ func E10PhoneCall(cfg Config) Result {
 				m["ppRounds"] = float64(pp.Rounds)
 				m["ppTx"] = float64(pp.Transmissions)
 			}
-			sp := core.Spread(avail.Network(uniform(n, 1), gd, r), src)
+			sp := core.Spread(draw(r), src)
 			if sp.All {
 				m["floodTime"] = float64(sp.CompletionTime)
 				m["floodTx"] = float64(sp.Transmissions)

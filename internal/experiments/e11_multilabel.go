@@ -24,6 +24,7 @@ func E11MultiLabel(cfg Config) Result {
 		trials = 8
 	}
 	g := graph.Clique(n, true)
+	free := new(sim.FreeList)
 
 	tb := table.New(
 		"E11: URT clique temporal diameter vs labels per edge (multi-label ablation)",
@@ -32,7 +33,7 @@ func E11MultiLabel(cfg Config) Result {
 	lnN := math.Log(float64(n))
 	var xs, ys []float64
 	for _, r := range rs {
-		res := cfg.runNet(trials, cfg.Seed+uint64(r)<<10, uniform(n, r), g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+		res := cfg.runNet(free, trials, cfg.Seed+uint64(r)<<10, uniform(n, r), g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, 128, stream)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {

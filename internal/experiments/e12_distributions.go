@@ -31,6 +31,7 @@ func E12Distributions(cfg Config) Result {
 		trials = 8
 	}
 	g := graph.Clique(n, true)
+	free := new(sim.FreeList)
 	laws := func(a int) []dist.Distribution {
 		return []dist.Distribution{
 			dist.NewUniform(a),
@@ -48,7 +49,7 @@ func E12Distributions(cfg Config) Result {
 	for li, law := range laws(n) {
 		// Seed by law index: name-derived seeds collide (the two geometric
 		// laws format to equal-length names), correlating their trials.
-		res := cfg.runNet(trials, cfg.Seed+uint64(li+1)<<9, avail.NewIID(law, 1), g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+		res := cfg.runNet(free, trials, cfg.Seed+uint64(li+1)<<9, avail.NewIID(law, 1), g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, 96, stream)
 			m := sim.Metrics{"reach": 0, "meanDelta": d.MeanFinite}
 			if d.AllReachable {
@@ -84,6 +85,7 @@ func E12Distributions(cfg Config) Result {
 		np = 16
 	}
 	path := graph.Path(np)
+	freePath := new(sim.FreeList)
 	diam, _ := graph.Diameter(path)
 	r := int(math.Ceil(float64(diam) * math.Log(float64(np)))) // c=1 of E7's sweep: enough for uniform
 	tb2 := table.New(
@@ -91,7 +93,7 @@ func E12Distributions(cfg Config) Result {
 		"law", "r/edge", "Pr[Treach]", "mean label",
 	)
 	for li, law := range laws(np) {
-		res := cfg.runNet(trials*2, cfg.Seed^0xE12B+uint64(li+1), avail.NewIID(law, r), path, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
+		res := cfg.runNet(freePath, trials*2, cfg.Seed^0xE12B+uint64(li+1), avail.NewIID(law, r), path, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
 			ok := 0.0
 			if temporal.SatisfiesTreachSerial(net, nil) {
 				ok = 1

@@ -34,7 +34,7 @@ func E13Remark1(cfg Config) Result {
 	for _, n := range ns {
 		gd := graph.Clique(n, true)
 		gu := graph.Clique(n, false)
-		res := cfg.runNet(trials, cfg.Seed^0xE13+uint64(n), uniform(n, 1), gd, func(trial int, netD *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.runNet(nil, trials, cfg.Seed^0xE13+uint64(n), uniform(n, 1), gd, func(trial int, netD *temporal.Network, r *rng.Stream) sim.Metrics {
 			m := sim.Metrics{}
 			dD := serialDiameter(netD, 128, r)
 			if dD.AllReachable {

@@ -29,6 +29,7 @@ func E14Windows(cfg Config) Result {
 		trials = 8
 	}
 	g := graph.Clique(n, true)
+	free := new(sim.FreeList)
 	lnN := math.Log(float64(n))
 
 	tb := table.New(
@@ -37,7 +38,7 @@ func E14Windows(cfg Config) Result {
 	)
 	var xs, ys []float64
 	for _, w := range ws {
-		res := cfg.runNet(trials, cfg.Seed^0xE14+uint64(w)<<8, windows{n, w}, g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+		res := cfg.runNet(free, trials, cfg.Seed^0xE14+uint64(w)<<8, windows{n, w}, g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, 128, stream)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {

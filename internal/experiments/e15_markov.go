@@ -31,6 +31,7 @@ func E15MarkovDiameter(cfg Config) Result {
 		trials = 8
 	}
 	g := graph.Clique(n, true)
+	free := new(sim.FreeList)
 	pi := cfg.mp("pi", 1/float64(n))
 	runlens := []float64{1, 2, 4, 8, 16}
 	if v, ok := cfg.MP["runlen"]; ok {
@@ -47,7 +48,7 @@ func E15MarkovDiameter(cfg Config) Result {
 			tb.AddNote("runlen %g skipped: %v", L, err)
 			continue
 		}
-		res := cfg.runNet(trials, cfg.Seed+uint64(li+1)<<11, m, g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+		res := cfg.runNet(free, trials, cfg.Seed+uint64(li+1)<<11, m, g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, 96, stream)
 			mt := sim.Metrics{
 				"reach":     0,

@@ -37,6 +37,7 @@ func E16TimeVarying(cfg Config) Result {
 	}
 	a := n
 	g := graph.Clique(n, true)
+	free := new(sim.FreeList)
 
 	type shape struct {
 		name string
@@ -96,7 +97,7 @@ func E16TimeVarying(cfg Config) Result {
 				tb.AddNote("%s at c=%g skipped: %v", s.name, c, err)
 				continue
 			}
-			res := cfg.runNet(trials, cfg.Seed+uint64(row)<<13, m, g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+			res := cfg.runNet(free, trials, cfg.Seed+uint64(row)<<13, m, g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
 				mt := sim.Metrics{"treach": 0, "reach": 0}
 				if temporal.SatisfiesTreachSerial(net, nil) {
 					mt["treach"] = 1

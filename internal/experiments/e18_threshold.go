@@ -93,16 +93,10 @@ func e18Observable(cliques map[int]*graph.Graph,
 // per-trial NaNs the observable reports, so the estimator fails them
 // identically; feasible cells produce bit-identical estimates at ≥3× the
 // trials/sec (the model construction and the stream discipline match
-// e18Observable exactly).
-func e18Source(cliques map[int]*graph.Graph,
+// e18Observable exactly). The caller's substrates carry, per n, the
+// clique, its static-reachability cache and its worker free list.
+func e18Source(subs map[int]e18Substrate,
 	mk func(a int, p float64) (avail.Model, error)) sweep.CellSource {
-	// One static-reachability cache per substrate, shared by every cell and
-	// bisection probe at that n (the static half of Treach never changes
-	// across relabels).
-	static := make(map[int]*temporal.StaticReach, len(cliques))
-	for n, g := range cliques {
-		static[n] = temporal.NewStaticReach(g)
-	}
 	return func(values map[string]float64, seed uint64, workers int, onTrial func()) sweep.Source {
 		n := int(values["n"])
 		p := values["c"] * math.Log(float64(n)) / float64(n)
@@ -119,8 +113,9 @@ func e18Source(cliques map[int]*graph.Graph,
 				return nans, ctx.Err()
 			}
 		}
-		b := sim.BatchRunner{Model: m, Substrate: cliques[n], Seed: seed, Workers: workers, OnTrial: onTrial}
-		sr := static[n]
+		sub := subs[n]
+		b := sim.BatchRunner{Model: m, Substrate: sub.g, Seed: seed, Workers: workers, OnTrial: onTrial, FreeList: sub.free}
+		sr := sub.static
 		return func(ctx context.Context, start, count int) ([]float64, error) {
 			return b.ObserveFrom(ctx, start, count, func(trial int, net *temporal.Network, r *rng.Stream) float64 {
 				if temporal.SatisfiesTreachStatic(net, sr, nil) {
@@ -130,6 +125,21 @@ func e18Source(cliques map[int]*graph.Graph,
 			})
 		}
 	}
+}
+
+// e18Substrate is one clique of E18's grid with what every cell and
+// bisection probe at its n shares: the static half of Treach, which never
+// changes across relabels, and one free list of worker cliques, which both
+// families' models relabel (they share the lifetime a = n).
+type e18Substrate struct {
+	g      *graph.Graph
+	static *temporal.StaticReach
+	free   *sim.FreeList
+}
+
+func newE18Substrate(n int) e18Substrate {
+	g := graph.Clique(n, true)
+	return e18Substrate{g: g, static: temporal.NewStaticReach(g), free: new(sim.FreeList)}
 }
 
 // E18ConnectivityThreshold estimates the temporal-connectivity threshold
@@ -163,9 +173,9 @@ func E18ConnectivityThreshold(cfg Config) Result {
 	}
 	prec := e18Prec(cfg.Quick)
 	runlen := cfg.mp("runlen", 4)
-	cliques := make(map[int]*graph.Graph, len(ns))
+	subs := make(map[int]e18Substrate, len(ns))
 	for _, n := range ns {
-		cliques[n] = graph.Clique(n, true)
+		subs[n] = newE18Substrate(n)
 	}
 
 	grid := table.New(
@@ -182,7 +192,7 @@ func E18ConnectivityThreshold(cfg Config) Result {
 		if cfg.cancelled() {
 			break
 		}
-		src := e18Source(cliques, fam.mk)
+		src := e18Source(subs, fam.mk)
 
 		// Phase 1: the coarse resumable grid sweep, batched — each cell
 		// relabels per-worker cliques in place (bit-identical to the

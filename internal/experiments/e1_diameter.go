@@ -3,7 +3,6 @@ package experiments
 import (
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -32,10 +31,18 @@ func E1Diameter(cfg Config) Result {
 		"E1: temporal diameter of the directed normalized URT clique (Theorem 4)",
 		"n", "ln n", "TD mean", "±95%", "TD p95", "TD max", "TD/ln n", "all-reach rate",
 	)
+	// Lower-bound side: the k-prefix of the labels must connect before any
+	// TD ≤ k is possible; measure the smallest connecting k.
+	lb := table.New(
+		"E1b: label-prefix connectivity time vs ln n (Ω(log n) remark)",
+		"n", "ln n", "conn-time mean", "±95%", "conn/ln n", "TD ≥ conn rate",
+	)
 	var xs, ys []float64
 	for _, n := range ns {
+		// Both tables' rows for n relabel one pool of worker cliques.
 		g := graph.Clique(n, true)
-		res := cfg.runNet(trials, cfg.Seed+uint64(n), uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		free := new(sim.FreeList)
+		res := cfg.runNet(free, trials, cfg.Seed+uint64(n), uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, maxSources, r)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {
@@ -57,22 +64,9 @@ func E1Diameter(cfg Config) Result {
 			xs = append(xs, lnN)
 			ys = append(ys, td.Mean())
 		}
-	}
-	fit := stats.Fit(xs, ys)
-	tb.AddNote("fit TD = %.2f + %.2f·ln n (R²=%.3f); Theorem 4 predicts TD ≤ γ·ln n with γ > 1",
-		fit.Alpha, fit.Beta, fit.R2)
-	tb.AddNote("diameters over ≤%d sampled sources per instance; trials=%d seed=%d", maxSources, trials, cfg.Seed)
 
-	// Lower-bound side: the k-prefix of the labels must connect before any
-	// TD ≤ k is possible; measure the smallest connecting k.
-	lb := table.New(
-		"E1b: label-prefix connectivity time vs ln n (Ω(log n) remark)",
-		"n", "ln n", "conn-time mean", "±95%", "conn/ln n", "TD ≥ conn rate",
-	)
-	for _, n := range ns {
-		g := graph.Clique(n, true)
-		res := cfg.runNet(trials, cfg.Seed^0xE1B+uint64(n), uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
-			k := smallestConnectedPrefix(net)
+		res = cfg.runNet(free, trials, cfg.Seed^0xE1B+uint64(n), uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+			k := temporal.ConnectedPrefix(net, nil)
 			m := sim.Metrics{"conn": float64(k)}
 			d := serialDiameter(net, 32, r)
 			if d.AllReachable {
@@ -85,7 +79,6 @@ func E1Diameter(cfg Config) Result {
 			return m
 		})
 		conn := res.Sample("conn")
-		lnN := math.Log(float64(n))
 		lb.AddRow(
 			table.I(n), table.F(lnN, 2),
 			table.F(conn.Mean(), 2), table.F(conn.CI95(), 2),
@@ -93,27 +86,13 @@ func E1Diameter(cfg Config) Result {
 			table.F(res.Rate("tdGEconn"), 3),
 		)
 	}
+	fit := stats.Fit(xs, ys)
+	tb.AddNote("fit TD = %.2f + %.2f·ln n (R²=%.3f); Theorem 4 predicts TD ≤ γ·ln n with γ > 1",
+		fit.Alpha, fit.Beta, fit.R2)
+	tb.AddNote("diameters over ≤%d sampled sources per instance; trials=%d seed=%d", maxSources, trials, cfg.Seed)
 	lb.AddNote("conn-time = min k with the ≤k-label subgraph strongly connected; TD can never beat it")
 
 	fig := table.Plot("Figure E1: TD vs ln n (each * one size; line should be ~γ·ln n)",
 		60, 14, table.Series{Name: "TD(n)", X: xs, Y: ys})
 	return Result{Tables: []*table.Table{tb, lb}, Figures: []string{fig}}
-}
-
-// smallestConnectedPrefix binary-searches the least k for which the edges
-// labelled ≤ k form a strongly connected subgraph.
-func smallestConnectedPrefix(net *temporal.Network) int {
-	lo, hi := 1, net.Lifetime()
-	if !core.PrefixConnected(net, int32(hi)) {
-		return hi + 1
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if core.PrefixConnected(net, int32(mid)) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }

@@ -32,7 +32,7 @@ func E2Lifetime(cfg Config) Result {
 	var xs, ys []float64
 	for _, c := range cs {
 		a := c * n
-		res := cfg.runNet(trials, cfg.Seed+uint64(c)<<8, uniform(a, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.runNet(nil, trials, cfg.Seed+uint64(c)<<8, uniform(a, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			d := serialDiameter(net, 128, r)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {

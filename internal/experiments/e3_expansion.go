@@ -32,7 +32,7 @@ func E3Expansion(cfg Config) Result {
 	)
 	for _, n := range ns {
 		g := graph.Clique(n, true)
-		res := cfg.runNet(trials, cfg.Seed+uint64(n)*3, uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.runNet(nil, trials, cfg.Seed+uint64(n)*3, uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			s := r.Intn(n)
 			t := r.Intn(n - 1)
 			if t >= s {
@@ -81,11 +81,12 @@ func E3Expansion(cfg Config) Result {
 		"c1", "c2", "D", "bound", "success", "arrival mean", "via-intersection gain",
 	)
 	gAb := graph.Clique(nAb, true)
+	freeAb := new(sim.FreeList)
 	for _, pc := range []struct {
 		c1 float64
 		c2 int
 	}{{1, 4}, {2, 4}, {2, 8}, {3, 8}, {4, 16}} {
-		res := cfg.runNet(trials, cfg.Seed^0xE3B+uint64(pc.c2)<<16+uint64(pc.c1), uniform(nAb, 1), gAb, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.runNet(freeAb, trials, cfg.Seed^0xE3B+uint64(pc.c2)<<16+uint64(pc.c1), uniform(nAb, 1), gAb, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			s := r.Intn(nAb)
 			t := r.Intn(nAb - 1)
 			if t >= s {

@@ -33,7 +33,7 @@ func E4Spread(cfg Config) Result {
 	var xs, ys []float64
 	for _, n := range ns {
 		g := graph.Clique(n, true)
-		res := cfg.runNet(trials, cfg.Seed+uint64(n)*7, uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.runNet(nil, trials, cfg.Seed+uint64(n)*7, uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 			src := r.Intn(n)
 			sp := core.Spread(net, src)
 			m := sim.Metrics{

@@ -33,10 +33,11 @@ func E5StarReachability(cfg Config) Result {
 	var figX, figY []float64
 	for _, n := range ns {
 		log2n := math.Log2(float64(n))
+		g := graph.Star(n)
+		free := new(sim.FreeList)
 		for _, rho := range rhos {
 			r := int(math.Max(1, math.Round(rho*log2n)))
-			g := graph.Star(n)
-			res := cfg.runNet(trials, cfg.Seed+uint64(n)<<20+uint64(rho*16), uniform(n, r), g, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
+			res := cfg.runNet(free, trials, cfg.Seed+uint64(n)<<20+uint64(rho*16), uniform(n, r), g, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
 				m := sim.Metrics{"reach": 0, "split": 0}
 				if temporal.SatisfiesTreachSerial(net, nil) {
 					m["reach"] = 1

@@ -86,9 +86,10 @@ func E7GeneralReachability(cfg Config) Result {
 		}
 		boxLab := assign.Boxes(fam.g, q, fam.diam, assign.FirstOfBox)
 		boxOK := treachOf(fam.g, q, boxLab)
+		free := new(sim.FreeList)
 		for _, c := range cs {
 			r := int(math.Max(1, math.Round(c*float64(fam.diam)*lnN)))
-			res := cfg.runNet(trials, cfg.Seed+uint64(n)<<24+uint64(c*1000), uniform(n, r), fam.g, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
+			res := cfg.runNet(free, trials, cfg.Seed+uint64(n)<<24+uint64(c*1000), uniform(n, r), fam.g, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
 				ok := 0.0
 				if temporal.SatisfiesTreachSerial(net, nil) {
 					ok = 1

@@ -45,11 +45,10 @@ type Config struct {
 
 // run executes trials through the shared Monte-Carlo harness with the
 // Config's context and progress hook wired in — the route for trials that
-// are not one randomly labeled network over a fixed substrate: E7b's
-// coupon draws, E9's G(n, p) substrates and E10's phone-call walks (whose
-// flood network is drawn after the walks). Per-trial seeds and aggregation
-// order are exactly those of sim.Runner, so completed runs are
-// bit-identical with or without the plumbing.
+// draw no labeled network over a fixed substrate: E7b's coupon draws and
+// E9's G(n, p) substrates. Per-trial seeds and aggregation order are
+// exactly those of sim.Runner, so completed runs are bit-identical with or
+// without the plumbing.
 func (cfg Config) run(trials int, seed uint64, trial sim.Trial) *sim.Results {
 	res, _ := sim.Runner{Trials: trials, Seed: seed, Workers: cfg.Workers, OnTrial: cfg.Progress}.
 		RunContext(cfg.ctx(), trial)
@@ -64,10 +63,22 @@ func (cfg Config) run(trials int, seed uint64, trial sim.Trial) *sim.Results {
 // to per-trial rebuilds otherwise. The labels are drawn first and the
 // trial body gets the advanced stream, so results are bit-identical to
 // calling avail.Network at the top of a cfg.run trial body — only faster.
-func (cfg Config) runNet(trials int, seed uint64, m avail.Model, g *graph.Graph, trial sim.NetTrial) *sim.Results {
-	b := sim.BatchRunner{Model: m, Substrate: g, Seed: seed, Workers: cfg.Workers, OnTrial: cfg.Progress}
-	res, _ := b.RunFromContext(cfg.ctx(), 0, trials, trial)
+// free is g's worker free list, shared by the rows a driver runs over g
+// and dropped with g; nil gives the call a private one.
+func (cfg Config) runNet(free *sim.FreeList, trials int, seed uint64, m avail.Model, g *graph.Graph, trial sim.NetTrial) *sim.Results {
+	res, _ := cfg.batch(free, seed, m, g).RunFromContext(cfg.ctx(), 0, trials, trial)
 	return res
+}
+
+// runDraw is runNet for trials that draw their network mid-trial (E10,
+// whose flood network follows two phone-call walks on the same stream).
+func (cfg Config) runDraw(trials int, seed uint64, m avail.Model, g *graph.Graph, trial sim.DrawTrial) *sim.Results {
+	res, _ := cfg.batch(nil, seed, m, g).RunDrawFromContext(cfg.ctx(), 0, trials, trial)
+	return res
+}
+
+func (cfg Config) batch(free *sim.FreeList, seed uint64, m avail.Model, g *graph.Graph) *sim.BatchRunner {
+	return &sim.BatchRunner{Model: m, Substrate: g, Seed: seed, Workers: cfg.Workers, OnTrial: cfg.Progress, FreeList: free}
 }
 
 // uniform is the UNI-CASE model: r i.i.d. uniform labels per edge from

@@ -228,14 +228,14 @@ func TestSmallestConnectedPrefix(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	net := temporal.MustNew(b.Build(), 10, temporal.LabelingFromSets([][]int{{3}, {8}}))
-	if got := smallestConnectedPrefix(net); got != 8 {
+	if got := temporal.ConnectedPrefix(net, nil); got != 8 {
 		t.Fatalf("prefix time = %d, want 8", got)
 	}
 	// Never connects: edge missing labels entirely.
 	b2 := graph.NewBuilder(2, false)
 	b2.AddEdge(0, 1)
 	net2 := temporal.MustNew(b2.Build(), 5, temporal.LabelingFromSets([][]int{{}}))
-	if got := smallestConnectedPrefix(net2); got != 6 {
+	if got := temporal.ConnectedPrefix(net2, nil); got != 6 {
 		t.Fatalf("unconnectable prefix = %d, want lifetime+1", got)
 	}
 }

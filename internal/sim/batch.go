@@ -12,7 +12,10 @@ package sim
 // the labeling path. Results are bit-identical to building avail.Network
 // inside the trial body — Resample consumes the stream exactly as Assign
 // and Relabel rebuilds exactly New's indexes — for any worker count; the
-// differential tests pin this against the rebuild oracle.
+// differential tests pin this against the rebuild oracle. Worker networks
+// outlive one call on a FreeList that every runner over one substrate
+// shares, so table rows, sweep cells and bisection probes over that
+// substrate relabel warm networks instead of building fresh ones.
 
 import (
 	"context"
@@ -36,6 +39,19 @@ type NetTrial func(trial int, net *temporal.Network, r *rng.Stream) Metrics
 // NetObservable is NetTrial's single-valued form, for the adaptive sweep
 // engine's scalar path. The same no-retention rule applies.
 type NetObservable func(trial int, net *temporal.Network, r *rng.Stream) float64
+
+// Draw labels the calling worker's network with the draw starting at r's
+// current position — the network avail.Network(Model, Substrate, r) would
+// build, consuming r identically — and returns it. The network is valid
+// until the trial draws again or returns, under NetTrial's no-retention
+// rule.
+type Draw func(r *rng.Stream) *temporal.Network
+
+// DrawTrial is a trial body that draws its network itself, at the point of
+// its stream where it needs one: a trial that spends stream on other work
+// first (E10's phone-call walks) still relabels its worker's network in
+// place instead of rebuilding one through avail.Network.
+type DrawTrial func(trial int, r *rng.Stream, draw Draw) Metrics
 
 // BatchRunner drives Monte-Carlo trials of one availability model over one
 // fixed substrate through an amortized in-place path. The zero value is
@@ -64,12 +80,29 @@ type BatchRunner struct {
 	// OnTrial, when non-nil, fires once per completed trial from worker
 	// goroutines; it must be safe for concurrent use.
 	OnTrial func()
+	// FreeList, when non-nil, is the free list shared with the other
+	// runners over this substrate; nil keeps a private one, which survives
+	// this runner's calls only.
+	FreeList *FreeList
 
-	// free is the worker-state free list: substrate+index instances are
-	// acquired by worker goroutines at batch start and released when the
-	// batch drains, so state (and its warmed buffers) persists across the
-	// many small batches an adaptive estimation loop issues. Guarded by
-	// mu; methods take a pointer receiver so the list survives calls.
+	// own is the private free list; methods take a pointer receiver so it
+	// survives calls.
+	own FreeList
+}
+
+// FreeList holds idle batch workers — each a substrate network with its
+// warmed index buffers — between calls. Worker goroutines acquire at batch
+// start and release when the batch drains, so a worker persists across
+// the many small batches an adaptive estimation loop issues, and, when
+// runners share one list, across table rows, sweep cells and bisection
+// probes. A resample-route worker is rebound to any resample-route model
+// of the same substrate and lifetime: Relabel rebuilds every index from
+// the new labels, so the worker's history never shows in a number. Every
+// other worker serves only the runner that built it. An acquisition that
+// finds no fitting worker builds a fresh one and drops the list's idle
+// workers, so the list holds one binding's workers at a time. The zero
+// value is an empty list; drop the list together with its substrate.
+type FreeList struct {
 	mu   sync.Mutex
 	free []*batchWorker
 }
@@ -78,9 +111,18 @@ func (b *BatchRunner) runner() Runner {
 	return Runner{Seed: b.Seed, Workers: b.Workers, OnTrial: b.OnTrial}
 }
 
+func (b *BatchRunner) list() *FreeList {
+	if b.FreeList != nil {
+		return b.FreeList
+	}
+	return &b.own
+}
+
 // batchWorker is one worker goroutine's reusable instance state.
 type batchWorker struct {
+	owner     *BatchRunner // the runner the worker was built for or last rebound to
 	model     avail.Model
+	lifetime  int // the model's, fixed for the worker's network
 	substrate *graph.Graph
 	rs        avail.Resampler     // non-nil selects the fixed-substrate relabel path
 	ss        avail.ScenarioState // non-nil selects the incremental scenario path
@@ -101,20 +143,29 @@ type batchWorker struct {
 }
 
 func (b *BatchRunner) acquire() *batchWorker {
-	b.mu.Lock()
-	if n := len(b.free); n > 0 {
-		w := b.free[n-1]
-		b.free = b.free[:n-1]
-		b.mu.Unlock()
-		obsFreelistHits.Inc()
-		return w
-	}
-	b.mu.Unlock()
-	obsFreelistMisses.Inc()
-	w := &batchWorker{model: b.Model, substrate: b.Substrate}
+	// The model is asked for its route and lifetime before the lock, so
+	// no model code runs under it.
+	var rs avail.Resampler
 	if avail.CanResample(b.Model) {
-		w.rs = b.Model.(avail.Resampler)
-	} else if inc, ok := b.Model.(avail.IncrementalScenario); ok {
+		rs = b.Model.(avail.Resampler)
+	}
+	lifetime := b.Model.Lifetime()
+	l := b.list()
+	l.mu.Lock()
+	for i := len(l.free) - 1; i >= 0; i-- {
+		if w := l.free[i]; w.fits(b, rs, lifetime) {
+			l.free = slices.Delete(l.free, i, i+1)
+			l.mu.Unlock()
+			obsFreelistHits.Inc()
+			return w
+		}
+	}
+	clear(l.free)
+	l.free = l.free[:0]
+	l.mu.Unlock()
+	obsFreelistMisses.Inc()
+	w := &batchWorker{owner: b, model: b.Model, lifetime: lifetime, substrate: b.Substrate, rs: rs}
+	if inc, ok := b.Model.(avail.IncrementalScenario); ok && rs == nil {
 		// May still be nil (model can't cover this size incrementally);
 		// instance then takes the rebuild path.
 		w.ss = inc.NewScenarioState(b.Substrate.N())
@@ -122,14 +173,30 @@ func (b *BatchRunner) acquire() *batchWorker {
 	return w
 }
 
+// fits reports whether w can serve runner b, whose model has resampler rs
+// (nil off the resample route) and the given lifetime, rebinding a
+// resample-route worker to b's model when b is another runner with the
+// same substrate and lifetime.
+func (w *batchWorker) fits(b *BatchRunner, rs avail.Resampler, lifetime int) bool {
+	if w.owner == b {
+		return true
+	}
+	if w.rs == nil || rs == nil || w.substrate != b.Substrate || w.lifetime != lifetime {
+		return false
+	}
+	w.owner, w.model, w.rs = b, b.Model, rs
+	return true
+}
+
 func (b *BatchRunner) release(w *batchWorker) {
 	obsBatchResample.Add(w.resampled)
 	obsBatchScenario.Add(w.scenario)
 	obsBatchRebuild.Add(w.rebuilt)
 	w.resampled, w.scenario, w.rebuilt = 0, 0, 0
-	b.mu.Lock()
-	b.free = append(b.free, w)
-	b.mu.Unlock()
+	l := b.list()
+	l.mu.Lock()
+	l.free = append(l.free, w)
+	l.mu.Unlock()
 }
 
 // instance draws the trial's labeled network by one of three routes, all
@@ -154,7 +221,7 @@ func (w *batchWorker) instance(stream *rng.Stream) *temporal.Network {
 			// empty labeling, then relabel — the network then never aliases
 			// the resample buffer, which the next trial overwrites.
 			empty := temporal.Labeling{Off: make([]int32, w.substrate.M()+1)}
-			w.net = temporal.MustNew(w.substrate, w.model.Lifetime(), empty)
+			w.net = temporal.MustNew(w.substrate, w.lifetime, empty)
 		}
 		if err := w.net.Relabel(w.lab); err != nil {
 			// Resample's contract (labels in range, offsets well-formed)
@@ -177,7 +244,7 @@ func (w *batchWorker) instance(stream *rng.Stream) *temporal.Network {
 				gb.AddEdge(int(from[i]), int(to[i]))
 			}
 			owned := temporal.Labeling{Off: slices.Clone(lab.Off), Labels: slices.Clone(lab.Labels)}
-			w.net = temporal.MustNew(gb.Build(), w.model.Lifetime(), owned)
+			w.net = temporal.MustNew(gb.Build(), w.lifetime, owned)
 			return w.net
 		}
 		w.diffEdges(from, to)
@@ -236,10 +303,19 @@ func (w *batchWorker) diffEdges(from, to []int32) {
 // RunContext's cancellation and panic contract, handing each trial its
 // worker's relabeled network.
 func (b *BatchRunner) RunFromContext(ctx context.Context, start, count int, trial NetTrial) (*Results, error) {
+	return b.RunDrawFromContext(ctx, start, count, func(i int, r *rng.Stream, draw Draw) Metrics {
+		return trial(i, draw(r), r)
+	})
+}
+
+// RunDrawFromContext is RunFromContext for trials that draw their network
+// themselves, mid-trial, through the worker's Draw.
+func (b *BatchRunner) RunDrawFromContext(ctx context.Context, start, count int, trial DrawTrial) (*Results, error) {
 	return b.runner().runFromWorkers(ctx, start, count, func() (Trial, func()) {
 		w := b.acquire()
+		draw := Draw(w.instance)
 		return func(i int, r *rng.Stream) Metrics {
-			return trial(i, w.instance(r), r)
+			return trial(i, r, draw)
 		}, func() { b.release(w) }
 	})
 }

@@ -37,6 +37,12 @@
 //     instead of n. The diameter folds each label group's new arrivals
 //     into exact integer counts and never materializes an arrival row.
 //
+// ConnectedPrefix (prefix.go) answers the Ω(log n) remark's question, the
+// least label whose prefix (strongly) connects the graph, with one
+// label-ordered pass over the same list per direction, stopping at the
+// answer; core.PrefixConnected, which builds the prefix graph, is its test
+// oracle.
+//
 // The linear kernel (EarliestArrivalsLinearInto, the original single-pass
 // scan) and a Bellman–Ford fixpoint are oracles only (oracle.go): no
 // production path runs them, and the differential tests pin the kernels
