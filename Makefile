@@ -67,8 +67,9 @@ bench-diff:
 
 # lint-docs is the documentation gate CI runs alongside vet: every
 # internal/* package must keep its package comment in a dedicated doc.go,
-# and every relative markdown link in README.md and docs/*.md must
-# resolve.
+# every relative markdown link in README.md and docs/*.md must resolve,
+# and every exported function in internal/ needs a non-test caller or a
+# keep-list entry (cmd/docslint/unused.go).
 lint-docs:
 	$(GO) run ./cmd/docslint
 

@@ -1,6 +1,5 @@
-// Command docslint is the CI documentation gate. It enforces two
-// invariants the docs overhaul introduced and that are otherwise easy to
-// erode one PR at a time:
+// Command docslint is the CI documentation gate. It enforces three
+// invariants that are otherwise easy to erode one change at a time:
 //
 //   - every package under internal/ keeps its package comment in a
 //     dedicated doc.go, so `go doc` and pkgsite have one canonical place
@@ -9,7 +8,13 @@
 //   - every relative markdown link in the repository's documentation
 //     (README.md, docs/*.md, and any other root-level *.md) points at a
 //     file or directory that exists, so refactors can't leave dangling
-//     links behind.
+//     links behind;
+//   - every exported function and method in internal/ has a caller
+//     outside tests (cmd/, examples/ and perfbench/ count) or is named,
+//     with its reason, on the keep-list in unused.go; a keep-list entry
+//     that no longer exists or has gained a caller fails too. The pass
+//     type-checks the tree and the standard library from source with
+//     go/parser and go/types (a few seconds).
 //
 // External links (http/https/mailto) and pure in-page anchors are
 // skipped; a `#fragment` suffix on a relative link is stripped before the
@@ -133,6 +138,11 @@ func run(rootDir string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	unused, err := checkUnused(rootDir, keep)
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, unused...)
 	files, err := docFiles(rootDir)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,9 @@
 // i.i.d. models. Scenario models (geometric) build their own support graph
 // on n vertices and ignore -family.
 //
+// A bad flag value is a usage error: exit 2, the message on stderr and
+// nothing on stdout.
+//
 // Usage:
 //
 //	gen -family clique -n 64 > clique64.tnet
@@ -23,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -32,21 +36,33 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		family     = flag.String("family", "clique", strings.Join(graph.FamilyNames(), ", "))
-		n          = flag.Int("n", 64, "requested size")
-		p          = flag.Float64("p", 0, "edge probability for gnp (default 2·ln n/n)")
-		deg        = flag.Int("deg", 4, "degree for regular")
-		lifetime   = flag.Int("lifetime", 0, "lifetime a (default n)")
-		r          = flag.Int("r", 1, "labels per edge for the i.i.d. models")
-		model      = flag.String("model", "", "availability model (see -list-models); overrides -law")
-		mp         = flag.String("mp", "", "model parameters, name=value[,name=value…]")
-		law        = flag.String("law", "uniform", "legacy i.i.d. label law: uniform, geom, binom, zipf")
-		lawParam   = flag.Float64("lawparam", 0, "legacy law parameter (geom p, binom p, zipf s)")
-		seed       = flag.Uint64("seed", 1, "generation seed")
-		listModels = flag.Bool("list-models", false, "list availability models and exit")
+		family     = fs.String("family", "clique", strings.Join(graph.FamilyNames(), ", "))
+		n          = fs.Int("n", 64, "requested size (≥ 1)")
+		p          = fs.Float64("p", 0, "edge probability for gnp (default 2·ln n/n)")
+		deg        = fs.Int("deg", 4, "degree for regular")
+		lifetime   = fs.Int("lifetime", 0, "lifetime a, ≥ 0 (0 = n)")
+		r          = fs.Int("r", 1, "labels per edge for the i.i.d. models (≥ 1)")
+		model      = fs.String("model", "", "availability model (see -list-models); overrides -law")
+		mp         = fs.String("mp", "", "model parameters, name=value[,name=value…]")
+		law        = fs.String("law", "uniform", "legacy i.i.d. label law: uniform, geom, binom, zipf")
+		lawParam   = fs.Float64("lawparam", 0, "legacy law parameter (geom p, binom p, zipf s)")
+		seed       = fs.Uint64("seed", 1, "generation seed")
+		listModels = fs.Bool("list-models", false, "list availability models and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "gen: "+format+"\n", a...)
+		return 2
+	}
 
 	if *listModels {
 		for _, b := range avail.Builders() {
@@ -54,17 +70,25 @@ func main() {
 			if b.Scenario {
 				kind = "scenario"
 			}
-			fmt.Printf("%-12s %-8s %s\n", b.Name, kind, b.Doc)
+			fmt.Fprintf(stdout, "%-12s %-8s %s\n", b.Name, kind, b.Doc)
 			for _, k := range b.Knobs {
-				fmt.Printf("             -mp %s=… (default %g): %s\n", k.Name, k.Default, k.Doc)
+				fmt.Fprintf(stdout, "             -mp %s=… (default %g): %s\n", k.Name, k.Default, k.Doc)
 			}
 		}
-		return
+		return 0
 	}
 
+	switch {
+	case *n < 1:
+		return usage("need n >= 1")
+	case *r < 1:
+		return usage("need r >= 1")
+	case *lifetime < 0:
+		return usage("need lifetime >= 0")
+	}
 	knobs, err := avail.ParseKnobs(*mp)
 	if err != nil {
-		fail("%v", err)
+		return usage("%v", err)
 	}
 	name := *model
 	if name == "" {
@@ -81,14 +105,14 @@ func main() {
 			case "zipf":
 				knobs["s"] = *lawParam
 			default:
-				fail("gen: -lawparam is meaningless for law %q", *law)
+				return usage("-lawparam is meaningless for law %q", *law)
 			}
 		}
 	}
 
 	b, ok := avail.Lookup(name)
 	if !ok {
-		fail("gen: unknown model %q (have %s)", name, strings.Join(avail.Names(), ", "))
+		return usage("unknown model %q (have %s)", name, strings.Join(avail.Names(), ", "))
 	}
 
 	// The graph comes first: the default lifetime is the *realized* vertex
@@ -105,7 +129,7 @@ func main() {
 	} else {
 		g, err = graph.Family(*family, *n, graph.FamilyOpts{P: *p, Deg: *deg}, stream)
 		if err != nil {
-			fail("gen: %v (use one of %s)", err, strings.Join(graph.FamilyNames(), ", "))
+			return usage("%v", err)
 		}
 	}
 
@@ -115,18 +139,15 @@ func main() {
 	}
 	m, err := avail.Build(name, avail.Params{Lifetime: a, R: *r, P: knobs})
 	if err != nil {
-		fail("gen: %v", err)
+		return usage("%v", err)
 	}
 
 	net := avail.Network(m, g, stream)
-	fmt.Printf("# family=%s n=%d m=%d lifetime=%d r=%d model=%s seed=%d\n",
-		fam, net.Graph().N(), net.Graph().M(), a, *r, m.Name(), *seed)
-	if err := net.Encode(os.Stdout); err != nil {
-		fail("gen: %v", err)
+	fmt.Fprintf(stdout, "# family=%s n=%d m=%d lifetime=%d r=%d model=%s seed=%d\n",
+		fam, net.Graph().N(), net.Graph().M(), net.Lifetime(), *r, m.Name(), *seed)
+	if err := net.Encode(stdout); err != nil {
+		fmt.Fprintln(stderr, "gen:", err)
+		return 1
 	}
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(2)
+	return 0
 }

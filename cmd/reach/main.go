@@ -1,12 +1,14 @@
 // Command reach measures temporal reachability under random labels: the
 // probability that r uniform labels per edge preserve reachability
-// (Theorems 6 and 7), or the estimated threshold r(n) when -estimate is
-// given.
+// (Theorems 6 and 7), or, when -estimate is given, the estimated threshold
+// r(n) with the Price of Randomness it implies: the deterministic OPT
+// bounds, the PoR interval m·r(n)/OPT and Theorem 8's upper bound.
 //
 // Usage:
 //
 //	reach -family star -n 128 -r 8
 //	reach -family star -n 128 -estimate
+//	reach -family grid -n 36 -estimate -trials 50
 //	reach -family cycle -n 64 -r 40 -trials 100
 //	reach -family grid -n 36
 //
@@ -21,6 +23,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/assign"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -73,13 +76,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// The families are deterministic, so Family draws nothing and cannot
 	// fail on a name minN knows.
 	g, _ := graph.Family(*family, *n, graph.FamilyOpts{}, nil)
-	nv := g.N()
+	nv, m := g.N(), g.M()
 	diam, conn := graph.Diameter(g)
 	if !conn {
 		fmt.Fprintln(stderr, "reach: family instance is disconnected")
 		return 1
 	}
-	fmt.Fprintf(stdout, "%s: n=%d m=%d diameter=%d lifetime=%d\n", *family, nv, g.M(), diam, nv)
+	fmt.Fprintf(stdout, "%s: n=%d m=%d diameter=%d lifetime=%d\n", *family, nv, m, diam, nv)
 
 	if *estimate {
 		target := core.WHPTarget(nv)
@@ -92,6 +95,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "estimated r(n) at target %.4f: %d%s\n", target, rhat, marker)
 		fmt.Fprintf(stdout, "Theorem 7 sufficient r = 2·d·ln n = %d\n", core.TheoremSevenR(nv, diam))
 		fmt.Fprintf(stdout, "r(n)/log₂ n = %.2f\n", float64(rhat)/math.Log2(float64(nv)))
+		optLo, optHi := assign.OptBounds(g)
+		exact := ""
+		if optLo == optHi {
+			exact = " (exact)"
+		}
+		fmt.Fprintf(stdout, "deterministic OPT in [%d, %d]%s\n", optLo, optHi, exact)
+		fmt.Fprintf(stdout, "Price of Randomness m·r(n)/OPT in [%.2f, %.2f]\n",
+			core.PoR(m, rhat, optHi), core.PoR(m, rhat, optLo))
+		fmt.Fprintf(stdout, "Theorem 8 PoR bound (2·d·ln n)·m/(n-1) = %.2f\n", core.TheoremEightPoRBound(nv, m, diam))
 		return 0
 	}
 

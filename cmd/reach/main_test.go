@@ -3,8 +3,13 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/assign"
+	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 // TestBuildFamily pins the size rounding of each family in the header
@@ -92,6 +97,42 @@ func TestEstimateRun(t *testing.T) {
 	}
 }
 
+// TestEstimateSeededOutput checks the printed threshold, OPT bounds, PoR
+// interval and Theorem 7 and 8 lines of -estimate against core.EstimateR
+// and assign.OptBounds on the same family and seed.
+func TestEstimateSeededOutput(t *testing.T) {
+	const n, trials, seed = 8, 12, 3
+	g := graph.Star(n)
+	diam, _ := graph.Diameter(g)
+	rhat, ok := core.EstimateR(g, n, core.WHPTarget(n), trials, seed, 8*core.TheoremSevenR(n, diam))
+	if !ok {
+		t.Fatal("the star's threshold search should converge")
+	}
+	lo, hi := assign.OptBounds(g)
+	var stdout, stderr bytes.Buffer
+	args := []string{"-family", "star", "-n", fmt.Sprint(n), "-estimate", "-trials", fmt.Sprint(trials), "-seed", fmt.Sprint(seed)}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		fmt.Sprintf("star: n=%d m=%d diameter=%d lifetime=%d\n", n, g.M(), diam, n),
+		fmt.Sprintf("estimated r(n) at target %.4f: %d\n", core.WHPTarget(n), rhat),
+		fmt.Sprintf("Theorem 7 sufficient r = 2·d·ln n = %d\n", core.TheoremSevenR(n, diam)),
+		fmt.Sprintf("r(n)/log₂ n = %.2f\n", float64(rhat)/math.Log2(n)),
+		fmt.Sprintf("deterministic OPT in [%d, %d] (exact)\n", lo, hi),
+		fmt.Sprintf("Price of Randomness m·r(n)/OPT in [%.2f, %.2f]\n", core.PoR(g.M(), rhat, hi), core.PoR(g.M(), rhat, lo)),
+		fmt.Sprintf("Theorem 8 PoR bound (2·d·ln n)·m/(n-1) = %.2f\n", core.TheoremEightPoRBound(n, g.M(), diam)),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "NaN") {
+		t.Errorf("NaN in output:\n%s", out)
+	}
+}
+
 // TestFlagErrors pins the usage errors: exit code 2, a message naming the
 // bad flag, and no output on stdout.
 func TestFlagErrors(t *testing.T) {
@@ -123,6 +164,39 @@ func TestFlagErrors(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: stdout %q, want empty", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestEstimateFlagErrors pins the usage errors of -estimate: exit code 2,
+// a message naming the bad flag, and no output on stdout.
+func TestEstimateFlagErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trials", "-5"}, "need trials >= 1"},
+		{[]string{"-trials", "0"}, "need trials >= 1"},
+		{[]string{"-family", "star", "-n", "0"}, "star needs n >= 2"},
+		{[]string{"-family", "path", "-n", "1"}, "path needs n >= 2"},
+		{[]string{"-family", "cycle", "-n", "2"}, "cycle needs n >= 3"},
+		{[]string{"-family", "grid", "-n", "0"}, "grid needs n >= 1"},
+		{[]string{"-family", "hypercube", "-n", "1"}, "hypercube needs n >= 2"},
+		{[]string{"-family", "hypercube", "-n", "4294967296"}, "hypercube needs n < 2^31"},
+		{[]string{"-family", "bintree", "-n", "1"}, "bintree needs n >= 2"},
+		{[]string{"-family", "torus"}, `unknown family "torus"`},
+		{[]string{"-bogus"}, "flag provided but not defined"},
+	} {
+		args := append([]string{"-estimate"}, tc.args...)
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr %q lacks %q", args, stderr.String(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: stdout %q, want empty", args, stdout.String())
 		}
 	}
 }

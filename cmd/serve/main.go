@@ -16,7 +16,7 @@
 //	POST /query {"queries":[{"src":0,"dst":9,"start":3},…]}
 //	GET  /query/stats
 //
-// Endpoints (see internal/service.NewHandler):
+// Endpoints (see internal/service.NewHandlerWith):
 //
 //	GET  /experiments               registry metadata
 //	GET  /models                    availability-model registry

@@ -72,7 +72,7 @@ func TestWorkerRunsSweepToCompletion(t *testing.T) {
 	ckptDir := t.TempDir()
 	m := service.New(service.Options{Workers: 1, LeaseTTL: time.Minute, CheckpointDir: ckptDir})
 	defer m.Close()
-	srv := httptest.NewServer(service.NewHandler(m))
+	srv := httptest.NewServer(service.NewHandlerWith(m, nil))
 	defer srv.Close()
 
 	req := testSweep()
@@ -111,7 +111,7 @@ func TestTwoWorkersOneDiesMidRun(t *testing.T) {
 		CheckpointDir: ckptDir,
 	})
 	defer m.Close()
-	srv := httptest.NewServer(service.NewHandler(m))
+	srv := httptest.NewServer(service.NewHandlerWith(m, nil))
 	defer srv.Close()
 
 	req := testSweep()
@@ -180,7 +180,7 @@ func TestTwoWorkersOneDiesMidRun(t *testing.T) {
 func TestWorkerStopsOnCancelledSweep(t *testing.T) {
 	m := service.New(service.Options{Workers: 1, LeaseTTL: time.Minute})
 	defer m.Close()
-	srv := httptest.NewServer(service.NewHandler(m))
+	srv := httptest.NewServer(service.NewHandlerWith(m, nil))
 	defer srv.Close()
 
 	job, err := m.SubmitSweep(testSweep())
@@ -226,7 +226,7 @@ func TestWorkerRejectsSpecMismatch(t *testing.T) {
 func TestWorkerStitchesTrace(t *testing.T) {
 	m := service.New(service.Options{Workers: 1, LeaseTTL: time.Minute})
 	defer m.Close()
-	srv := httptest.NewServer(service.NewHandler(m))
+	srv := httptest.NewServer(service.NewHandlerWith(m, nil))
 	defer srv.Close()
 
 	job, err := m.SubmitSweep(testSweep())

@@ -121,28 +121,6 @@ func UniformWindowsInto(lab *temporal.Labeling, g *graph.Graph, lifetime, w int,
 	}
 }
 
-// Consecutive assigns the labels {1,…,d} to every edge — the
-// global-coordination baseline from the paper's introduction: with d =
-// diam(G) consecutive labels per edge, every hop of every shortest path can
-// fire in sequence, so reachability is certain at a cost of m·d labels.
-func Consecutive(g *graph.Graph, d int) temporal.Labeling {
-	if d < 1 {
-		panic("assign: need at least one consecutive label")
-	}
-	m := g.M()
-	lab := temporal.Labeling{
-		Off:    make([]int32, m+1),
-		Labels: make([]int32, m*d),
-	}
-	for e := 0; e < m; e++ {
-		lab.Off[e+1] = int32((e + 1) * d)
-		for i := 0; i < d; i++ {
-			lab.Labels[e*d+i] = int32(i + 1)
-		}
-	}
-	return lab
-}
-
 // BoxPicker chooses one label from box i (1-based) of edge e, whose label
 // range is [lo, hi]. See Boxes.
 type BoxPicker func(e, box int, lo, hi int32) int32
@@ -150,15 +128,6 @@ type BoxPicker func(e, box int, lo, hi int32) int32
 // FirstOfBox picks the smallest label of every box — the canonical
 // deterministic witness for Claim 1.
 func FirstOfBox(e, box int, lo, hi int32) int32 { return lo }
-
-// RandomInBox returns a picker drawing uniformly inside each box, the
-// "random labels conditioned on hitting every box" view used to illustrate
-// Theorem 7.
-func RandomInBox(stream *rng.Stream) BoxPicker {
-	return func(e, box int, lo, hi int32) int32 {
-		return lo + int32(stream.Intn(int(hi-lo+1)))
-	}
-}
 
 // Boxes implements the structure s(e) of Section 5 (Fig. 3): the label set
 // {1,…,q} is split into d consecutive boxes of size λ = ⌊q/d⌋, and every
@@ -307,7 +276,3 @@ func DoubleTour(g *graph.Graph) (temporal.Labeling, int) {
 	}
 	return temporal.LabelingFromSets(sets), lifetime
 }
-
-// Count returns the total number of labels in a labeling (the paper's
-// Σ_e |L_e| cost).
-func Count(lab temporal.Labeling) int { return len(lab.Labels) }

@@ -14,8 +14,8 @@ import (
 func TestUniformShape(t *testing.T) {
 	g := graph.Clique(10, false)
 	lab := Uniform(g, 10, 3, rng.New(1))
-	if Count(lab) != g.M()*3 {
-		t.Fatalf("Count = %d, want %d", Count(lab), g.M()*3)
+	if len(lab.Labels) != g.M()*3 {
+		t.Fatalf("Count = %d, want %d", len(lab.Labels), g.M()*3)
 	}
 	net := temporal.MustNew(g, 10, lab)
 	for e := 0; e < g.M(); e++ {
@@ -33,8 +33,8 @@ func TestUniformShape(t *testing.T) {
 func TestUniformZeroLabels(t *testing.T) {
 	g := graph.Path(4)
 	lab := Uniform(g, 5, 0, rng.New(1))
-	if Count(lab) != 0 {
-		t.Fatalf("Count = %d, want 0", Count(lab))
+	if len(lab.Labels) != 0 {
+		t.Fatalf("Count = %d, want 0", len(lab.Labels))
 	}
 	// Still a valid (empty) labeling.
 	temporal.MustNew(g, 5, lab)
@@ -76,8 +76,8 @@ func TestUniformMarginalIsUniform(t *testing.T) {
 func TestNormalizedURTN(t *testing.T) {
 	g := graph.Clique(16, true)
 	lab := NormalizedURTN(g, rng.New(3))
-	if Count(lab) != g.M() {
-		t.Fatalf("Count = %d, want %d", Count(lab), g.M())
+	if len(lab.Labels) != g.M() {
+		t.Fatalf("Count = %d, want %d", len(lab.Labels), g.M())
 	}
 	for _, l := range lab.Labels {
 		if l < 1 || l > 16 {
@@ -90,10 +90,24 @@ func TestFromDistribution(t *testing.T) {
 	g := graph.Path(10)
 	d := dist.NewGeometric(0.3, 20)
 	lab := FromDistribution(g, d, 4, rng.New(5))
-	if Count(lab) != g.M()*4 {
-		t.Fatalf("Count = %d", Count(lab))
+	if len(lab.Labels) != g.M()*4 {
+		t.Fatalf("Count = %d", len(lab.Labels))
 	}
 	temporal.MustNew(g, 20, lab) // validates range
+}
+
+// consecutive labels every edge {1,…,d}, the global-coordination baseline
+// of the paper's introduction: Boxes with one-label boxes (q = d).
+func consecutive(g *graph.Graph, d int) temporal.Labeling {
+	return Boxes(g, d, d, FirstOfBox)
+}
+
+// randomInBox draws uniformly inside each box: random labels conditioned
+// on hitting every box, the view behind Theorem 7.
+func randomInBox(stream *rng.Stream) BoxPicker {
+	return func(e, box int, lo, hi int32) int32 {
+		return lo + int32(stream.Intn(int(hi-lo+1)))
+	}
 }
 
 func TestConsecutivePreservesReachability(t *testing.T) {
@@ -104,7 +118,7 @@ func TestConsecutivePreservesReachability(t *testing.T) {
 		if !conn {
 			t.Fatal("test graph disconnected")
 		}
-		lab := Consecutive(g, d)
+		lab := consecutive(g, d)
 		net := temporal.MustNew(g, d, lab)
 		if !temporal.SatisfiesTreach(net) {
 			t.Fatalf("consecutive labeling violated Treach on %v", g)
@@ -115,7 +129,7 @@ func TestConsecutivePreservesReachability(t *testing.T) {
 func TestConsecutiveTooFewLabelsFails(t *testing.T) {
 	// With fewer than diam labels, the diameter-realizing pair is cut off.
 	g := graph.Path(8) // diameter 7
-	lab := Consecutive(g, 3)
+	lab := consecutive(g, 3)
 	net := temporal.MustNew(g, 3, lab)
 	if temporal.SatisfiesTreach(net) {
 		t.Fatal("3 consecutive labels cannot satisfy Treach on a diameter-7 path")
@@ -145,7 +159,7 @@ func TestBoxesRandomPicker(t *testing.T) {
 	d, _ := graph.Diameter(g)
 	q := 4 * d
 	for seed := uint64(0); seed < 10; seed++ {
-		lab := Boxes(g, q, d, RandomInBox(rng.New(seed)))
+		lab := Boxes(g, q, d, randomInBox(rng.New(seed)))
 		net := temporal.MustNew(g, q, lab)
 		if !temporal.SatisfiesTreach(net) {
 			t.Fatalf("random-in-box labeling violated Treach (seed %d)", seed)
@@ -190,8 +204,8 @@ func TestStarTwoPerEdge(t *testing.T) {
 	for _, n := range []int{3, 5, 12} {
 		g := graph.Star(n)
 		lab := StarTwoPerEdge(g)
-		if Count(lab) != 2*g.M() {
-			t.Fatalf("Count = %d, want %d", Count(lab), 2*g.M())
+		if len(lab.Labels) != 2*g.M() {
+			t.Fatalf("Count = %d, want %d", len(lab.Labels), 2*g.M())
 		}
 		net := temporal.MustNew(g, 2, lab)
 		if !temporal.SatisfiesTreach(net) {
@@ -205,8 +219,8 @@ func TestStarOptimalReachesAndCounts(t *testing.T) {
 		g := graph.Star(n)
 		m := g.M()
 		lab := StarOptimal(g)
-		if Count(lab) != 2*m-1 {
-			t.Fatalf("K_{1,%d}: Count = %d, want %d", n-1, Count(lab), 2*m-1)
+		if len(lab.Labels) != 2*m-1 {
+			t.Fatalf("K_{1,%d}: Count = %d, want %d", n-1, len(lab.Labels), 2*m-1)
 		}
 		net := temporal.MustNew(g, 2*m, lab)
 		if !temporal.SatisfiesTreach(net) {
@@ -222,8 +236,8 @@ func TestDoubleTourPreservesReachability(t *testing.T) {
 	}
 	for _, g := range families {
 		lab, lifetime := DoubleTour(g)
-		if Count(lab) != 4*(g.N()-1) {
-			t.Fatalf("%v: Count = %d, want %d", g, Count(lab), 4*(g.N()-1))
+		if len(lab.Labels) != 4*(g.N()-1) {
+			t.Fatalf("%v: Count = %d, want %d", g, len(lab.Labels), 4*(g.N()-1))
 		}
 		if lifetime != 4*(g.N()-1) {
 			t.Fatalf("%v: lifetime = %d", g, lifetime)
@@ -360,7 +374,7 @@ func TestQuickUniformValid(t *testing.T) {
 		a := int(aRaw)%20 + 1
 		g := graph.Gnp(n, 0.5, false, rng.New(seed))
 		lab := Uniform(g, a, r, rng.New(seed+1))
-		if Count(lab) != g.M()*r {
+		if len(lab.Labels) != g.M()*r {
 			return false
 		}
 		_, err := temporal.New(g, a, lab)
@@ -378,7 +392,7 @@ func TestQuickBoxesOnePerBox(t *testing.T) {
 		d := int(dRaw)%5 + 1
 		q := d * (int(mult)%4 + 1)
 		g := graph.Cycle(6)
-		lab := Boxes(g, q, d, RandomInBox(rng.New(seed)))
+		lab := Boxes(g, q, d, randomInBox(rng.New(seed)))
 		net := temporal.MustNew(g, q, lab)
 		lambda := int32(q / d)
 		for e := 0; e < g.M(); e++ {
@@ -413,7 +427,7 @@ func TestUniformPanics(t *testing.T) {
 		"lifetime-0": func() { Uniform(g, 0, 1, rng.New(1)) },
 		"negative-r": func() { Uniform(g, 5, -1, rng.New(1)) },
 		"fcase-neg":  func() { FromDistribution(g, dist.NewUniform(5), -2, rng.New(1)) },
-		"consec-0":   func() { Consecutive(g, 0) },
+		"consec-0":   func() { consecutive(g, 0) },
 	} {
 		func() {
 			defer func() {
@@ -431,8 +445,8 @@ func TestStarOptimalDegenerate(t *testing.T) {
 	// yields (2m-1 = 1).
 	g := graph.Star(2)
 	lab := StarOptimal(g)
-	if Count(lab) != 1 {
-		t.Fatalf("K_{1,1} labels = %d, want 1", Count(lab))
+	if len(lab.Labels) != 1 {
+		t.Fatalf("K_{1,1} labels = %d, want 1", len(lab.Labels))
 	}
 	net := temporal.MustNew(g, 2, lab)
 	if !temporal.SatisfiesTreach(net) {
@@ -442,12 +456,12 @@ func TestStarOptimalDegenerate(t *testing.T) {
 
 func TestDoubleTourSingleVertex(t *testing.T) {
 	lab, lifetime := DoubleTour(graph.NewBuilder(1, false).Build())
-	if Count(lab) != 0 || lifetime != 1 {
-		t.Fatalf("singleton tour: labels=%d lifetime=%d", Count(lab), lifetime)
+	if len(lab.Labels) != 0 || lifetime != 1 {
+		t.Fatalf("singleton tour: labels=%d lifetime=%d", len(lab.Labels), lifetime)
 	}
 }
 
-// Property: Consecutive(d) journeys realize every shortest path: for any
+// Property: consecutive(d) journeys realize every shortest path: for any
 // connected family graph, Treach holds exactly when d >= diameter.
 func TestQuickConsecutiveThresholdAtDiameter(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -458,8 +472,8 @@ func TestQuickConsecutiveThresholdAtDiameter(t *testing.T) {
 		if diam < 2 {
 			return true
 		}
-		below := temporal.MustNew(g, diam-1, Consecutive(g, diam-1))
-		at := temporal.MustNew(g, diam, Consecutive(g, diam))
+		below := temporal.MustNew(g, diam-1, consecutive(g, diam-1))
+		at := temporal.MustNew(g, diam, consecutive(g, diam))
 		return !temporal.SatisfiesTreachSerial(below, nil) &&
 			temporal.SatisfiesTreachSerial(at, nil)
 	}
@@ -471,8 +485,8 @@ func TestQuickConsecutiveThresholdAtDiameter(t *testing.T) {
 func TestUniformWindowsShape(t *testing.T) {
 	g := graph.Cycle(12)
 	lab := UniformWindows(g, 20, 4, rng.New(3))
-	if Count(lab) != g.M()*4 {
-		t.Fatalf("Count = %d, want %d", Count(lab), g.M()*4)
+	if len(lab.Labels) != g.M()*4 {
+		t.Fatalf("Count = %d, want %d", len(lab.Labels), g.M()*4)
 	}
 	net := temporal.MustNew(g, 20, lab)
 	for e := 0; e < g.M(); e++ {

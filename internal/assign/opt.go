@@ -59,7 +59,9 @@ func isStar(g *graph.Graph) bool {
 // exhaustive search over per-edge label subsets with budget pruning. The
 // search space is (2^q)^m, so it is intended for tiny instances (tests use
 // n ≤ 4, q ≤ 6); maxTotal caps the budget and the second result reports
-// whether any assignment within the cap succeeded.
+// whether any assignment within the cap succeeded. It is the oracle behind
+// the TestOptExact* tests, which pin the star optimum 2m−1 that E6's table
+// note cites by name.
 func OptExact(g *graph.Graph, q, maxTotal int) (int, bool) {
 	if q < 1 || q > 20 {
 		panic("assign: OptExact needs 1 <= q <= 20")

@@ -238,11 +238,11 @@ func TestMarkovDerivedRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Beta() != 0.25 {
-		t.Fatalf("beta = %v, want 1/runlen = 0.25", m.Beta())
+	if m.beta != 0.25 {
+		t.Fatalf("beta = %v, want 1/runlen = 0.25", m.beta)
 	}
 	// alpha/(alpha+beta) must recover pi.
-	pi := m.Alpha() / (m.Alpha() + m.Beta())
+	pi := m.alpha / (m.alpha + m.beta)
 	if diff := pi - 0.25; diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("stationary availability %v, want 0.25", pi)
 	}
@@ -253,8 +253,8 @@ func TestTimeVaryingSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ramp.ProbAt(1) != 0.1 || ramp.ProbAt(10) != 0.5 {
-		t.Fatalf("ramp endpoints %v, %v", ramp.ProbAt(1), ramp.ProbAt(10))
+	if ramp.probs[0] != 0.1 || ramp.probs[9] != 0.5 {
+		t.Fatalf("ramp endpoints %v, %v", ramp.probs[0], ramp.probs[9])
 	}
 	burst, err := NewBurst(10, 0.01, 0.9, 0.4, 0.2)
 	if err != nil {
@@ -262,12 +262,12 @@ func TestTimeVaryingSchedules(t *testing.T) {
 	}
 	inside := 0
 	for t1 := 1; t1 <= 10; t1++ {
-		switch burst.ProbAt(t1) {
+		switch burst.probs[t1-1] {
 		case 0.9:
 			inside++
 		case 0.01:
 		default:
-			t.Fatalf("burst ProbAt(%d) = %v", t1, burst.ProbAt(t1))
+			t.Fatalf("burst p(%d) = %v", t1, burst.probs[t1-1])
 		}
 	}
 	if inside != 2 {
@@ -278,8 +278,8 @@ func TestTimeVaryingSchedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	for t1 := 1; t1 <= 12; t1++ {
-		if p := per.ProbAt(t1); p < 0 || p > 1 {
-			t.Fatalf("periodic ProbAt(%d) = %v outside [0,1]", t1, p)
+		if p := per.probs[t1-1]; p < 0 || p > 1 {
+			t.Fatalf("periodic p(%d) = %v outside [0,1]", t1, p)
 		}
 	}
 	if !strings.HasPrefix(ramp.Name(), "pt-ramp") {

@@ -89,7 +89,7 @@ func TestMarkovRunLengthConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta := m.Beta()
+	beta := m.beta
 	lab := m.Assign(manyEdges(edges), rng.NewStream(0xA11, 2))
 
 	obs := make([]float64, K) // obs[l-1] = runs of length l, obs[K-1] = length ≥ K
@@ -153,7 +153,7 @@ func TestTimeVaryingSlotConformance(t *testing.T) {
 		counts := slotCounts(lab, edges, a)
 		stat := 0.0
 		for slot, obs := range counts {
-			stat += binomSlotStat(obs, edges, m.ProbAt(slot+1))
+			stat += binomSlotStat(obs, edges, m.probs[slot])
 		}
 		crit := stats.ChiSquareQuantile(0.999, float64(a))
 		if stat > crit {
@@ -268,7 +268,7 @@ func TestIIDRegistryMatchesAssign(t *testing.T) {
 			t.Fatalf("%s: registry model is %T, want IID", name, m)
 		}
 		got := m.Assign(g, rng.NewStream(3, 3))
-		want := NewIID(iid.Law(), 2).Assign(g, rng.NewStream(3, 3))
+		want := NewIID(iid.law, 2).Assign(g, rng.NewStream(3, 3))
 		if len(got.Labels) != len(want.Labels) {
 			t.Fatalf("%s: label counts differ", name)
 		}

@@ -38,10 +38,6 @@ func (m IID) Name() string {
 
 func (m IID) Lifetime() int { return m.law.Lifetime() }
 
-// Law exposes the wrapped distribution, e.g. for conformance testing
-// against its PMF.
-func (m IID) Law() dist.Distribution { return m.law }
-
 func (m IID) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
 	return assign.FromDistribution(g, m.law, m.r, stream)
 }

@@ -53,15 +53,6 @@ func (m Markov) Name() string {
 
 func (m Markov) Lifetime() int { return m.a }
 
-// Pi returns the stationary availability P(slot is a label).
-func (m Markov) Pi() float64 { return m.pi }
-
-// Alpha returns P(off→on) per slot.
-func (m Markov) Alpha() float64 { return m.alpha }
-
-// Beta returns P(on→off) per slot; on-runs are Geometric(Beta()).
-func (m Markov) Beta() float64 { return m.beta }
-
 func (m Markov) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
 	var lab temporal.Labeling
 	m.Resample(g, &lab, stream)

@@ -119,10 +119,6 @@ func checkSlotProb(what string, p float64) error {
 func (m TimeVarying) Name() string  { return m.name }
 func (m TimeVarying) Lifetime() int { return len(m.probs) }
 
-// ProbAt returns the schedule value p(t) for t ∈ {1,…,Lifetime()} — the
-// analytic per-slot label probability the conformance suite tests against.
-func (m TimeVarying) ProbAt(t int) float64 { return m.probs[t-1] }
-
 // Mass returns Σ_t p(t), the expected number of labels per edge.
 func (m TimeVarying) Mass() float64 {
 	sum := 0.0

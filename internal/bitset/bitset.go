@@ -8,8 +8,8 @@ import (
 
 const wordBits = 64
 
-// Set is a dense bit set over [0, Cap()). Methods that take an element i
-// with i outside [0, Cap()) panic; growing is explicit via Grow.
+// Set is a dense bit set over [0, n). Methods that take an element i
+// with i outside [0, n) panic; growing is explicit via Grow.
 type Set struct {
 	words []uint64
 	n     int // capacity in bits
@@ -23,21 +23,8 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// FromSlice returns a set of capacity n containing exactly the listed
-// elements.
-func FromSlice(n int, elems []int) *Set {
-	s := New(n)
-	for _, e := range elems {
-		s.Add(e)
-	}
-	return s
-}
-
-// Cap returns the capacity of the set (elements range over [0, Cap())).
-func (s *Set) Cap() int { return s.n }
-
 // Grow extends the capacity of the set to at least n bits, preserving
-// contents. Shrinking is not supported; Grow with n <= Cap() is a no-op.
+// contents. Shrinking is not supported; Grow to a smaller n is a no-op.
 func (s *Set) Grow(n int) {
 	if n <= s.n {
 		return
@@ -84,23 +71,14 @@ func (s *Set) TestAndAdd(i int) bool {
 	return old
 }
 
-// Count returns the number of elements in the set.
+// Count returns the number of elements in the set (temporal's tests count
+// ReachableSets' sets with it).
 func (s *Set) Count() int {
 	c := 0
 	for _, w := range s.words {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Empty reports whether the set has no elements.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Clear removes all elements, keeping capacity.
@@ -110,7 +88,7 @@ func (s *Set) Clear() {
 	}
 }
 
-// Fill inserts every element of [0, Cap()).
+// Fill inserts every element of [0, n).
 func (s *Set) Fill() {
 	for i := range s.words {
 		s.words[i] = ^uint64(0)
@@ -219,13 +197,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			word &= word - 1
 		}
 	}
-}
-
-// Slice returns the elements in increasing order.
-func (s *Set) Slice() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) { out = append(out, i) })
-	return out
 }
 
 // String renders the set as "{e1 e2 ...}"; intended for tests and debugging.

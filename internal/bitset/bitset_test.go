@@ -6,22 +6,28 @@ import (
 	"testing/quick"
 )
 
+// fromSlice returns a set of capacity n holding exactly elems.
+func fromSlice(n int, elems []int) *Set {
+	s := New(n)
+	for _, e := range elems {
+		s.Add(e)
+	}
+	return s
+}
+
 func TestNewEmpty(t *testing.T) {
 	s := New(100)
 	if got := s.Count(); got != 0 {
 		t.Fatalf("Count() = %d, want 0", got)
 	}
-	if !s.Empty() {
-		t.Fatal("new set should be Empty")
-	}
-	if s.Cap() != 100 {
-		t.Fatalf("Cap() = %d, want 100", s.Cap())
+	if s.n != 100 || len(s.words) != 2 {
+		t.Fatalf("capacity %d in %d words, want 100 in 2", s.n, len(s.words))
 	}
 }
 
 func TestNewZeroCap(t *testing.T) {
 	s := New(0)
-	if s.Count() != 0 || !s.Empty() {
+	if s.Count() != 0 || s.String() != "{}" {
 		t.Fatal("zero-capacity set should be empty")
 	}
 	if s.Next(0) != -1 {
@@ -110,15 +116,15 @@ func TestFillTrimAndClear(t *testing.T) {
 			t.Fatalf("n=%d: Count after Fill = %d", n, got)
 		}
 		s.Clear()
-		if !s.Empty() {
+		if s.Count() != 0 {
 			t.Fatalf("n=%d: not empty after Clear", n)
 		}
 	}
 }
 
 func TestSetOps(t *testing.T) {
-	a := FromSlice(20, []int{1, 3, 5, 7, 19})
-	b := FromSlice(20, []int{3, 4, 5, 6})
+	a := fromSlice(20, []int{1, 3, 5, 7, 19})
+	b := fromSlice(20, []int{3, 4, 5, 6})
 
 	u := a.Clone()
 	u.Union(b)
@@ -167,10 +173,10 @@ func TestSetOpsCapacityMismatchPanics(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	a := FromSlice(10, []int{1, 2})
-	b := FromSlice(10, []int{1, 2})
-	c := FromSlice(10, []int{1, 3})
-	d := FromSlice(11, []int{1, 2})
+	a := fromSlice(10, []int{1, 2})
+	b := fromSlice(10, []int{1, 2})
+	c := fromSlice(10, []int{1, 3})
+	d := fromSlice(11, []int{1, 2})
 	if !a.Equal(b) {
 		t.Fatal("a should equal b")
 	}
@@ -184,7 +190,7 @@ func TestEqual(t *testing.T) {
 
 func TestNextIteration(t *testing.T) {
 	elems := []int{0, 5, 63, 64, 99}
-	s := FromSlice(100, elems)
+	s := fromSlice(100, elems)
 	var got []int
 	for v := s.Next(0); v >= 0; v = s.Next(v + 1) {
 		got = append(got, v)
@@ -206,10 +212,10 @@ func TestNextIteration(t *testing.T) {
 }
 
 func TestGrow(t *testing.T) {
-	s := FromSlice(10, []int{2, 9})
+	s := fromSlice(10, []int{2, 9})
 	s.Grow(200)
-	if s.Cap() != 200 {
-		t.Fatalf("Cap after Grow = %d, want 200", s.Cap())
+	if s.n != 200 {
+		t.Fatalf("capacity after Grow = %d, want 200", s.n)
 	}
 	if !s.Contains(2) || !s.Contains(9) {
 		t.Fatal("Grow lost elements")
@@ -220,13 +226,13 @@ func TestGrow(t *testing.T) {
 	}
 	// Growing smaller is a no-op.
 	s.Grow(5)
-	if s.Cap() != 200 {
-		t.Fatalf("Cap after shrink attempt = %d, want 200", s.Cap())
+	if s.n != 200 {
+		t.Fatalf("capacity after shrink attempt = %d, want 200", s.n)
 	}
 }
 
 func TestCloneIndependence(t *testing.T) {
-	a := FromSlice(10, []int{1})
+	a := fromSlice(10, []int{1})
 	b := a.Clone()
 	b.Add(2)
 	if a.Contains(2) {
@@ -235,7 +241,7 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestCopyFrom(t *testing.T) {
-	a := FromSlice(10, []int{1, 2, 3})
+	a := fromSlice(10, []int{1, 2, 3})
 	b := New(10)
 	b.CopyFrom(a)
 	if !b.Equal(a) {
@@ -244,7 +250,7 @@ func TestCopyFrom(t *testing.T) {
 }
 
 func TestForEachOrder(t *testing.T) {
-	s := FromSlice(300, []int{299, 0, 128, 64, 65})
+	s := fromSlice(300, []int{299, 0, 128, 64, 65})
 	prev := -1
 	s.ForEach(func(i int) {
 		if i <= prev {
@@ -298,7 +304,7 @@ func TestQuickAgainstMapModel(t *testing.T) {
 	}
 }
 
-// Property: Slice() of FromSlice(dedup(sorted)) round-trips.
+// Property: ForEach hands back exactly the distinct elements added.
 func TestQuickSliceRoundTrip(t *testing.T) {
 	f := func(raw []uint16) bool {
 		const n = 1024
@@ -311,8 +317,8 @@ func TestQuickSliceRoundTrip(t *testing.T) {
 				elems = append(elems, v)
 			}
 		}
-		s := FromSlice(n, elems)
-		got := s.Slice()
+		var got []int
+		fromSlice(n, elems).ForEach(func(i int) { got = append(got, i) })
 		if len(got) != len(seen) {
 			return false
 		}

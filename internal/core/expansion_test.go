@@ -86,8 +86,8 @@ func TestExpansionSucceedsOnCliqueWHP(t *testing.T) {
 			if err := res.Journey.Validate(net); err != nil {
 				t.Fatalf("seed %d: invalid journey: %v", seed, err)
 			}
-			if res.Journey.From() != 0 || res.Journey.To() != 1 {
-				t.Fatalf("seed %d: journey endpoints %d,%d", seed, res.Journey.From(), res.Journey.To())
+			if j := res.Journey; len(j) == 0 || j[0].From != 0 || j[len(j)-1].To != 1 {
+				t.Fatalf("seed %d: journey %v does not run 0→1", seed, j)
 			}
 			if res.Arrival > res.Plan.Bound {
 				t.Fatalf("seed %d: arrival %d exceeds bound %d", seed, res.Arrival, res.Plan.Bound)
@@ -218,7 +218,7 @@ func TestQuickExpansionSoundness(t *testing.T) {
 		if err := res.Journey.Validate(net); err != nil {
 			return false
 		}
-		if res.Journey.From() != s || res.Journey.To() != tt {
+		if j := res.Journey; len(j) == 0 || j[0].From != s || j[len(j)-1].To != tt {
 			return false
 		}
 		if res.Arrival > res.Plan.Bound {

@@ -46,7 +46,9 @@ func PrefixConnected(net *temporal.Network, k int32) bool {
 
 // ConnectivityThresholdP returns ln n / n, the sharp Erdős–Rényi
 // connectivity threshold the proofs of Theorem 5 and the Ω(log n) remark
-// rest on.
+// rest on. It is one of three theorem scales (with TDUpperBoundScale and
+// BoxCoverageFailureBound) kept for a table of the paper's claims checked
+// as executable assertions; only lifetime_test.go calls it today.
 func ConnectivityThresholdP(n int) float64 {
 	if n < 2 {
 		return 0
@@ -67,8 +69,9 @@ func LifetimeLowerBound(n int, a int) float64 {
 
 // TDUpperBoundScale returns the Theorem 4 upper-bound scale ln n: the
 // temporal diameter of the normalized uniform random temporal clique is at
-// most γ·ln n whp for a constant γ > 1. Experiments divide measured
-// diameters by this to estimate γ.
+// most γ·ln n whp for a constant γ > 1. Dividing measured diameters by it
+// estimates γ; like ConnectivityThresholdP it is kept for the claims
+// table (only lifetime_test.go calls it today).
 func TDUpperBoundScale(n int) float64 {
 	if n < 2 {
 		return 1

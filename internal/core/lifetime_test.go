@@ -23,7 +23,9 @@ func TestPrefixSubgraph(t *testing.T) {
 		t.Fatalf("prefix(1) m = %d", sub.M())
 	}
 	sub = PrefixSubgraph(net, 5)
-	if sub.M() != 2 || !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) {
+	_, e01 := sub.EdgeBetween(0, 1)
+	_, e12 := sub.EdgeBetween(1, 2)
+	if sub.M() != 2 || !e01 || !e12 {
 		t.Fatalf("prefix(5) wrong: %v", sub)
 	}
 	sub = PrefixSubgraph(net, 10)

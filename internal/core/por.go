@@ -160,7 +160,9 @@ func TheoremEightPoRBound(n, m, diam int) float64 {
 
 // BoxCoverageFailureBound returns the union-bound probability
 // d·(1−λ/q)^r ≤ d·e^{−λr/q} that some box of a single edge receives no
-// label (the quantity the Theorem 7 proof drives below n^{−2}).
+// label (the quantity the Theorem 7 proof drives below n^{−2}). A theorem
+// scale kept for a table of the paper's claims checked as executable
+// assertions; only por_test.go calls it today.
 func BoxCoverageFailureBound(q, d, r int) float64 {
 	if d <= 0 || q < d {
 		return 0

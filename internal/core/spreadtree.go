@@ -63,17 +63,6 @@ func BuildSpreadTree(net *temporal.Network, source int) SpreadTree {
 	return tr
 }
 
-// Informed counts the informed vertices, including the source.
-func (t SpreadTree) Informed() int {
-	c := 0
-	for _, a := range t.InformedAt {
-		if a != temporal.Unreachable {
-			c++
-		}
-	}
-	return c
-}
-
 // MaxDepth returns the deepest informed vertex's hop depth (0 when only
 // the source is informed).
 func (t SpreadTree) MaxDepth() int32 {
@@ -84,38 +73,4 @@ func (t SpreadTree) MaxDepth() int32 {
 		}
 	}
 	return max
-}
-
-// DepthHistogram returns counts of informed vertices per hop depth
-// (index = depth).
-func (t SpreadTree) DepthHistogram() []int {
-	h := make([]int, t.MaxDepth()+1)
-	for _, d := range t.HopDepth {
-		if d >= 0 {
-			h[d]++
-		}
-	}
-	return h
-}
-
-// PathToRoot returns the informing chain source→…→v as a Journey, or nil
-// when v was never informed. The chain's labels strictly increase by
-// construction; Validate must accept it.
-func (t SpreadTree) PathToRoot(v int) temporal.Journey {
-	if t.InformedAt[v] == temporal.Unreachable {
-		return nil
-	}
-	if v == t.Source {
-		return temporal.Journey{}
-	}
-	var rev temporal.Journey
-	for cur := v; cur != t.Source; {
-		p := int(t.Parent[cur])
-		rev = append(rev, temporal.Hop{From: p, To: cur, Edge: int(t.Edge[cur]), Label: t.InformedAt[cur]})
-		cur = p
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }

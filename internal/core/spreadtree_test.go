@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,32 @@ import (
 	"repro/internal/temporal"
 )
 
+// informed counts the tree's informed vertices, the source included.
+func informed(tr SpreadTree) int {
+	c := 0
+	for _, a := range tr.InformedAt {
+		if a != temporal.Unreachable {
+			c++
+		}
+	}
+	return c
+}
+
+// rootPath follows v's Parent and Edge links up to the source and returns
+// the informing chain source→…→v as a journey, or nil when v was never
+// informed.
+func rootPath(tr SpreadTree, v int) temporal.Journey {
+	if tr.InformedAt[v] == temporal.Unreachable {
+		return nil
+	}
+	var rev temporal.Journey
+	for cur := v; cur != tr.Source; cur = int(tr.Parent[cur]) {
+		rev = append(rev, temporal.Hop{From: int(tr.Parent[cur]), To: cur, Edge: int(tr.Edge[cur]), Label: tr.InformedAt[cur]})
+	}
+	slices.Reverse(rev)
+	return rev
+}
+
 func TestSpreadTreeHandExample(t *testing.T) {
 	// 0 -(2)-> 1 -(5)-> 2 (directed chain).
 	b := graph.NewBuilder(3, true)
@@ -17,24 +44,20 @@ func TestSpreadTreeHandExample(t *testing.T) {
 	b.AddEdge(1, 2)
 	net := temporal.MustNew(b.Build(), 10, temporal.LabelingFromSets([][]int{{2}, {5}}))
 	tr := BuildSpreadTree(net, 0)
-	if tr.Informed() != 3 {
-		t.Fatalf("informed = %d", tr.Informed())
+	if informed(tr) != 3 {
+		t.Fatalf("informed = %d", informed(tr))
 	}
 	if tr.Parent[1] != 0 || tr.Parent[2] != 1 || tr.Parent[0] != -1 {
 		t.Fatalf("parents = %v", tr.Parent)
 	}
-	if tr.HopDepth[2] != 2 || tr.MaxDepth() != 2 {
+	if tr.HopDepth[0] != 0 || tr.HopDepth[1] != 1 || tr.HopDepth[2] != 2 || tr.MaxDepth() != 2 {
 		t.Fatalf("depths = %v", tr.HopDepth)
 	}
-	h := tr.DepthHistogram()
-	if len(h) != 3 || h[0] != 1 || h[1] != 1 || h[2] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-	j := tr.PathToRoot(2)
+	j := rootPath(tr, 2)
 	if err := j.Validate(net); err != nil {
 		t.Fatal(err)
 	}
-	if j.ArrivalTime() != 5 || j.From() != 0 || j.To() != 2 {
+	if j.ArrivalTime() != 5 || len(j) != 2 || j[0].From != 0 || j[1].To != 2 {
 		t.Fatalf("path = %v", j)
 	}
 }
@@ -45,13 +68,10 @@ func TestSpreadTreeUninformed(t *testing.T) {
 	b.AddEdge(1, 2)
 	net := temporal.MustNew(b.Build(), 10, temporal.LabelingFromSets([][]int{{4}, {4}}))
 	tr := BuildSpreadTree(net, 0)
-	if tr.Informed() != 2 {
-		t.Fatalf("informed = %d", tr.Informed())
+	if informed(tr) != 2 {
+		t.Fatalf("informed = %d", informed(tr))
 	}
-	if tr.PathToRoot(2) != nil {
-		t.Fatal("uninformed vertex should have nil path")
-	}
-	if tr.HopDepth[2] != -1 || tr.Edge[2] != -1 {
+	if tr.HopDepth[2] != -1 || tr.Edge[2] != -1 || tr.Parent[2] != -1 {
 		t.Fatal("uninformed vertex should have sentinel fields")
 	}
 }
@@ -59,9 +79,9 @@ func TestSpreadTreeUninformed(t *testing.T) {
 func TestSpreadTreeSourcePath(t *testing.T) {
 	net := urtClique(32, 3)
 	tr := BuildSpreadTree(net, 5)
-	j := tr.PathToRoot(5)
-	if j == nil || len(j) != 0 {
-		t.Fatalf("source path = %v", j)
+	if tr.InformedAt[5] != 0 || tr.HopDepth[5] != 0 || tr.Parent[5] != -1 || tr.Edge[5] != -1 {
+		t.Fatalf("source fields: at %d depth %d parent %d edge %d",
+			tr.InformedAt[5], tr.HopDepth[5], tr.Parent[5], tr.Edge[5])
 	}
 }
 
@@ -72,7 +92,7 @@ func TestSpreadTreeCliqueDepthLogarithmic(t *testing.T) {
 	// bound.
 	net := urtClique(512, 7)
 	tr := BuildSpreadTree(net, 0)
-	if tr.Informed() != 512 {
+	if informed(tr) != 512 {
 		t.Skip("rare incomplete spread; skip rather than flake")
 	}
 	if tr.MaxDepth() > 25 {
@@ -80,8 +100,8 @@ func TestSpreadTreeCliqueDepthLogarithmic(t *testing.T) {
 	}
 }
 
-// Property: the spread tree agrees with Spread (same informed times), its
-// depth histogram sums to the informed count, and every root path
+// Property: the spread tree agrees with Spread (same informed times),
+// exactly the informed vertices have a hop depth, and every root path
 // validates as a journey arriving exactly at InformedAt[v].
 func TestQuickSpreadTreeConsistent(t *testing.T) {
 	f := func(seed uint64, directed bool) bool {
@@ -103,7 +123,10 @@ func TestQuickSpreadTreeConsistent(t *testing.T) {
 				continue
 			}
 			total++
-			j := tr.PathToRoot(v)
+			if tr.HopDepth[v] < 0 {
+				return false
+			}
+			j := rootPath(tr, v)
 			if j == nil && v != src {
 				return false
 			}
@@ -114,11 +137,13 @@ func TestQuickSpreadTreeConsistent(t *testing.T) {
 				return false
 			}
 		}
-		sum := 0
-		for _, c := range tr.DepthHistogram() {
-			sum += c
+		depths := 0
+		for _, d := range tr.HopDepth {
+			if d >= 0 {
+				depths++
+			}
 		}
-		return sum == total && total == tr.Informed()
+		return depths == total && total == informed(tr)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

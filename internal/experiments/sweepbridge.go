@@ -73,9 +73,10 @@ func (t SweepTarget) Kind() sweep.Kind {
 	return sweep.Proportion
 }
 
-// Validate rejects unknown models, metrics, graph families, and grid axes
-// that are neither "n", "lifetime", nor a declared knob of the model —
-// the same fail-loudly contract as the experiment service's Request.
+// Validate rejects unknown models, metrics, graph families, grid axes
+// that are neither "n", "lifetime", nor a declared knob of the model, and
+// n values the family cannot be built on (graph.CheckFamily) — the same
+// fail-loudly contract as the experiment service's Request.
 func (t SweepTarget) Validate(grid sweep.Grid) error {
 	t = t.withDefaults()
 	if _, ok := avail.Lookup(t.Model); !ok {
@@ -120,6 +121,12 @@ func (t SweepTarget) Validate(grid sweep.Grid) error {
 				}
 				if v < 1 {
 					return fmt.Errorf("axis %q: value %g is not positive", a.Name, v)
+				}
+				if a.Name != "n" {
+					continue
+				}
+				if err := graph.CheckFamily(t.Graph, int(v), graph.FamilyOpts{}); err != nil {
+					return fmt.Errorf("axis %q: %v", a.Name, err)
 				}
 			}
 			continue

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -53,6 +54,22 @@ func TestSweepTargetValidate(t *testing.T) {
 	zeroLife := sweep.Grid{Axes: []sweep.Axis{{Name: "lifetime", Values: []float64{0, 16}}}}
 	if err := (SweepTarget{Model: "uniform"}).Validate(zeroLife); err == nil {
 		t.Error("lifetime 0 accepted — it would silently coerce to n")
+	}
+	// An n the family cannot be built on is rejected at submit, naming
+	// the axis, instead of failing its cell.
+	for _, tc := range []struct {
+		graph string
+		n     float64
+		want  string
+	}{
+		{"cycle", 2, "cycle needs n >= 3"},
+		{"regular", 4, "regular needs 0 <= deg < n"},
+	} {
+		small := sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{16, tc.n}}}}
+		err := (SweepTarget{Model: "uniform", Graph: tc.graph}).Validate(small)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), `axis "n"`) {
+			t.Errorf("%s n=%g: Validate = %v, want an axis \"n\" error containing %q", tc.graph, tc.n, err, tc.want)
+		}
 	}
 }
 

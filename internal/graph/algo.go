@@ -219,22 +219,6 @@ func IsStronglyConnected(g *Graph) bool {
 	return count == 1
 }
 
-// Eccentricity returns the greatest hop distance from v to any reachable
-// vertex and whether all vertices were reached.
-func Eccentricity(g *Graph, v int) (ecc int, all bool) {
-	dist := BFS(g, v)
-	reached := 0
-	for _, d := range dist {
-		if d >= 0 {
-			reached++
-			if int(d) > ecc {
-				ecc = int(d)
-			}
-		}
-	}
-	return ecc, reached == g.N()
-}
-
 // Diameter returns the hop diameter of g — the maximum eccentricity — using
 // a parallel all-sources BFS, and whether the graph is connected (strongly
 // connected when directed). When disconnected, the returned diameter is the
@@ -332,14 +316,4 @@ func SpanningTree(g *Graph) []int {
 		}
 	}
 	return tree
-}
-
-// DegreeSum returns the sum of out-degrees, which equals m for directed
-// graphs and 2m for undirected graphs — a handshake-lemma helper for tests.
-func DegreeSum(g *Graph) int {
-	sum := 0
-	for u := 0; u < g.N(); u++ {
-		sum += g.OutDegree(u)
-	}
-	return sum
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -17,17 +18,53 @@ type FamilyOpts struct {
 	Deg int
 }
 
+// deg is the regular degree Family builds.
+func (o FamilyOpts) deg() int {
+	if o.Deg == 0 {
+		return 4
+	}
+	return o.Deg
+}
+
+var familyNames = []string{"clique", "dclique", "star", "path", "cycle", "grid",
+	"hypercube", "bintree", "tree", "gnp", "regular"}
+
 // FamilyNames lists the names Family accepts, in display order.
-func FamilyNames() []string {
-	return []string{"clique", "dclique", "star", "path", "cycle", "grid",
-		"hypercube", "bintree", "tree", "gnp", "regular"}
+func FamilyNames() []string { return slices.Clone(familyNames) }
+
+// CheckFamily returns why Family cannot build the named family on n
+// vertices with o, or nil when it can: an unknown name, n < 1, a cycle
+// below three vertices, a hypercube of 2³¹ vertices or more, a gnp p
+// outside [0, 1], or a regular degree outside [0, n) or with n·deg odd.
+func CheckFamily(name string, n int, o FamilyOpts) error {
+	switch {
+	case !slices.Contains(familyNames, name):
+		return fmt.Errorf("graph: unknown family %q", name)
+	case n < 1:
+		return fmt.Errorf("graph: %s needs n >= 1, got %d", name, n)
+	case name == "cycle" && n < 3:
+		return fmt.Errorf("graph: cycle needs n >= 3, got %d", n)
+	case name == "hypercube" && int64(n) >= 1<<31:
+		return fmt.Errorf("graph: hypercube needs n < 2^31, got %d", n)
+	case name == "gnp" && !(o.P >= 0 && o.P <= 1):
+		return fmt.Errorf("graph: gnp needs p in [0,1], got %v", o.P)
+	case name == "regular" && (o.deg() < 0 || o.deg() >= n):
+		return fmt.Errorf("graph: regular needs 0 <= deg < n, got deg=%d n=%d", o.deg(), n)
+	case name == "regular" && n*o.deg()%2 != 0:
+		return fmt.Errorf("graph: regular needs n*deg even, got n=%d deg=%d", n, o.deg())
+	}
+	return nil
 }
 
 // Family builds the named graph family on (about) n vertices — the shared
 // substrate vocabulary of cmd/gen, the experiment drivers and the
 // differential test matrices. Randomized families (tree, gnp, regular)
-// draw from r; deterministic families ignore it.
+// draw from r; deterministic families ignore it. It returns CheckFamily's
+// error instead of building what a generator would reject.
 func Family(name string, n int, o FamilyOpts, r *rng.Stream) (*Graph, error) {
+	if err := CheckFamily(name, n, o); err != nil {
+		return nil, err
+	}
 	switch name {
 	case "clique":
 		return Clique(n, false), nil
@@ -53,14 +90,9 @@ func Family(name string, n int, o FamilyOpts, r *rng.Stream) (*Graph, error) {
 			p = 2 * math.Log(float64(n)) / float64(n)
 		}
 		return Gnp(n, p, false, r), nil
-	case "regular":
-		d := o.Deg
-		if d == 0 {
-			d = 4
-		}
-		return RandomRegular(n, d, r), nil
+	default: // regular
+		return RandomRegular(n, o.deg(), r), nil
 	}
-	return nil, fmt.Errorf("graph: unknown family %q", name)
 }
 
 // Clique returns the complete graph K_n. When directed is true the result
@@ -326,33 +358,6 @@ func pairDecode(n int, k int64, directed bool) (int, int) {
 	return u, u + 1 + int(k-rowOff(int64(u)))
 }
 
-// Gnm returns a uniformly random graph with exactly m distinct edges
-// (arcs when directed). It panics if m exceeds the number of available
-// pairs.
-func Gnm(n, m int, directed bool, r *rng.Stream) *Graph {
-	var total int64
-	if directed {
-		total = int64(n) * int64(n-1)
-	} else {
-		total = int64(n) * int64(n-1) / 2
-	}
-	if int64(m) > total {
-		panic(fmt.Sprintf("graph: Gnm m=%d exceeds %d available pairs", m, total))
-	}
-	b := NewBuilder(n, directed)
-	chosen := make(map[int64]struct{}, m)
-	for len(chosen) < m {
-		k := int64(r.Uint64n(uint64(total)))
-		if _, dup := chosen[k]; dup {
-			continue
-		}
-		chosen[k] = struct{}{}
-		u, v := pairDecode(n, k, directed)
-		b.AddEdge(u, v)
-	}
-	return b.Build()
-}
-
 // RandomRegular returns a random d-regular simple graph on n vertices via
 // the configuration (pairing) model with restarts: d·n must be even and
 // d < n. The expected number of restarts is e^{(d²-1)/4}, small for the
@@ -403,7 +408,8 @@ func tryPairing(n int, stubs []int) (*Graph, bool) {
 
 // Lollipop returns a clique on k vertices with a path of n-k further
 // vertices attached to clique vertex 0 — a family with tunable diameter at
-// fixed edge density, used in PoR sweeps.
+// fixed edge density, one of the substrates assign's
+// TestBoxesClaim1AllFamilies checks Claim 1 on.
 func Lollipop(n, k int) *Graph {
 	if k < 1 || k > n {
 		panic("graph: lollipop needs 1 <= k <= n")

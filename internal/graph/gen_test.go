@@ -35,7 +35,7 @@ func TestCliqueDirected(t *testing.T) {
 			if u == v {
 				continue
 			}
-			if !g.HasEdge(u, v) {
+			if !hasEdge(g, u, v) {
 				t.Fatalf("directed clique missing arc (%d,%d)", u, v)
 			}
 		}
@@ -269,30 +269,6 @@ func TestGnpExtremes(t *testing.T) {
 		}
 	}()
 	Gnp(5, 2, false, r)
-}
-
-func TestGnm(t *testing.T) {
-	r := rng.New(10)
-	for _, tc := range []struct {
-		n, m     int
-		directed bool
-	}{
-		{10, 0, false}, {10, 45, false}, {10, 20, false}, {10, 90, true}, {10, 30, true},
-	} {
-		g := Gnm(tc.n, tc.m, tc.directed, r)
-		if g.M() != tc.m {
-			t.Fatalf("Gnm(%d,%d): m=%d", tc.n, tc.m, g.M())
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Gnm with too many edges should panic")
-		}
-	}()
-	Gnm(4, 7, false, r)
 }
 
 func TestRandomRegular(t *testing.T) {

@@ -131,7 +131,7 @@ func (g *Graph) buildCSR() {
 	}
 }
 
-// sortAdj sorts every vertex's adjacency slice by neighbor id so HasEdge
+// sortAdj sorts every vertex's adjacency slice by neighbor id so EdgeBetween
 // can binary-search. The parallel (neighbor, edge) pairs are packed into
 // one uint64 each so the alloc-free slices.Sort applies; the shared buffer
 // makes the whole pass a single allocation.
@@ -175,14 +175,6 @@ func (g *Graph) OutDegree(u int) int {
 	return int(g.off[u+1] - g.off[u])
 }
 
-// InDegree returns the in-degree of u (degree when undirected).
-func (g *Graph) InDegree(u int) int {
-	if !g.directed {
-		return g.OutDegree(u)
-	}
-	return int(g.roff[u+1] - g.roff[u])
-}
-
 // OutNeighbors returns u's out-neighbors as a shared slice that must not be
 // modified.
 func (g *Graph) OutNeighbors(u int) []int32 {
@@ -211,13 +203,6 @@ func (g *Graph) InEdges(u int) []int32 {
 		return g.OutEdges(u)
 	}
 	return g.radjEdge[g.roff[u]:g.roff[u+1]]
-}
-
-// HasEdge reports whether the arc (u,v) exists (for undirected graphs,
-// whether {u,v} exists).
-func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.EdgeBetween(u, v)
-	return ok
 }
 
 // EdgeBetween returns the identifier of the arc (u,v) (undirected: the edge
@@ -253,8 +238,8 @@ func (g *Graph) ToArray() []int32 { return g.to }
 
 // Validate checks structural invariants — no duplicate arcs/edges — and
 // returns a descriptive error for the first violation. Generators in this
-// package always produce valid graphs; Validate exists for hand-built
-// graphs and tests.
+// package always produce valid graphs; Validate is the oracle the
+// generator, edge-mutation and RelabelEdges tests check their graphs with.
 func (g *Graph) Validate() error {
 	for u := 0; u < g.n; u++ {
 		adj := g.OutNeighbors(u)

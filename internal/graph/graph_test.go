@@ -8,6 +8,12 @@ import (
 	"repro/internal/rng"
 )
 
+// hasEdge reports whether g has the arc (u,v) ({u,v} when undirected).
+func hasEdge(g *Graph, u, v int) bool {
+	_, ok := g.EdgeBetween(u, v)
+	return ok
+}
+
 func TestEmptyGraph(t *testing.T) {
 	g := NewBuilder(0, false).Build()
 	if g.N() != 0 || g.M() != 0 {
@@ -47,11 +53,11 @@ func TestBuilderBasicUndirected(t *testing.T) {
 		}
 	}
 	// Undirected: both endpoints see the edge.
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
+	if !hasEdge(g, 0, 1) || !hasEdge(g, 1, 0) {
 		t.Fatal("undirected edge must be visible from both endpoints")
 	}
-	if g.HasEdge(0, 2) {
-		t.Fatal("HasEdge(0,2) should be false")
+	if hasEdge(g, 0, 2) {
+		t.Fatal("edge {0,2} should not exist")
 	}
 }
 
@@ -65,11 +71,11 @@ func TestBuilderBasicDirected(t *testing.T) {
 	if !g.Directed() {
 		t.Fatal("graph should be directed")
 	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
+	if !hasEdge(g, 0, 1) || hasEdge(g, 1, 0) {
 		t.Fatal("directed arc must be one-way")
 	}
-	if g.OutDegree(0) != 1 || g.InDegree(0) != 1 {
-		t.Fatalf("deg(0): out=%d in=%d, want 1,1", g.OutDegree(0), g.InDegree(0))
+	if g.OutDegree(0) != 1 || len(g.InNeighbors(0)) != 1 {
+		t.Fatalf("deg(0): out=%d in=%d, want 1,1", g.OutDegree(0), len(g.InNeighbors(0)))
 	}
 	in := g.InNeighbors(2)
 	if len(in) != 1 || in[0] != 1 {
@@ -92,9 +98,6 @@ func TestInAccessorsUndirectedAlias(t *testing.T) {
 			if on[i] != in[i] {
 				t.Fatalf("vertex %d: in/out neighbor mismatch", u)
 			}
-		}
-		if g.InDegree(u) != g.OutDegree(u) {
-			t.Fatalf("vertex %d: in/out degree mismatch", u)
 		}
 	}
 }
@@ -191,7 +194,7 @@ func TestReverse(t *testing.T) {
 	b.AddEdge(1, 2)
 	g := b.Build()
 	r := g.Reverse()
-	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) || r.HasEdge(0, 1) {
+	if !hasEdge(r, 1, 0) || !hasEdge(r, 2, 1) || hasEdge(r, 0, 1) {
 		t.Fatal("Reverse did not flip arcs")
 	}
 	// Edge ids preserved.
@@ -255,7 +258,11 @@ func TestQuickCSRConsistency(t *testing.T) {
 		if !directed {
 			want *= 2
 		}
-		return DegreeSum(g) == want
+		sum := 0
+		for u := range n {
+			sum += g.OutDegree(u)
+		}
+		return sum == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -272,7 +279,7 @@ func TestQuickReverseCSR(t *testing.T) {
 		wantIn := make(map[int][]int)
 		g.Edges(func(e, u, v int) { wantIn[v] = append(wantIn[v], u) })
 		for v := 0; v < n; v++ {
-			got := make([]int, 0, g.InDegree(v))
+			var got []int
 			for _, u := range g.InNeighbors(v) {
 				got = append(got, int(u))
 			}

@@ -156,7 +156,8 @@ func edgeKey(n int, u, v int32) int64 { return int64(u)*int64(n) + int64(v) }
 // CanonicalEdges reports whether the edge list is in canonical undirected
 // order: from[e] < to[e] for every edge and edges strictly increasing by
 // (from, to). ApplyEdgeDelta requires it; scenario generators that emit
-// sorted close-pair sets produce it naturally.
+// sorted close-pair sets produce it naturally, which sim's
+// batch_internal_test.go asserts through it.
 func (g *Graph) CanonicalEdges() bool {
 	if g.directed {
 		return false

@@ -15,7 +15,7 @@ func TestExpositionGolden(t *testing.T) {
 	jobs := r.CounterVec("jobs_total", "Jobs processed.", "state")
 	jobs.With("done").Add(3)
 	jobs.With("failed").Inc()
-	r.Gauge("queue_depth", "Jobs queued.").Set(-2)
+	r.Gauge("queue_depth", "Jobs queued.").Add(-2)
 	r.GaugeFunc("temperature", "Sampled at scrape.", func() float64 { return 1.5 })
 	h := r.Histogram("latency_ns", "Observed latencies.")
 	for _, v := range []uint64{0, 1, 5, 5} {

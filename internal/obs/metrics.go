@@ -30,9 +30,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the level.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add moves the level by d (negative to decrease).
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
 

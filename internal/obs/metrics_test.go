@@ -18,7 +18,7 @@ func TestCounter(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)

@@ -256,16 +256,6 @@ func NewCounterVec(name, help string, labels ...string) *CounterVec {
 // NewGauge registers name on the default registry.
 func NewGauge(name, help string) *Gauge { return defaultRegistry.Gauge(name, help) }
 
-// NewGaugeVec registers name on the default registry.
-func NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return defaultRegistry.GaugeVec(name, help, labels...)
-}
-
-// NewGaugeFunc registers name on the default registry.
-func NewGaugeFunc(name, help string, fn func() float64) {
-	defaultRegistry.GaugeFunc(name, help, fn)
-}
-
 // NewHistogram registers name on the default registry.
 func NewHistogram(name, help string) *Histogram { return defaultRegistry.Histogram(name, help) }
 

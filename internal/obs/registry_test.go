@@ -77,11 +77,9 @@ func TestDefaultRegistryConstructors(t *testing.T) {
 	if NewCounter("obs_test_default_total", "test") != c {
 		t.Fatal("default-registry counter not shared")
 	}
-	NewGauge("obs_test_default_gauge", "test").Set(1)
+	NewGauge("obs_test_default_gauge", "test").Add(1)
 	NewHistogram("obs_test_default_ns", "test").Observe(1)
-	NewGaugeFunc("obs_test_default_fn", "test", func() float64 { return 0 })
 	NewCounterVec("obs_test_default_vec_total", "test", "k").With("v").Inc()
-	NewGaugeVec("obs_test_default_gvec", "test", "k").With("v").Set(2)
 	NewHistogramVec("obs_test_default_hvec_ns", "test", "k").With("v").Observe(2)
 	var b strings.Builder
 	if err := Default().WritePrometheus(&b); err != nil {

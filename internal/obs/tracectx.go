@@ -96,7 +96,8 @@ func (sc SpanContext) Traceparent() string {
 func ParseTraceparent(s string) (SpanContext, bool) { return parseTraceparent(s) }
 
 // ParseTraceparentBytes is ParseTraceparent over a byte slice, without
-// converting to a string (0 allocs).
+// converting to a string (0 allocs); BenchmarkObsInjectExtract measures
+// the parse through it.
 func ParseTraceparentBytes(s []byte) (SpanContext, bool) { return parseTraceparent(s) }
 
 func parseTraceparent[S ~string | ~[]byte](s S) (SpanContext, bool) {

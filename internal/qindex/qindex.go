@@ -409,9 +409,6 @@ func (ix *Index) Net() *temporal.Network { return ix.net }
 // N returns the vertex count of the indexed network.
 func (ix *Index) N() int { return ix.n }
 
-// Mode returns the resolved index mode.
-func (ix *Index) Mode() Mode { return ix.mode }
-
 // Stats is a point-in-time snapshot of one index.
 type Stats struct {
 	Mode         string `json:"mode"`

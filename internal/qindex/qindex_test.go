@@ -233,11 +233,11 @@ func TestModeAutoPivot(t *testing.T) {
 		t.Fatalf("FullTableBytes(16) = %d, want 512", got)
 	}
 	net := queryNetwork(t, graph.Path(16), 10, 1, 9)
-	if ix := New(net, Options{MemBudget: FullTableBytes(16)}); ix.Mode() != ModeFull {
-		t.Fatalf("ample budget resolved to %v", ix.Mode())
+	if ix := New(net, Options{MemBudget: FullTableBytes(16)}); ix.mode != ModeFull {
+		t.Fatalf("ample budget resolved to %v", ix.mode)
 	}
-	if ix := New(net, Options{MemBudget: FullTableBytes(16) - 1}); ix.Mode() != ModeLRU {
-		t.Fatalf("tight budget resolved to %v", ix.Mode())
+	if ix := New(net, Options{MemBudget: FullTableBytes(16) - 1}); ix.mode != ModeLRU {
+		t.Fatalf("tight budget resolved to %v", ix.mode)
 	}
 }
 

@@ -135,7 +135,9 @@ func (r *Stream) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bernoulli returns true with probability p.
+// Bernoulli returns true with probability p. No non-test code draws with
+// it: it is the one-draw reference the coin kernels (coin_test.go) and
+// dist.Binomial (TestBinomialMatchesBernoulli) are checked against.
 func (r *Stream) Bernoulli(p float64) bool {
 	if p <= 0 {
 		return false
@@ -147,6 +149,7 @@ func (r *Stream) Bernoulli(p float64) bool {
 }
 
 // Perm returns a uniformly random permutation of [0, n) as a fresh slice.
+// BenchmarkKernelDiameterRegimes draws its source orders with it.
 func (r *Stream) Perm(n int) []int {
 	p := make([]int, n)
 	for i := range p {
@@ -200,7 +203,8 @@ func (r *Stream) Sample(n, k int) []int {
 }
 
 // NormFloat64 returns a standard normal variate via the polar
-// (Marsaglia) method. Used only for statistical test helpers.
+// (Marsaglia) method. Only tests draw with it: the stats and sweep tests'
+// normal observations.
 func (r *Stream) NormFloat64() float64 {
 	for {
 		u := 2*r.Float64() - 1

@@ -261,7 +261,7 @@ func TestDistributedCancel(t *testing.T) {
 func TestDistributedHTTPEndpoints(t *testing.T) {
 	m := New(Options{Workers: 1, LeaseTTL: time.Minute})
 	defer m.Close()
-	h := NewHandler(m)
+	h := NewHandlerWith(m, nil)
 	req := distTestRequest()
 	oracle := runLocally(t, req)
 

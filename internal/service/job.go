@@ -70,9 +70,6 @@ type Job struct {
 // ID returns the job's manager-assigned identifier.
 func (j *Job) ID() string { return j.id }
 
-// Request returns the canonical request the job runs.
-func (j *Job) Request() Request { return j.req }
-
 // State returns the job's current state.
 func (j *Job) State() State {
 	j.mu.Lock()

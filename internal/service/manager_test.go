@@ -36,14 +36,14 @@ func fastExperiment(id string, trials int) experiments.Experiment {
 				return sim.Metrics{"v": r.Float64()}
 			})
 			tb := table.New(id+": stub", "mean")
-			tb.AddRow(table.F(res.Mean("v"), 6))
+			tb.AddRow(table.F(res.Sample("v").Mean(), 6))
 			return experiments.Result{Tables: []*table.Table{tb}}
 		}
 		res, _ := runner.RunContext(ctx, func(i int, r *rng.Stream) sim.Metrics {
 			return sim.Metrics{"v": r.Float64()}
 		})
 		tb := table.New(id+": stub", "mean")
-		tb.AddRow(table.F(res.Mean("v"), 6))
+		tb.AddRow(table.F(res.Sample("v").Mean(), 6))
 		return experiments.Result{Tables: []*table.Table{tb}}
 	}}
 }
@@ -121,8 +121,8 @@ func TestSubmitRunsToDone(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if job.Request().Experiment != "E1" {
-		t.Fatalf("request not canonicalized: %+v", job.Request())
+	if job.req.Experiment != "E1" {
+		t.Fatalf("request not canonicalized: %+v", job.req)
 	}
 	waitState(t, job, StateDone)
 	p, ok := job.Payload()

@@ -18,7 +18,7 @@ type ExperimentInfo struct {
 	Anchor string `json:"anchor"`
 }
 
-// NewHandler exposes the manager as a JSON HTTP API:
+// NewHandlerWith exposes the manager as a JSON HTTP API:
 //
 //	GET    /healthz                    liveness probe
 //	GET    /stats                      Stats snapshot (cache hit rate, in-flight, …)
@@ -49,10 +49,8 @@ type ExperimentInfo struct {
 // Errors are {"error": "..."} with conventional status codes: 400 for
 // malformed requests, 413 for oversized bodies (submit bodies are bounded
 // by DefaultMaxBodySize).
-func NewHandler(m *Manager) http.Handler { return NewHandlerWith(m, nil) }
-
-// NewHandlerWith is NewHandler plus the query-serving surface: when qe is
-// non-nil the handler additionally serves
+//
+// When qe is non-nil the handler also serves the query surface
 //
 //	GET  /query?src=&dst=&start=[&journey=1]  point query (arrival, journey)
 //	POST /query                               batch of point queries

@@ -21,7 +21,7 @@ func newAPI(t *testing.T, opts Options) *api {
 	t.Helper()
 	m := New(opts)
 	t.Cleanup(m.Close)
-	srv := httptest.NewServer(NewHandler(m))
+	srv := httptest.NewServer(NewHandlerWith(m, nil))
 	t.Cleanup(srv.Close)
 	return &api{t: t, srv: srv}
 }

@@ -38,7 +38,7 @@ func TestDistributedSweepTracePropagation(t *testing.T) {
 
 	// A worker-style request carrying the propagated context gets a
 	// server span in the same trace.
-	h := NewHandler(m)
+	h := NewHandlerWith(m, nil)
 	body, _ := json.Marshal(HeartbeatRequest{Worker: "w1"})
 	hr := httptest.NewRequest("POST", "/sweeps/"+job.ID()+"/heartbeat", bytes.NewReader(body))
 	obs.Inject(sc, hr.Header)
@@ -125,7 +125,7 @@ func TestSweepTimelineEndpoint(t *testing.T) {
 		}
 	}
 
-	h := NewHandler(m)
+	h := NewHandlerWith(m, nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/sweeps/"+job.ID()+"/timeline", nil))
 	if rec.Code != http.StatusOK {

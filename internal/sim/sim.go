@@ -34,7 +34,8 @@ type Runner struct {
 	OnTrial func()
 }
 
-// Run executes the trial function and aggregates its metrics.
+// Run executes the trial function and aggregates its metrics. The drivers
+// call RunContext; BenchmarkSweepFixedBaseline and the tests call Run.
 func (c Runner) Run(trial Trial) *Results {
 	res, _ := c.RunContext(context.Background(), trial)
 	return res
@@ -222,7 +223,8 @@ func (r *Results) Sample(name string) *stats.Sample {
 	return &stats.Sample{}
 }
 
-// Names returns the metric names in sorted order.
+// Names returns the metric names in sorted order. The differential tests
+// of package sim_test compare Results metric by metric through it.
 func (r *Results) Names() []string {
 	names := make([]string, 0, len(r.byName))
 	for n := range r.byName {
@@ -232,11 +234,9 @@ func (r *Results) Names() []string {
 	return names
 }
 
-// Trials returns the number of trials that ran.
+// Trials returns the number of trials that ran (read by the sim and
+// service tests).
 func (r *Results) Trials() int { return r.trials }
-
-// Mean is shorthand for Sample(name).Mean().
-func (r *Results) Mean(name string) float64 { return r.Sample(name).Mean() }
 
 // Rate returns the fraction of trials in which the named indicator metric
 // (0 or 1 valued) was 1, assuming every trial reported it; metrics reported

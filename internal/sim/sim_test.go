@@ -38,7 +38,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		for _, name := range []string{"v", "w"} {
 			// Bit-exact equality: same values in same trial order.
 			if got.Sample(name).Mean() != base.Sample(name).Mean() ||
-				got.Sample(name).Var() != base.Sample(name).Var() ||
+				got.Sample(name).StdDev() != base.Sample(name).StdDev() ||
 				got.Sample(name).Min() != base.Sample(name).Min() {
 				t.Fatalf("workers=%d: metric %s differs from serial run", workers, name)
 			}
@@ -166,7 +166,7 @@ func TestRunContextCompletedMatchesRun(t *testing.T) {
 	}
 	for _, name := range []string{"v", "w"} {
 		if got.Sample(name).Mean() != base.Sample(name).Mean() ||
-			got.Sample(name).Var() != base.Sample(name).Var() ||
+			got.Sample(name).StdDev() != base.Sample(name).StdDev() ||
 			got.Sample(name).Min() != base.Sample(name).Min() {
 			t.Fatalf("metric %s differs between Run and RunContext", name)
 		}

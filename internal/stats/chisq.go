@@ -9,7 +9,8 @@ import (
 // Σ (obs−exp)²/exp over cells with exp > 0. Observed and expected must have
 // equal length; zero-expectation cells with zero observations contribute
 // nothing, while a zero-expectation cell with observations returns +Inf
-// (the model says the cell is impossible).
+// (the model says the cell is impossible). The dist and avail conformance
+// tests judge samplers with it.
 func ChiSquare(obs, exp []float64) float64 {
 	if len(obs) != len(exp) {
 		panic(fmt.Sprintf("stats: chi-square needs equal lengths, got %d and %d", len(obs), len(exp)))
@@ -42,7 +43,7 @@ func ChiSquareCDF(x float64, k float64) float64 {
 // ChiSquareQuantile returns the x with ChiSquareCDF(x, k) = p for
 // p ∈ (0, 1) — the critical value tables give for significance 1−p.
 // Bisection on the CDF keeps it simple and exact to ~1e-10, plenty for
-// test thresholds.
+// the critical values of the dist and avail conformance tests.
 func ChiSquareQuantile(p float64, k float64) float64 {
 	if !(p > 0 && p < 1) {
 		panic("stats: chi-square quantile needs p in (0,1)")

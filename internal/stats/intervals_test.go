@@ -23,8 +23,8 @@ func TestWelfordMatchesSample(t *testing.T) {
 	if math.Float64bits(w.Mean()) != math.Float64bits(s.Mean()) {
 		t.Fatalf("mean: welford %v sample %v", w.Mean(), s.Mean())
 	}
-	if math.Float64bits(w.Var()) != math.Float64bits(s.Var()) {
-		t.Fatalf("var: welford %v sample %v", w.Var(), s.Var())
+	if math.Float64bits(w.StdDev()) != math.Float64bits(s.StdDev()) {
+		t.Fatalf("sd: welford %v sample %v", w.StdDev(), s.StdDev())
 	}
 	if math.Float64bits(w.StdErr()) != math.Float64bits(s.StdErr()) {
 		t.Fatalf("stderr: welford %v sample %v", w.StdErr(), s.StdErr())
@@ -212,19 +212,17 @@ func TestTIntervalCoverage(t *testing.T) {
 }
 
 func TestSampleString(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{1, 2, 3})
+	s := sampleOf(1, 2, 3)
 	if got := s.String(); got != "n=3 mean=2 sd=1 min=1 max=3" {
 		t.Fatalf("String() = %q", got)
 	}
 }
 
 func TestSampleValuesInsertionOrder(t *testing.T) {
-	var s Sample
 	in := []float64{5, 1, 9, 3}
-	s.AddAll(in)
-	if s.Median() != 4 { // forces the order-statistic cache
-		t.Fatalf("median = %v", s.Median())
+	s := sampleOf(in...)
+	if s.Quantile(0.5) != 4 { // forces the order-statistic cache
+		t.Fatalf("median = %v", s.Quantile(0.5))
 	}
 	got := s.Values()
 	for i, v := range in {

@@ -32,22 +32,11 @@ func (s *Sample) Add(x float64) {
 	s.haveMinMax = true
 }
 
-// AddAll appends every observation in xs.
-func (s *Sample) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (s *Sample) N() int { return s.w.N() }
 
 // Mean returns the sample mean, or NaN for an empty sample.
 func (s *Sample) Mean() float64 { return s.w.Mean() }
-
-// Var returns the unbiased sample variance (n-1 denominator), or NaN when
-// fewer than two observations exist.
-func (s *Sample) Var() float64 { return s.w.Var() }
 
 // StdDev returns the sample standard deviation.
 func (s *Sample) StdDev() float64 { return s.w.StdDev() }
@@ -80,6 +69,7 @@ func (s *Sample) Sum() float64 {
 }
 
 // Values returns the observations in insertion order as a fresh slice.
+// sim's differential tests compare Results value by value through it.
 func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
@@ -117,9 +107,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	frac := pos - float64(lo)
 	return s.sorted[lo]*(1-frac) + s.sorted[hi]*frac
 }
-
-// Median returns the 0.5-quantile.
-func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
 // CI95 returns the half-width of a 95% normal-approximation confidence
 // interval for the mean: 1.96 · stderr. For small n this understates the
@@ -189,62 +176,6 @@ func Fit(xs, ys []float64) LinFit {
 		r2 = 1 - ssRes/syy
 	}
 	return LinFit{Alpha: alpha, Beta: beta, R2: r2, N: n}
-}
-
-// Predict evaluates the fitted line at x.
-func (f LinFit) Predict(x float64) float64 { return f.Alpha + f.Beta*x }
-
-// Histogram counts observations into equal-width bins over [Lo, Hi).
-// Out-of-range observations are clamped into the first/last bin so that
-// completeness checks (total count) remain exact.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if !(lo < hi) {
-		panic("stats: histogram needs lo < hi")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Observe adds one observation.
-func (h *Histogram) Observe(x float64) {
-	b := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.Counts) {
-		b = len(h.Counts) - 1
-	}
-	h.Counts[b]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Mode returns the index of the most populated bin (ties to the lowest).
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // MeanOfInts is a convenience for averaging integer observations (e.g.

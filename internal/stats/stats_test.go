@@ -13,13 +13,22 @@ func almostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
+// sampleOf returns a Sample holding xs in order.
+func sampleOf(xs ...float64) *Sample {
+	var s Sample
+	for _, x := range xs {
+		s.Add(x)
+	}
+	return &s
+}
+
 func TestEmptySample(t *testing.T) {
 	var s Sample
 	if s.N() != 0 {
 		t.Fatal("empty sample N != 0")
 	}
 	for name, v := range map[string]float64{
-		"Mean": s.Mean(), "Var": s.Var(), "Min": s.Min(), "Max": s.Max(),
+		"Mean": s.Mean(), "StdDev": s.StdDev(), "Min": s.Min(), "Max": s.Max(),
 		"StdErr": s.StdErr(), "Quantile": s.Quantile(0.5),
 		"FractionAtMost": s.FractionAtMost(1),
 	} {
@@ -30,14 +39,13 @@ func TestEmptySample(t *testing.T) {
 }
 
 func TestSampleBasicMoments(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	s := sampleOf(2, 4, 4, 4, 5, 5, 7, 9)
 	if got := s.Mean(); !almostEqual(got, 5, 1e-12) {
 		t.Fatalf("Mean = %v, want 5", got)
 	}
 	// Population variance is 4; unbiased sample variance is 32/7.
-	if got := s.Var(); !almostEqual(got, 32.0/7.0, 1e-12) {
-		t.Fatalf("Var = %v, want %v", got, 32.0/7.0)
+	if got := s.StdDev(); !almostEqual(got*got, 32.0/7.0, 1e-12) {
+		t.Fatalf("StdDev² = %v, want %v", got*got, 32.0/7.0)
 	}
 	if got := s.Min(); got != 2 {
 		t.Fatalf("Min = %v", got)
@@ -59,17 +67,16 @@ func TestSingleObservation(t *testing.T) {
 	if got := s.Mean(); got != 3.5 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if !math.IsNaN(s.Var()) {
-		t.Fatal("Var of single observation should be NaN")
+	if !math.IsNaN(s.StdDev()) {
+		t.Fatal("StdDev of single observation should be NaN")
 	}
-	if got := s.Median(); got != 3.5 {
-		t.Fatalf("Median = %v", got)
+	if got := s.Quantile(0.5); got != 3.5 {
+		t.Fatalf("median = %v", got)
 	}
 }
 
 func TestQuantiles(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{1, 2, 3, 4, 5})
+	s := sampleOf(1, 2, 3, 4, 5)
 	cases := []struct{ q, want float64 }{
 		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.125, 1.5},
 	}
@@ -82,14 +89,13 @@ func TestQuantiles(t *testing.T) {
 
 func TestQuantileInterleavedWithAdd(t *testing.T) {
 	// Quantile sorts lazily; a later Add must invalidate the cache.
-	var s Sample
-	s.AddAll([]float64{3, 1})
-	if got := s.Median(); got != 2 {
-		t.Fatalf("Median = %v, want 2", got)
+	s := sampleOf(3, 1)
+	if got := s.Quantile(0.5); got != 2 {
+		t.Fatalf("median = %v, want 2", got)
 	}
 	s.Add(100)
-	if got := s.Median(); got != 3 {
-		t.Fatalf("Median after Add = %v, want 3", got)
+	if got := s.Quantile(0.5); got != 3 {
+		t.Fatalf("median after Add = %v, want 3", got)
 	}
 	if got := s.Max(); got != 100 {
 		t.Fatalf("Max after Add = %v, want 100", got)
@@ -112,8 +118,7 @@ func TestQuantilePanics(t *testing.T) {
 }
 
 func TestFractionAtMost(t *testing.T) {
-	var s Sample
-	s.AddAll([]float64{1, 2, 2, 3, 10})
+	s := sampleOf(1, 2, 2, 3, 10)
 	cases := []struct{ x, want float64 }{
 		{0, 0}, {1, 0.2}, {2, 0.6}, {2.5, 0.6}, {10, 1}, {11, 1},
 	}
@@ -145,8 +150,8 @@ func TestWelfordMatchesNaive(t *testing.T) {
 	if !almostEqual(s.Mean(), mean, 1e-9) {
 		t.Fatalf("Welford mean %v != naive %v", s.Mean(), mean)
 	}
-	if !almostEqual(s.Var(), naiveVar, 1e-7) {
-		t.Fatalf("Welford var %v != naive %v", s.Var(), naiveVar)
+	if sd := s.StdDev(); !almostEqual(sd*sd, naiveVar, 1e-7) {
+		t.Fatalf("Welford var %v != naive %v", sd*sd, naiveVar)
 	}
 }
 
@@ -181,8 +186,8 @@ func TestFitExactLine(t *testing.T) {
 	if !almostEqual(f.R2, 1, 1e-12) {
 		t.Fatalf("R2 = %v, want 1", f.R2)
 	}
-	if got := f.Predict(10); !almostEqual(got, 23, 1e-9) {
-		t.Fatalf("Predict(10) = %v, want 23", got)
+	if got := f.Alpha + f.Beta*10; !almostEqual(got, 23, 1e-9) {
+		t.Fatalf("fit at 10 = %v, want 23", got)
 	}
 }
 
@@ -219,46 +224,6 @@ func TestFitMismatchPanics(t *testing.T) {
 		}
 	}()
 	Fit([]float64{1, 2}, []float64{1})
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -5, 100} {
-		h.Observe(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d, want 7", h.Total())
-	}
-	// Bins: [0,2) has 0,1.9,-5(clamped) = 3; [2,4) has 2; [4,6) has 5;
-	// [8,10) has 9.99 and 100 (clamped).
-	want := []int{3, 1, 1, 0, 2}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Fatalf("Counts = %v, want %v", h.Counts, want)
-		}
-	}
-	if got := h.BinCenter(0); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.Mode(); got != 0 {
-		t.Fatalf("Mode = %d, want 0", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zero-bins": func() { NewHistogram(0, 1, 0) },
-		"lo>=hi":    func() { NewHistogram(1, 1, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s should panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
 }
 
 func TestMeanOfInts(t *testing.T) {

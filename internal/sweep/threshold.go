@@ -141,38 +141,23 @@ func (t Threshold) Find(f Response) (Crossing, error) {
 	return cr, nil
 }
 
-// FindAdaptive is Find with the response estimated adaptively at every
-// probe: obs(x) builds the observable for knob value x, and each probe
-// reuses a's seed, so all evaluations share trial streams — common random
-// numbers, which keeps the empirical response monotone up to model noise.
-// After the bracket converges, the response is re-estimated once at the
-// crossing so the returned Estimate (and its confidence interval) belongs
-// to X rather than to a bracket endpoint; that deliberate extra probe is
-// counted in the returned Crossing.Evals (so it can exceed Find's
-// MaxEvals by one). trials totals the spend across every probe. This is
-// the shared harness behind E18's c* search and cmd/sweep's threshold
-// mode.
-func (t Threshold) FindAdaptive(ctx context.Context, a Adaptive, obs func(x float64) Observable) (Crossing, Estimate, int, error) {
-	return t.findAdaptive(func(x float64) (Estimate, error) {
-		return a.Estimate(ctx, obs(x))
-	})
-}
-
-// FindAdaptiveSource is FindAdaptive with each probe's trials supplied by
-// a Source built for that knob value (see Adaptive.EstimateSource) — the
-// batched-execution form: src(x) typically binds a model built for x to a
-// sim.BatchRunner so every probe relabels per-worker networks in place.
-// Common random numbers still hold: all probes share a's seed through
-// their sources' construction, which the factory must preserve.
-func (t Threshold) FindAdaptiveSource(ctx context.Context, a Adaptive, src func(x float64) Source) (Crossing, Estimate, int, error) {
-	return t.findAdaptive(func(x float64) (Estimate, error) {
-		return a.EstimateSource(ctx, src(x))
-	})
-}
-
-func (t Threshold) findAdaptive(estimate func(x float64) (Estimate, error)) (cr Crossing, at Estimate, trials int, err error) {
+// FindAdaptiveSource is Find with the response estimated adaptively at
+// every probe, each probe's trials supplied by a Source built for that
+// knob value (see Adaptive.EstimateSource): src(x) typically binds a
+// model built for x to a sim.BatchRunner so every probe relabels
+// per-worker networks in place. All probes share a's seed through their
+// sources' construction, which the factory must preserve, so all
+// evaluations share trial streams — common random numbers, which keeps
+// the empirical response monotone up to model noise. After the bracket
+// converges, the response is re-estimated once at the crossing so the
+// returned Estimate (and its confidence interval) belongs to X rather
+// than to a bracket endpoint; that deliberate extra probe is counted in
+// the returned Crossing.Evals (so it can exceed Find's MaxEvals by one).
+// trials totals the spend across every probe. This is the shared harness
+// behind E18's c* search and cmd/sweep's threshold mode.
+func (t Threshold) FindAdaptiveSource(ctx context.Context, a Adaptive, src func(x float64) Source) (cr Crossing, at Estimate, trials int, err error) {
 	eval := func(x float64) (float64, error) {
-		est, err := estimate(x)
+		est, err := a.EstimateSource(ctx, src(x))
 		trials += est.N
 		at = est
 		return est.Point, err

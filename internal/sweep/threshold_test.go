@@ -7,7 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/sim"
 )
+
+// runnerSource is the Source Adaptive.Estimate runs an Observable on:
+// plain sim.Runner trials under seed.
+func runnerSource(seed uint64, obs Observable) Source {
+	runner := sim.Runner{Seed: seed}
+	return func(ctx context.Context, start, count int) ([]float64, error) {
+		return runner.ScalarsFromContext(ctx, start, count, sim.ScalarTrial(obs))
+	}
+}
 
 // logistic is the monotone synthetic oracle: a rising sigmoid crossing 0.5
 // at x = c with slope scale s.
@@ -134,7 +144,7 @@ func TestThresholdInvalidSpecs(t *testing.T) {
 }
 
 // TestThresholdOverAdaptiveEstimates closes the loop the subsystem exists
-// for: FindAdaptive bisects a knob whose response is an adaptive
+// for: FindAdaptiveSource bisects a knob whose response is an adaptive
 // Monte-Carlo estimate under common random numbers, lands within the
 // statistical resolution of those estimates, and reports the crossing's
 // own interval.
@@ -152,7 +162,7 @@ func TestThresholdOverAdaptiveEstimates(t *testing.T) {
 		}
 	}
 	cr, at, trials, err := Threshold{Target: 0.5, Lo: 0, Hi: 1, Tol: 0.01}.
-		FindAdaptive(context.Background(), a, obs)
+		FindAdaptiveSource(context.Background(), a, func(x float64) Source { return runnerSource(a.Seed, obs(x)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,16 +188,15 @@ func TestThresholdOverAdaptiveEstimates(t *testing.T) {
 	}
 }
 
-// TestFindAdaptivePropagatesError: a cancelled context surfaces instead of
+// TestFindAdaptiveCancellation: a cancelled context surfaces instead of
 // yielding a bogus crossing.
 func TestFindAdaptiveCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := Adaptive{Seed: 1, Kind: Proportion, Prec: Precision{MaxTrials: 100}}
+	zero := runnerSource(a.Seed, func(int, *rng.Stream) float64 { return 0 })
 	_, _, _, err := Threshold{Target: 0.5, Lo: 0, Hi: 1, Tol: 0.01}.
-		FindAdaptive(ctx, a, func(x float64) Observable {
-			return func(int, *rng.Stream) float64 { return 0 }
-		})
+		FindAdaptiveSource(ctx, a, func(float64) Source { return zero })
 	if err == nil {
 		t.Fatal("want context error")
 	}

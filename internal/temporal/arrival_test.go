@@ -109,10 +109,7 @@ func TestForemostJourneyChain(t *testing.T) {
 	if j.ArrivalTime() != 5 {
 		t.Fatalf("arrival = %d, want 5", j.ArrivalTime())
 	}
-	if j.From() != 0 || j.To() != 2 {
-		t.Fatalf("endpoints = %d,%d", j.From(), j.To())
-	}
-	if len(j) != 2 {
+	if len(j) != 2 || j[0].From != 0 || j[1].To != 2 {
 		t.Fatalf("journey = %v", j)
 	}
 }
@@ -251,7 +248,7 @@ func TestQuickForemostJourneyValidates(t *testing.T) {
 				if v != s && j.ArrivalTime() != arr[v] {
 					return false
 				}
-				if v != s && (j.From() != s || j.To() != v) {
+				if v != s && (j[0].From != s || j[len(j)-1].To != v) {
 					return false
 				}
 			}

@@ -39,7 +39,10 @@ func (n *Network) ArrivalGroups(sources []int32, onGroup func(label int32, dirty
 // time of a journey from sources[j] to v, 0 at the source itself and
 // Unreachable where no journey lands. Each rows[j] must have length N().
 // It is ArrivalGroups stamping int32 rows: it allocates nothing beyond
-// pooled scratch and is safe to run concurrently with other queries.
+// pooled scratch and is safe to run concurrently with other queries. The
+// query index builds from ArrivalGroups; these rows are the form
+// TestArrivalRowsBatchMatchesFrontier checks the word scan in against the
+// frontier kernel.
 func (n *Network) ArrivalRowsBatch(sources []int32, rows [][]int32) {
 	if len(sources) == 0 {
 		return

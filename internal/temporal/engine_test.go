@@ -183,11 +183,7 @@ func naiveTreachViolations(n *Network) int {
 func TestTreachEnginesAgree(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, tn := range generatorNetworks(seed) {
-			want := naiveTreachViolations(tn.net)
-			if got := TreachViolations(tn.net); got != want {
-				t.Fatalf("%s: TreachViolations = %d, naive recount = %d", tn.name, got, want)
-			}
-			sat := want == 0
+			sat := naiveTreachViolations(tn.net) == 0
 			if got := SatisfiesTreach(tn.net); got != sat {
 				t.Fatalf("%s: SatisfiesTreach = %v, want %v", tn.name, got, sat)
 			}
@@ -312,9 +308,6 @@ func TestEmptyNetworkDegenerates(t *testing.T) {
 	net := MustNew(g, 1, LabelingFromSets(nil))
 	if !SatisfiesTreach(net) || !SatisfiesTreachSerial(net, nil) {
 		t.Fatal("empty network must satisfy Treach")
-	}
-	if v := TreachViolations(net); v != 0 {
-		t.Fatalf("empty network has %d violations", v)
 	}
 	if res := Diameter(net); !res.AllReachable || res.Max != 0 || res.Pairs != 0 {
 		t.Fatalf("empty network diameter = %+v", res)

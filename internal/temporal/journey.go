@@ -26,23 +26,6 @@ func (j Journey) ArrivalTime() int32 {
 	return j[len(j)-1].Label
 }
 
-// From returns the start vertex; the empty journey has no start and
-// returns -1.
-func (j Journey) From() int {
-	if len(j) == 0 {
-		return -1
-	}
-	return j[0].From
-}
-
-// To returns the final vertex; the empty journey returns -1.
-func (j Journey) To() int {
-	if len(j) == 0 {
-		return -1
-	}
-	return j[len(j)-1].To
-}
-
 // Validate checks that the journey is genuine in network n: every hop uses
 // an existing edge carrying the hop's label in a direction the edge
 // permits, consecutive hops chain on vertices, and labels strictly

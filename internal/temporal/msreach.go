@@ -18,12 +18,11 @@ package temporal
 //     arc at most once, so a batch costs at most what 64 separate BFS
 //     passes would, and typically far less.
 //
-// SatisfiesTreach, TreachViolations, ReachableSets, ArrivalGroups,
-// ArrivalRowsBatch and Diameter run on batches of these words: ⌈n/64⌉
-// passes over the time edges instead of n.
+// SatisfiesTreach, ReachableSets, ArrivalGroups, ArrivalRowsBatch and
+// Diameter run on batches of these words: ⌈n/64⌉ passes over the time
+// edges instead of n.
 
 import (
-	"math/bits"
 	"sync"
 
 	"repro/internal/bitset"
@@ -223,28 +222,23 @@ func (sc *reachScratch) pick(sources []int, lo int) []int32 {
 	return sc.srcs
 }
 
-// treachBatch runs both word kernels for one source batch and returns the
-// number of (source, target) pairs with a static path but no journey.
-// With countAll false it stops at the first violated word and returns 1.
-func (n *Network) treachBatch(sources []int32, sc *reachScratch, countAll bool) int {
+// treachViolated runs both word kernels for one source batch and reports
+// whether some (source, target) pair has a static path but no journey.
+func (n *Network) treachViolated(sources []int32, sc *reachScratch) bool {
 	n.wordScan(sources, sc, nil)
 	staticReachWords(n.g, sources, sc)
-	nv := n.g.N()
-	bad := 0
-	for v := 0; v < nv; v++ {
-		if d := sc.stat[v] &^ sc.cur[v]; d != 0 {
-			if !countAll {
-				return 1
-			}
-			bad += bits.OnesCount64(d)
+	for v := range n.g.N() {
+		if sc.stat[v]&^sc.cur[v] != 0 {
+			return true
 		}
 	}
-	return bad
+	return false
 }
 
 // ReachableSets returns, for each source, the set of vertices a journey
 // from it reaches (including the source), computed 64 sources per pass
-// with the bit-parallel kernel.
+// with the bit-parallel kernel. BenchmarkKernelMultiSourceReach measures
+// it, and engine_test.go checks it against the scalar rows.
 func ReachableSets(n *Network, sources []int) []*bitset.Set {
 	nv := n.g.N()
 	out := make([]*bitset.Set, len(sources))

@@ -471,9 +471,8 @@ func (n *Network) labelRankAbove(t int32) int {
 	return r
 }
 
-// vteLabelAt and vteToAt unpack one vertex-CSR time edge.
+// vteLabelAt unpacks one vertex-CSR time edge's label.
 func (n *Network) vteLabelAt(idx int32) int32 { return n.distinct[n.vtePacked[idx]>>32] }
-func (n *Network) vteToAt(idx int32) int32    { return int32(uint32(n.vtePacked[idx])) }
 
 // vteOwner returns the vertex whose outgoing time-edge segment contains
 // index idx — the tail vertex of that time edge. Journey reconstruction
@@ -525,13 +524,6 @@ func (n *Network) LabelIn(e int, lo, hi int32) (int32, bool) {
 	return 0, false
 }
 
-// FirstLabelAfter returns the smallest label of edge e strictly greater
-// than t, or (0, false) if none exists. This is the "next availability"
-// query a waiting protocol asks.
-func (n *Network) FirstLabelAfter(e int, t int32) (int32, bool) {
-	return n.LabelIn(e, t, n.lifetime)
-}
-
 // TimeEdges calls fn(edge, u, v, label) for every time edge in
 // non-decreasing label order. For undirected graphs the (u,v) orientation
 // is storage order; callers must treat the hop as bidirectional.
@@ -548,8 +540,8 @@ func (n *Network) TimeEdges(fn func(e, u, v int, l int32)) {
 // (undirected graphs are shared as-is) and every label l becomes
 // lifetime+1-l. A (u,v)-journey with labels l₁<…<l_k corresponds exactly
 // to a (v,u)-journey with labels a+1-l_k<…<a+1-l₁ in the dual, which turns
-// latest-departure questions into earliest-arrival ones and powers the
-// reverse expansion out of t in Algorithm 1.
+// latest-departure questions into earliest-arrival ones. It is the oracle
+// behind TestQuickLatestDepartureDuality and TestQuickReverseDuality.
 func (n *Network) Reverse() *Network {
 	// Snapshot under the sorted-labels guard: without it a concurrent
 	// per-edge query could be lazily sorting n.labels in place while the

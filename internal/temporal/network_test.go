@@ -117,16 +117,18 @@ func TestLabelInWindow(t *testing.T) {
 	}
 }
 
+// TestFirstLabelAfter asks for the next availability of an edge after t,
+// LabelIn with the window closed at the lifetime.
 func TestFirstLabelAfter(t *testing.T) {
 	n := pathNet(t, 20, [][]int{{3, 8}, {1}})
-	if l, ok := n.FirstLabelAfter(0, 0); !ok || l != 3 {
-		t.Fatalf("FirstLabelAfter(0,0) = %d,%v", l, ok)
+	if l, ok := n.LabelIn(0, 0, 20); !ok || l != 3 {
+		t.Fatalf("first label after 0 = %d,%v", l, ok)
 	}
-	if l, ok := n.FirstLabelAfter(0, 3); !ok || l != 8 {
-		t.Fatalf("FirstLabelAfter(0,3) = %d,%v", l, ok)
+	if l, ok := n.LabelIn(0, 3, 20); !ok || l != 8 {
+		t.Fatalf("first label after 3 = %d,%v", l, ok)
 	}
-	if _, ok := n.FirstLabelAfter(0, 8); ok {
-		t.Fatal("FirstLabelAfter past last label should fail")
+	if _, ok := n.LabelIn(0, 8, 20); ok {
+		t.Fatal("no label follows the last one")
 	}
 }
 
@@ -155,7 +157,7 @@ func TestTimeEdgesSortedByLabel(t *testing.T) {
 func TestReverseDual(t *testing.T) {
 	n := pathNet(t, 10, [][]int{{2}, {7}})
 	r := n.Reverse()
-	if !r.Graph().Directed() || !r.Graph().HasEdge(1, 0) {
+	if _, ok := r.Graph().EdgeBetween(1, 0); !r.Graph().Directed() || !ok {
 		t.Fatal("Reverse did not reverse arcs")
 	}
 	// Label 2 -> 10+1-2 = 9; label 7 -> 4.
@@ -189,7 +191,7 @@ func TestNewBuildsVertexIndexLazily(t *testing.T) {
 	before := obsBuildVertex.Value()
 	net := MustNew(g, 30, uniformSets(g, 30, 2, rng.New(3)))
 	SatisfiesTreachSerial(net, nil)
-	TreachViolations(net)
+	SatisfiesTreach(net)
 	ReachableSets(net, []int{0, 7})
 	Diameter(net)
 	net.ArrivalRowsBatch([]int32{3}, [][]int32{make([]int32, g.N())})

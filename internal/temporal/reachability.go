@@ -9,15 +9,6 @@ import (
 	"repro/internal/graph"
 )
 
-// ReachedCount returns how many vertices (including s) are reachable from s
-// by a journey.
-func (n *Network) ReachedCount(s int) int {
-	sc := getScratch()
-	reached := n.earliestArrivalsFrontier(s, 1, sc.arrival(n.g.N()), nil, sc)
-	putScratch(sc)
-	return reached
-}
-
 // Treach is the reachability-preservation property of Definition 6: for
 // every ordered pair (u,v), a static u→v path exists if and only if a
 // (u,v)-journey exists. SatisfiesTreach evaluates it with the bit-parallel
@@ -55,7 +46,7 @@ func SatisfiesTreach(n *Network) bool {
 				if hi > nv {
 					hi = nv
 				}
-				if n.treachBatch(sc.batch(lo, hi), sc, false) != 0 {
+				if n.treachViolated(sc.batch(lo, hi), sc) {
 					failed.Store(true)
 					return
 				}
@@ -84,7 +75,7 @@ func SatisfiesTreachSerial(n *Network, scratch *TreachScratch) bool {
 		if hi > nv {
 			hi = nv
 		}
-		if n.treachBatch(sc.batch(lo, hi), sc, false) != 0 {
+		if n.treachViolated(sc.batch(lo, hi), sc) {
 			return false
 		}
 	}
@@ -97,7 +88,9 @@ type TreachScratch struct {
 	rs reachScratch
 }
 
-// NewTreachScratch allocates scratch for graphs of up to n vertices.
+// NewTreachScratch allocates scratch for graphs of up to n vertices. The
+// trial bodies pass nil (pooled scratch); BenchmarkKernelTreach and
+// BenchmarkKernelTreachClique measure the reused-scratch path.
 func NewTreachScratch(n int) *TreachScratch {
 	s := &TreachScratch{}
 	s.rs.ensure(n)
@@ -177,49 +170,6 @@ func SatisfiesTreachStatic(n *Network, sr *StaticReach, scratch *TreachScratch) 
 	return true
 }
 
-// TreachViolations counts the ordered pairs (u,v) that have a static path
-// but no journey — the "damage" a labeling leaves. It is the quantitative
-// companion to SatisfiesTreach for experiment tables, and runs on the same
-// bit-parallel batches.
-func TreachViolations(n *Network) int {
-	nv := n.g.N()
-	if nv == 0 {
-		return 0
-	}
-	nb := (nv + batchSize - 1) / batchSize
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nb {
-		workers = nb
-	}
-	var next int64
-	var total int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := reachPool.Get().(*reachScratch)
-			defer reachPool.Put(sc)
-			local := 0
-			for {
-				b := int(atomic.AddInt64(&next, 1) - 1)
-				if b >= nb {
-					break
-				}
-				lo := b * batchSize
-				hi := lo + batchSize
-				if hi > nv {
-					hi = nv
-				}
-				local += n.treachBatch(sc.batch(lo, hi), sc, true)
-			}
-			atomic.AddInt64(&total, int64(local))
-		}()
-	}
-	wg.Wait()
-	return int(total)
-}
-
 // DiameterResult is the outcome of a temporal-diameter computation on one
 // network instance.
 type DiameterResult struct {
@@ -290,7 +240,7 @@ func Diameter(n *Network) DiameterResult {
 // vertices (targets still range over all vertices). Sampling sources gives
 // an unbiased lower estimate of the full temporal diameter at a fraction of
 // the cost; experiments use it for the largest n. The 64-source batches
-// are sharded over workers, as TreachViolations does.
+// are sharded over workers.
 func DiameterFrom(n *Network, sources []int) DiameterResult {
 	if n.g.N() == 0 || len(sources) == 0 {
 		return DiameterResult{AllReachable: true}
@@ -339,28 +289,4 @@ func DiameterFromSerial(n *Network, sources []int) DiameterResult {
 		p.addBatch(n, sc.pick(sources, lo), sc)
 	}
 	return p.result()
-}
-
-// Eccentricity returns max_t δ(s,t) from a single source and whether all
-// vertices were reached.
-func Eccentricity(n *Network, s int) (int32, bool) {
-	sc := getScratch()
-	defer putScratch(sc)
-	arr := sc.arrival(n.g.N())
-	n.earliestArrivalsFrontier(s, 1, arr, nil, sc)
-	var ecc int32
-	all := true
-	for v, a := range arr {
-		if v == s {
-			continue
-		}
-		if a == Unreachable {
-			all = false
-			continue
-		}
-		if a > ecc {
-			ecc = a
-		}
-	}
-	return ecc, all
 }

@@ -10,12 +10,32 @@ import (
 
 func TestReachedCount(t *testing.T) {
 	n := pathNet(t, 10, [][]int{{1}, {2}})
-	if got := n.ReachedCount(0); got != 3 {
-		t.Fatalf("ReachedCount(0) = %d, want 3", got)
+	arr := make([]int32, 3)
+	if got := n.EarliestArrivalsInto(0, arr); got != 3 {
+		t.Fatalf("reached from 0 = %d, want 3", got)
 	}
-	if got := n.ReachedCount(2); got != 1 {
-		t.Fatalf("ReachedCount(2) = %d, want 1", got)
+	if got := n.EarliestArrivalsInto(2, arr); got != 1 {
+		t.Fatalf("reached from 2 = %d, want 1", got)
 	}
+}
+
+// eccentricity returns max_t δ(s,t) from the linear-scan oracle and
+// whether every vertex was reached.
+func eccentricity(n *Network, s int) (int32, bool) {
+	arr := make([]int32, n.Graph().N())
+	n.EarliestArrivalsLinearInto(s, arr)
+	var ecc int32
+	all := true
+	for v, a := range arr {
+		switch {
+		case v == s:
+		case a == Unreachable:
+			all = false
+		default:
+			ecc = max(ecc, a)
+		}
+	}
+	return ecc, all
 }
 
 // cliqueSingleLabelNet assigns one uniform random label per edge of K_n —
@@ -40,8 +60,8 @@ func TestCliqueAlwaysSatisfiesTreach(t *testing.T) {
 			if !SatisfiesTreach(n) {
 				t.Fatalf("clique with 1 label/edge violated Treach (seed %d, directed=%v)", seed, directed)
 			}
-			if v := TreachViolations(n); v != 0 {
-				t.Fatalf("clique reported %d violations", v)
+			if v := naiveTreachViolations(n); v != 0 {
+				t.Fatalf("clique has %d violations", v)
 			}
 		}
 	}
@@ -78,7 +98,7 @@ func TestTreachViolationsCounts(t *testing.T) {
 	if SatisfiesTreach(n) {
 		t.Fatal("chain with equal labels should violate Treach")
 	}
-	if got := TreachViolations(n); got != 1 {
+	if got := naiveTreachViolations(n); got != 1 {
 		t.Fatalf("violations = %d, want 1 (only 0→2)", got)
 	}
 }
@@ -166,21 +186,20 @@ func TestDiameterEmptyAndSingleton(t *testing.T) {
 	}
 }
 
+// TestEccentricity reads a source's eccentricity as the diameter
+// restricted to that source.
 func TestEccentricity(t *testing.T) {
 	n := pathNet(t, 10, [][]int{{1}, {2}})
-	ecc, all := Eccentricity(n, 0)
-	if !all || ecc != 2 {
-		t.Fatalf("ecc(0) = %d,%v, want 2,true", ecc, all)
+	if res := DiameterFrom(n, []int{0}); !res.AllReachable || res.Max != 2 {
+		t.Fatalf("ecc(0) = %d,%v, want 2,true", res.Max, res.AllReachable)
 	}
-	ecc, all = Eccentricity(n, 2)
-	if all || ecc != 0 {
-		t.Fatalf("ecc(2) = %d,%v, want 0,false", ecc, all)
+	if res := DiameterFrom(n, []int{2}); res.AllReachable || res.Max != 0 {
+		t.Fatalf("ecc(2) = %d,%v, want 0,false", res.Max, res.AllReachable)
 	}
 }
 
-// Property: Diameter.Max equals the max over per-source Eccentricity, and
-// AllReachable agrees with SatisfiesTreach on statically strongly-connected
-// graphs.
+// Property: Diameter.Max equals the max over per-source eccentricities of
+// the linear-scan oracle, and AllReachable agrees with them.
 func TestQuickDiameterAgreesWithEccentricities(t *testing.T) {
 	f := func(seed uint64, directed bool) bool {
 		net := randomNetwork(seed, 10, directed)
@@ -188,7 +207,7 @@ func TestQuickDiameterAgreesWithEccentricities(t *testing.T) {
 		var maxEcc int32
 		all := true
 		for s := 0; s < net.Graph().N(); s++ {
-			e, a := Eccentricity(net, s)
+			e, a := eccentricity(net, s)
 			if e > maxEcc {
 				maxEcc = e
 			}
@@ -201,11 +220,12 @@ func TestQuickDiameterAgreesWithEccentricities(t *testing.T) {
 	}
 }
 
-// Property: SatisfiesTreach is exactly TreachViolations == 0.
+// Property: SatisfiesTreach holds exactly when the per-source recount
+// finds no violation.
 func TestQuickTreachConsistency(t *testing.T) {
 	f := func(seed uint64, directed bool) bool {
 		net := randomNetwork(seed, 10, directed)
-		return SatisfiesTreach(net) == (TreachViolations(net) == 0)
+		return SatisfiesTreach(net) == (naiveTreachViolations(net) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -187,6 +187,7 @@ func TestRelabelSteadyStateAllocs(t *testing.T) {
 	// The measured loop includes bit-parallel, diameter and frontier
 	// queries so the lazy index rebuilds happen inside it.
 	sources := []int{0, 5, 5, 23}
+	arr := make([]int32, g.N())
 	allocs := testing.AllocsPerRun(50, func() {
 		rs.Resample(g, &lab, stream)
 		if err := net.Relabel(lab); err != nil {
@@ -194,7 +195,7 @@ func TestRelabelSteadyStateAllocs(t *testing.T) {
 		}
 		temporal.SatisfiesTreachSerial(net, nil)
 		temporal.DiameterFromSerial(net, sources)
-		net.ReachedCount(0)
+		net.EarliestArrivalsInto(0, arr)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Resample+Relabel+query allocates %.1f objects/op, want 0", allocs)

@@ -245,12 +245,13 @@ func TestRelabelEdgesSteadyStateAllocs(t *testing.T) {
 	bToA.Labels = labA
 
 	net := temporal.MustNew(gA, lifetime, labA)
+	arr := make([]int32, gA.N())
 	run := func(d temporal.EdgeDelta) {
 		if err := net.RelabelEdges(d); err != nil {
 			t.Fatal(err)
 		}
 		temporal.SatisfiesTreachSerial(net, nil)
-		net.ReachedCount(0)
+		net.EarliestArrivalsInto(0, arr)
 	}
 	for i := 0; i < 3; i++ { // warm every buffer on both parities
 		run(aToB)
