@@ -385,11 +385,13 @@ func BenchmarkKernelRelabel(b *testing.B) {
 // and the automatic radius of E17's full configuration and
 // BenchmarkSweepBatchedGeometric into a 5×5 grid, about 4 per cell, where
 // most of the time goes to distance tests and close pairs. The two Markov
-// cases sit on either side of AppendChain's kernel choice:
-// markov-clique-128 (pi 0.05, runlen 4) switches rarely and runs the
-// run-length kernel, markov-pi0.5-runlen2-clique-128 switches on half its
-// slots and runs the conditional-move kernel. binom-clique-96 is E12's
-// binomial law on E12's quick directed clique, one label per arc.
+// cases sit on either side of the per-edge chain kernel's choice:
+// markov-clique-128 (pi 0.05, runlen 4) switches rarely and
+// markov-pi0.5-runlen2-clique-128 on half its slots. Where rng's 8-lane
+// kernels run (AVX-512F), both draw in lanes, as does pt-ramp-clique-128;
+// elsewhere the first runs the run-length kernel and the second the
+// conditional-move kernel. binom-clique-96 is E12's binomial law on E12's
+// quick directed clique, one label per arc.
 func BenchmarkKernelDraw(b *testing.B) {
 	cases := []modelBenchCase{
 		{"markov-pi0.5-runlen2-clique-128", buildModel(b, "markov", avail.Params{Lifetime: 128, P: map[string]float64{"pi": 0.5, "runlen": 2}}), graph.Clique(128, false)},

@@ -72,7 +72,6 @@ var keep = map[string]string{
 	"graph.ShortestPath":          "own tests only: TestShortestPath",
 	"graph.Torus":                 "own tests only: TestTorus, TestGeneratorPanics",
 	"phonecall.PushWithMemory":    "own tests only: TestPushWithMemory*",
-	"rng.Stream.IntRange":         "own tests only: TestIntRange",
 	"stats.MeanOfInts":            "own tests only: TestMeanOfInts",
 	"stats.Sample.FractionAtMost": "own tests only: TestFractionAtMost, TestQuickFractionAtMost, TestEmptySample",
 }

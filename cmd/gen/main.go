@@ -5,7 +5,8 @@
 // Label assignment goes through the availability-model registry
 // (internal/avail): -model picks any registered model and -mp sets its
 // parameters. The legacy -law/-lawparam flags remain as aliases for the
-// i.i.d. models. Scenario models (geometric) build their own support graph
+// i.i.d. models; -lawparam with -model is a usage error, since -mp names
+// the knob there. Scenario models (geometric) build their own support graph
 // on n vertices and ignore -family.
 //
 // A bad flag value is a usage error: exit 2, the message on stderr and
@@ -48,11 +49,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		p          = fs.Float64("p", 0, "edge probability for gnp (default 2·ln n/n)")
 		deg        = fs.Int("deg", 4, "degree for regular")
 		lifetime   = fs.Int("lifetime", 0, "lifetime a, ≥ 0 (0 = n)")
-		r          = fs.Int("r", 1, "labels per edge for the i.i.d. models (≥ 1)")
+		r          = fs.Int("r", 1, "labels per edge for the i.i.d. models (≥ 1); other models ignore it")
 		model      = fs.String("model", "", "availability model (see -list-models); overrides -law")
 		mp         = fs.String("mp", "", "model parameters, name=value[,name=value…]")
 		law        = fs.String("law", "uniform", "legacy i.i.d. label law: uniform, geom, binom, zipf")
-		lawParam   = fs.Float64("lawparam", 0, "legacy law parameter (geom p, binom p, zipf s)")
+		lawParam   = fs.Float64("lawparam", 0, "legacy law parameter (geom p, binom p, zipf s); -law only")
 		seed       = fs.Uint64("seed", 1, "generation seed")
 		listModels = fs.Bool("list-models", false, "list availability models and exit")
 	)
@@ -91,6 +92,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("%v", err)
 	}
 	name := *model
+	if name != "" && *lawParam != 0 {
+		return usage("-lawparam applies to -law only; with -model set the knob with -mp")
+	}
 	if name == "" {
 		// Legacy path: the law names are registry names; -lawparam maps to
 		// the law's single knob.
@@ -143,8 +147,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	net := avail.Network(m, g, stream)
-	fmt.Fprintf(stdout, "# family=%s n=%d m=%d lifetime=%d r=%d model=%s seed=%d\n",
-		fam, net.Graph().N(), net.Graph().M(), net.Lifetime(), *r, m.Name(), *seed)
+	// Only the i.i.d. laws draw -r labels per edge; other models ignore it.
+	budget := ""
+	if _, iid := m.(avail.IID); iid {
+		budget = fmt.Sprintf(" r=%d", *r)
+	}
+	fmt.Fprintf(stdout, "# family=%s n=%d m=%d lifetime=%d%s model=%s seed=%d\n",
+		fam, net.Graph().N(), net.Graph().M(), net.Lifetime(), budget, m.Name(), *seed)
 	if err := net.Encode(stdout); err != nil {
 		fmt.Fprintln(stderr, "gen:", err)
 		return 1

@@ -32,6 +32,8 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-mp", "pi"}, `bad knob "pi"`},
 		{[]string{"-model", "markov", "-mp", "pi=2"}, "markov needs pi in (0,1)"},
 		{[]string{"-lawparam", "3"}, `-lawparam is meaningless for law "uniform"`},
+		{[]string{"-model", "geom", "-lawparam", "0.3"}, "-lawparam applies to -law only"},
+		{[]string{"-model", "markov", "-law", "zipf", "-lawparam", "2"}, "-lawparam applies to -law only"},
 		{[]string{"-bogus"}, "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -70,6 +72,40 @@ func TestHeaderMatchesNetwork(t *testing.T) {
 		want := fmt.Sprintf(" n=%d m=%d lifetime=%d ", net.Graph().N(), net.Graph().M(), net.Lifetime())
 		if !strings.HasPrefix(header, "# family=") || !strings.Contains(header, want) {
 			t.Errorf("%v: header %q lacks %q", args, header, want)
+		}
+	}
+}
+
+// TestHeaderBudget checks that the header reports r only for the i.i.d.
+// laws, which draw r labels per edge: for any other model -r changes no
+// byte of the output.
+func TestHeaderBudget(t *testing.T) {
+	gen := func(args ...string) (string, string) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+		}
+		header, body, _ := strings.Cut(stdout.String(), "\n")
+		return header, body
+	}
+	for _, args := range [][]string{
+		{"-law", "geom", "-lawparam", "0.3", "-family", "path", "-n", "6"},
+		{"-model", "zipf", "-family", "star", "-n", "7"},
+	} {
+		if header, _ := gen(append(args, "-r", "3")...); !strings.Contains(header, " r=3 ") {
+			t.Errorf("%v -r 3: header %q lacks r=3", args, header)
+		}
+	}
+	for _, args := range [][]string{
+		{"-model", "markov", "-mp", "pi=0.2,runlen=2", "-family", "path", "-n", "6"},
+		{"-model", "pt-burst", "-n", "8"},
+		{"-model", "geometric", "-n", "12"},
+	} {
+		h1, b1 := gen(append(args, "-r", "1")...)
+		h3, b3 := gen(append(args, "-r", "3")...)
+		if strings.Contains(h3, " r=") || h1 != h3 || b1 != b3 {
+			t.Errorf("%v: -r 1 and -r 3 differ or print r:\n%s\n%s", args, h1, h3)
 		}
 	}
 }

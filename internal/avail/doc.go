@@ -44,20 +44,26 @@
 //
 // # Draw kernels
 //
-// The per-slot models draw through package rng's bulk kernels, one call
-// per edge (per label for binom), which keep the generator state in local
-// variables for the whole call:
+// The per-slot models draw through package rng's kernels, which keep the
+// generator state in registers for the whole call. markov and pt draw a
+// whole labeling in one call, which on CPUs with AVX-512F runs 8 edge
+// ranges at once in 8 lanes (see package rng); binom draws one call per
+// label:
 //
-//   - markov: rng.AppendChain, with coins compiled from pi (start), beta
-//     (leave, chain on) and alpha (enter, chain off). A chain with alpha
-//     or beta at most 1/32 — the sweep's pi search, E18's markov arm and
-//     E15's default pi at runlen ≥ 2 — runs the run-length kernel, which
-//     only draws through an off run and branches only when the chain
-//     switches; any other chain runs the branch-free conditional-move
-//     kernel, and a chain with beta = 1 (runlen 1) the per-flip loop.
-//   - pt, pt-ramp, pt-periodic, pt-burst: rng.AppendSchedule over the
+//   - markov: rng.AppendChains, with coins compiled from pi (start), beta
+//     (leave, chain on) and alpha (enter, chain off). With AVX-512F, a
+//     labeling of at least 1024 words (E15, E18's markov arm, the sweep's
+//     pi search) runs in lanes whenever alpha and beta are below 1. Per
+//     edge, a chain with alpha or beta at most 1/32 runs the run-length
+//     kernel, which only draws through an off run and branches only when
+//     the chain switches; any other chain runs the branch-free
+//     conditional-move kernel, and a chain with alpha or beta equal to 1
+//     (runlen 1, or pi = runlen/(1+runlen)) the per-flip loop.
+//   - pt, pt-ramp, pt-periodic, pt-burst: rng.AppendSchedules over the
 //     schedule's p(t) compiled to one rng.Coin per slot when the model is
-//     built.
+//     built. With AVX-512F, a labeling of at least 1024 words runs in
+//     lanes unless a slot has p(t) = 0 or 1 (a coin that draws nothing);
+//     otherwise each edge runs the branch-free per-edge kernel.
 //   - binom: label by label through assign.FromDistributionInto, each
 //     label one rng.CountHeads call over a−1 flips of the law's compiled
 //     coin (dist.Binomial.Sample).

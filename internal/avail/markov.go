@@ -59,19 +59,15 @@ func (m Markov) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
 	return lab
 }
 
-// Resample is the in-place Resampler fast path: the per-edge chains are
-// re-run into lab's existing buffers, one rng.AppendChain call per edge
-// with start, leave and enter coins of probability pi, beta and alpha.
+// Resample is the in-place Resampler fast path: one rng.AppendChains
+// call re-runs every edge's chain into lab's existing buffers, with
+// start, leave and enter coins of probability pi, beta and alpha.
 // Assign delegates here; resample_ref_test.go pins both, labels and
 // stream consumption, to a per-slot Bernoulli loop.
 func (m Markov) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
-	me := g.M()
-	lab.Reset(me)
+	lab.Reset(g.M())
 	start, leave, enter := rng.NewCoin(m.pi), rng.NewCoin(m.beta), rng.NewCoin(m.alpha)
-	for e := 0; e < me; e++ {
-		lab.Labels = stream.AppendChain(lab.Labels, m.a, start, leave, enter)
-		lab.Off[e+1] = int32(len(lab.Labels))
-	}
+	lab.Labels = stream.AppendChains(lab.Labels, lab.Off, m.a, start, leave, enter)
 }
 
 func init() {

@@ -1,7 +1,7 @@
 package avail
 
 // Reference tests for the label-draw kernels. Markov.Resample and
-// TimeVarying.Resample run on rng.AppendChain and rng.AppendSchedule, and
+// TimeVarying.Resample run on rng.AppendChains and rng.AppendSchedules, and
 // Assign delegates to Resample, so nothing else checks them independently.
 // The references below are each model in its plain per-slot
 // Stream.Bernoulli form; each case compares the labels, the offsets and
@@ -113,6 +113,11 @@ func TestMarkovResampleMatchesReference(t *testing.T) {
 		{"lifetime-2", 2, 0.4, 3, graph.Clique(6, false)},     // one transition
 		{"no-edges", 20, 0.25, 4, empty},                      // draws nothing
 		{"directed", 16, 0.1, 2.5, graph.Clique(5, true)},     // arcs draw like edges
+		// Labelings big enough for rng's 8-lane kernels where they are
+		// built: E18's n = 48 cell, and one whose edges split into the
+		// lanes with 5 left over, over more than one 64-slot chunk.
+		{"lanes-e18", 48, 0.08, 4, graph.Clique(48, true)},
+		{"lanes-leftover", 65, 0.25, 4, graph.Clique(23, false)},
 	}
 	for _, c := range cases {
 		m, err := NewMarkov(c.a, c.pi, c.runlen)
@@ -153,6 +158,9 @@ func TestTimeVaryingResampleMatchesReference(t *testing.T) {
 		{"burst-0-1", mk(NewBurst(25, 0, 1, 0.3, 0.3)), graph.Clique(6, false), true},
 		{"lifetime-1", mk(NewRamp(1, 0.5, 0.5)), graph.Clique(6, false), false},
 		{"no-edges", mk(NewRamp(20, 0.1, 0.9)), empty, false},
+		{"lanes-e18", mk(NewRamp(48, 0.08, 0.08)), graph.Clique(48, true), false},
+		{"lanes-ramp", mk(NewRamp(130, 0.02, 0.3)), graph.Clique(23, false), false},
+		{"lanes-size-clamped", mk(NewPeriodic(64, 0.5, 1.5, 2)), graph.Clique(23, false), true},
 	}
 	for _, c := range cases {
 		if c.exact && !(slices.Contains(c.m.probs, 0) && slices.Contains(c.m.probs, 1)) {

@@ -18,7 +18,7 @@ import (
 type TimeVarying struct {
 	name  string
 	probs []float64  // probs[t-1] = p(t), already clamped to [0,1]
-	coins []rng.Coin // coins[t-1] = p(t) compiled for rng.AppendSchedule
+	coins []rng.Coin // coins[t-1] = p(t) compiled for rng.AppendSchedules
 }
 
 // NewRamp returns the linear schedule from p0 at t=1 to p1 at t=a.
@@ -134,17 +134,13 @@ func (m TimeVarying) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labelin
 	return lab
 }
 
-// Resample is the in-place Resampler fast path: one rng.AppendSchedule
-// call per edge over the compiled p(t) coins, appended into lab's
-// existing buffers. Assign delegates here; resample_ref_test.go pins
-// both, labels and stream consumption, to a per-slot Bernoulli loop.
+// Resample is the in-place Resampler fast path: one rng.AppendSchedules
+// call over the compiled p(t) coins draws every edge into lab's existing
+// buffers. Assign delegates here; resample_ref_test.go pins both, labels
+// and stream consumption, to a per-slot Bernoulli loop.
 func (m TimeVarying) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
-	me := g.M()
-	lab.Reset(me)
-	for e := 0; e < me; e++ {
-		lab.Labels = stream.AppendSchedule(lab.Labels, m.coins)
-		lab.Off[e+1] = int32(len(lab.Labels))
-	}
+	lab.Reset(g.M())
+	lab.Labels = stream.AppendSchedules(lab.Labels, lab.Off, m.coins)
 }
 
 func init() {

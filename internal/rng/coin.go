@@ -45,7 +45,7 @@ func (r *Stream) Flip(c Coin) bool {
 	return r.Uint64()>>11 < c.cut
 }
 
-// AppendSchedule appends to dst every slot t ∈ {1,…,len(coins)} whose coin
+// appendSchedule appends to dst every slot t ∈ {1,…,len(coins)} whose coin
 // coins[t−1] comes up heads, and returns the extended slice. It is the bulk
 // form of
 //
@@ -57,7 +57,7 @@ func (r *Stream) Flip(c Coin) bool {
 //
 // and consumes the stream exactly as that loop does, but keeps the state
 // in local variables for the whole schedule.
-func (r *Stream) AppendSchedule(dst []int32, coins []Coin) []int32 {
+func (r *Stream) appendSchedule(dst []int32, coins []Coin) []int32 {
 	n := len(dst)
 	dst = slices.Grow(dst, len(coins))[:n+len(coins)]
 	var k int
@@ -65,7 +65,7 @@ func (r *Stream) AppendSchedule(dst []int32, coins []Coin) []int32 {
 	return dst[:n+k]
 }
 
-// schedule is AppendSchedule's loop on a state passed by value. It writes
+// schedule is appendSchedule's loop on a state passed by value. It writes
 // the heads slots to the front of out, which has room for every slot, and
 // returns their count and the final state. Each slot is stored before its
 // outcome is known and kept by adding the outcome to the count, so no
@@ -90,7 +90,7 @@ func schedule(s Stream, out []int32, coins []Coin) (int, Stream) {
 // when the draw falls below the cut.
 func below(x, cut uint64) uint64 { return (x>>11 - cut) >> 63 }
 
-// AppendChain appends to dst every slot t ∈ {1,…,a} at which a two-state
+// appendChain appends to dst every slot t ∈ {1,…,a} at which a two-state
 // on/off chain is on, and returns the extended slice. The chain starts on
 // when start comes up heads; between consecutive slots an on chain turns
 // off when leave comes up heads, and an off chain turns on when enter
@@ -117,7 +117,7 @@ func below(x, cut uint64) uint64 { return (x>>11 - cut) >> 63 }
 // A chain that switches rarely (either transition coin at most 1/32, see
 // rareSwitch) runs chainRuns, and every other chain chainSwitch. When a
 // transition coin draws nothing, the kernel runs the loop above as written.
-func (r *Stream) AppendChain(dst []int32, a int, start, leave, enter Coin) []int32 {
+func (r *Stream) appendChain(dst []int32, a int, start, leave, enter Coin) []int32 {
 	on := r.Flip(start)
 	if a < 1 {
 		return dst
@@ -149,13 +149,13 @@ func (r *Stream) AppendChain(dst []int32, a int, start, leave, enter Coin) []int
 }
 
 // rareSwitch is the largest transition cut, 2⁵³/32 for probability 1/32,
-// at which AppendChain runs chainRuns. A chain at stationarity switches
+// at which appendChain runs chainRuns. A chain at stationarity switches
 // on a fraction 2·alpha·beta/(alpha+beta) ≤ 2·min(alpha, beta) of its
 // slots, so under this cut chainRuns mispredicts its branch on at most one
 // slot in 16, where it still beats chainSwitch (see the package doc).
 const rareSwitch = 1 << 48
 
-// chainRuns is AppendChain's loop for a chain that switches rarely, on a
+// chainRuns is appendChain's loop for a chain that switches rarely, on a
 // state passed by value: out has one entry per slot, on is the chain's
 // state at slot 1, and leave and enter are the transition coins' cuts. It
 // writes the on slots to the front of out and returns their count and the
@@ -200,7 +200,7 @@ func chainRuns(s Stream, out []int32, on bool, leave, enter uint64) (int, Stream
 	return k, s
 }
 
-// chainSwitch is AppendChain's loop for a chain that switches often, with
+// chainSwitch is appendChain's loop for a chain that switches often, with
 // chainRuns's arguments and results. Like schedule it stores every slot
 // and keeps it by adding the state to the count. The state is 0 or 1, cut
 // is the transition cut for the current state, and a switch flips both by

@@ -113,7 +113,7 @@ func TestAppendScheduleMatchesFlips(t *testing.T) {
 		coins := randomCoins(gen, gen.Intn(70))
 		prefix := []int32{9, 9}
 		a, b := New(uint64(trial)), New(uint64(trial))
-		got := a.AppendSchedule(slices.Clone(prefix), coins)
+		got := a.appendSchedule(slices.Clone(prefix), coins)
 		want := slices.Clone(prefix)
 		for i, c := range coins {
 			if b.Flip(c) {
@@ -121,12 +121,12 @@ func TestAppendScheduleMatchesFlips(t *testing.T) {
 			}
 		}
 		if !slices.Equal(got, want) || a.Uint64() != b.Uint64() {
-			t.Fatalf("trial %d: AppendSchedule %v, Flip loop %v", trial, got, want)
+			t.Fatalf("trial %d: appendSchedule %v, Flip loop %v", trial, got, want)
 		}
 	}
 }
 
-// chainFlips is the reference for AppendChain: the chain run as the Flip
+// chainFlips is the reference for appendChain: the chain run as the Flip
 // loop its doc comment gives.
 func chainFlips(r *Stream, dst []int32, a int, start, leave, enter Coin) []int32 {
 	on := r.Flip(start)
@@ -156,7 +156,7 @@ func headsFlips(r *Stream, c Coin, n int) int {
 	return k
 }
 
-// checkChain draws one chain with AppendChain, and with each of its two
+// checkChain draws one chain with appendChain, and with each of its two
 // kernels whenever both transition coins draw, and compares every result
 // and the stream's next word with chainFlips on a twin stream.
 func checkChain(t *testing.T, seed uint64, a int, start, leave, enter Coin) {
@@ -166,8 +166,8 @@ func checkChain(t *testing.T, seed uint64, a int, start, leave, enter Coin) {
 	want := chainFlips(ref, slices.Clone(prefix), a, start, leave, enter)
 	next := ref.Uint64()
 	r := New(seed)
-	if got := r.AppendChain(slices.Clone(prefix), a, start, leave, enter); !slices.Equal(got, want) || r.Uint64() != next {
-		t.Fatalf("seed %d a=%d coins %v %v %v: AppendChain %v, Flip loop %v", seed, a, start, leave, enter, got, want)
+	if got := r.appendChain(slices.Clone(prefix), a, start, leave, enter); !slices.Equal(got, want) || r.Uint64() != next {
+		t.Fatalf("seed %d a=%d coins %v %v %v: appendChain %v, Flip loop %v", seed, a, start, leave, enter, got, want)
 	}
 	if a < 1 || !leave.draw || !enter.draw {
 		return
@@ -239,7 +239,7 @@ func TestCountHeadsMatchesFlips(t *testing.T) {
 	}
 }
 
-// FuzzCoinKernels checks AppendChain and CountHeads against their Flip
+// FuzzCoinKernels checks appendChain and CountHeads against their Flip
 // loops for arbitrary probabilities, lifetimes and seeds.
 func FuzzCoinKernels(f *testing.F) {
 	f.Add(uint64(1), 128, 0.05, 0.25, 0.25*0.05/0.95)
@@ -272,7 +272,7 @@ func BenchmarkAppendChain(b *testing.B) {
 			var dst []int32
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dst = r.AppendChain(dst[:0], 128, start, leave, enter)
+				dst = r.appendChain(dst[:0], 128, start, leave, enter)
 			}
 		})
 	}
@@ -301,6 +301,6 @@ func BenchmarkAppendSchedule(b *testing.B) {
 	var dst []int32
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dst = r.AppendSchedule(dst[:0], coins)
+		dst = r.appendSchedule(dst[:0], coins)
 	}
 }

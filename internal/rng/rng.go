@@ -20,9 +20,10 @@ func SplitMix64(state *uint64) uint64 {
 // generator; obtain streams from New or NewStream.
 //
 // The state is four scalar fields rather than an array: that keeps Uint64
-// within the compiler's inlining budget, and it lets the bulk kernels
-// (AppendSchedule, AppendChain) load the state into local variables once
-// per call and step it there.
+// within the compiler's inlining budget, and it lets the per-edge kernels
+// (appendSchedule, appendChain) load the state into local variables once
+// per call and step it there. The 8-lane kernels read and write the four
+// fields in this order.
 type Stream struct {
 	s0, s1, s2, s3 uint64
 }
@@ -118,15 +119,6 @@ func (r *Stream) Uint64n(n uint64) uint64 {
 		}
 	}
 	return hi
-}
-
-// IntRange returns a uniformly random int in [lo, hi] inclusive.
-// It panics if lo > hi.
-func (r *Stream) IntRange(lo, hi int) int {
-	if lo > hi {
-		panic("rng: IntRange with lo > hi")
-	}
-	return lo + r.Intn(hi-lo+1)
 }
 
 // Float64 returns a uniformly random float64 in [0, 1) with 53 bits of

@@ -123,32 +123,6 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
-func TestIntRange(t *testing.T) {
-	r := New(9)
-	seen := make(map[int]bool)
-	for i := 0; i < 1000; i++ {
-		v := r.IntRange(5, 9)
-		if v < 5 || v > 9 {
-			t.Fatalf("IntRange(5,9) = %d", v)
-		}
-		seen[v] = true
-	}
-	for v := 5; v <= 9; v++ {
-		if !seen[v] {
-			t.Fatalf("IntRange never produced %d", v)
-		}
-	}
-	if r.IntRange(3, 3) != 3 {
-		t.Fatal("IntRange(3,3) must be 3")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("IntRange(2,1) should panic")
-		}
-	}()
-	r.IntRange(2, 1)
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(77)
 	sum := 0.0
