@@ -494,13 +494,13 @@ func BenchmarkSweepAdaptiveOverhead(b *testing.B) {
 	b.ReportMetric(float64(trials)/float64(b.N), "trials/op")
 }
 
-// BenchmarkSweepFixedBaseline is the same 512-trial budget through the
-// plain Monte-Carlo harness: the delta against AdaptiveOverhead is the
-// adaptive machinery's cost.
+// BenchmarkSweepFixedBaseline is the same 512-trial budget as one
+// sim.BatchRunner.Run without a model: the delta against AdaptiveOverhead
+// is the adaptive machinery's cost.
 func BenchmarkSweepFixedBaseline(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim.Runner{Trials: 512, Seed: uint64(i) + 1}.Run(func(trial int, r *rng.Stream) sim.Metrics {
+		(&sim.BatchRunner{Seed: uint64(i) + 1}).Run(context.Background(), 0, 512, func(trial int, r *rng.Stream, _ sim.Draw) sim.Metrics {
 			return sim.Metrics{"x": cheapObs(trial, r)}
 		})
 	}
@@ -605,11 +605,8 @@ func sweepCellBench(b *testing.B, m avail.Model, g *graph.Graph, batched bool) {
 				})
 			})
 		} else {
-			runner := sim.Runner{Seed: seed}
-			est, err = a.EstimateSource(context.Background(), func(ctx context.Context, start, count int) ([]float64, error) {
-				return runner.ScalarsFromContext(ctx, start, count, func(trial int, r *rng.Stream) float64 {
-					return treach(trial, avail.Network(m, g, r), r)
-				})
+			est, err = a.Estimate(context.Background(), func(trial int, r *rng.Stream) float64 {
+				return treach(trial, avail.Network(m, g, r), r)
 			})
 		}
 		if err != nil {
@@ -686,11 +683,8 @@ func sweepGeomCellBench(b *testing.B, batched bool) {
 				})
 			})
 		} else {
-			runner := sim.Runner{Seed: seed}
-			est, err = a.EstimateSource(context.Background(), func(ctx context.Context, start, count int) ([]float64, error) {
-				return runner.ScalarsFromContext(ctx, start, count, func(trial int, r *rng.Stream) float64 {
-					return reach(avail.Network(m, g, r), make([]int32, g.N()))
-				})
+			est, err = a.Estimate(context.Background(), func(trial int, r *rng.Stream) float64 {
+				return reach(avail.Network(m, g, r), make([]int32, g.N()))
 			})
 		}
 		if err != nil {

@@ -35,7 +35,6 @@ var keep = map[string]string{
 	// Benchmark subjects: called by a benchmark in bench_test.go.
 	"obs.ParseTraceparentBytes": "benchmark subject: BenchmarkObsInjectExtract",
 	"rng.Stream.Perm":           "benchmark subject: BenchmarkKernelDiameterRegimes",
-	"sim.Runner.Run":            "benchmark subject: BenchmarkSweepFixedBaseline",
 	"temporal.NewTreachScratch": "benchmark subject: BenchmarkKernelTreach and BenchmarkKernelTreachClique",
 	"temporal.ReachableSets":    "benchmark subject: BenchmarkKernelMultiSourceReach",
 
@@ -56,24 +55,21 @@ var keep = map[string]string{
 
 	// Called only by their own package's tests, which would go with them:
 	// candidates for deletion, each naming those tests.
-	"bitset.Set.Clear":            "own tests only: TestFillTrimAndClear",
-	"bitset.Set.Clone":            "own tests only: TestSetOps, TestCloneIndependence, TestQuickInclusionExclusion",
-	"bitset.Set.CopyFrom":         "own tests only: TestCopyFrom, TestSetOpsCapacityMismatchPanics",
-	"bitset.Set.Equal":            "own tests only: TestEqual, TestCopyFrom",
-	"bitset.Set.Fill":             "own tests only: TestFillTrimAndClear",
-	"bitset.Set.Grow":             "own tests only: TestGrow",
-	"bitset.Set.Intersect":        "own tests only: TestSetOps, TestSetOpsCapacityMismatchPanics, TestQuickInclusionExclusion",
-	"bitset.Set.Next":             "own tests only: TestNextIteration, TestNewZeroCap",
-	"bitset.Set.Remove":           "own tests only: TestAddContainsRemove, TestOutOfRangePanics, TestQuickAgainstMapModel",
-	"bitset.Set.Subtract":         "own tests only: TestSetOps, TestSetOpsCapacityMismatchPanics",
-	"bitset.Set.TestAndAdd":       "own tests only: TestTestAndAdd, TestOutOfRangePanics",
-	"bitset.Set.Union":            "own tests only: TestSetOps, TestSetOpsCapacityMismatchPanics, TestQuickInclusionExclusion",
-	"graph.CompleteBipartite":     "own tests only: TestCompleteBipartite, TestGeneratorPanics",
-	"graph.ShortestPath":          "own tests only: TestShortestPath",
-	"graph.Torus":                 "own tests only: TestTorus, TestGeneratorPanics",
-	"phonecall.PushWithMemory":    "own tests only: TestPushWithMemory*",
-	"stats.MeanOfInts":            "own tests only: TestMeanOfInts",
-	"stats.Sample.FractionAtMost": "own tests only: TestFractionAtMost, TestQuickFractionAtMost, TestEmptySample",
+	"bitset.Set.Clear":         "own tests only: TestFillTrimAndClear",
+	"bitset.Set.Clone":         "own tests only: TestSetOps, TestCloneIndependence, TestQuickInclusionExclusion",
+	"bitset.Set.CopyFrom":      "own tests only: TestCopyFrom, TestSetOpsCapacityMismatchPanics",
+	"bitset.Set.Equal":         "own tests only: TestEqual, TestCopyFrom",
+	"bitset.Set.Fill":          "own tests only: TestFillTrimAndClear",
+	"bitset.Set.Grow":          "own tests only: TestGrow",
+	"bitset.Set.Intersect":     "own tests only: TestSetOps, TestSetOpsCapacityMismatchPanics, TestQuickInclusionExclusion",
+	"bitset.Set.Next":          "own tests only: TestNextIteration, TestNewZeroCap",
+	"bitset.Set.Remove":        "own tests only: TestAddContainsRemove, TestOutOfRangePanics, TestQuickAgainstMapModel",
+	"bitset.Set.Subtract":      "own tests only: TestSetOps, TestSetOpsCapacityMismatchPanics",
+	"bitset.Set.TestAndAdd":    "own tests only: TestTestAndAdd, TestOutOfRangePanics",
+	"bitset.Set.Union":         "own tests only: TestSetOps, TestSetOpsCapacityMismatchPanics, TestQuickInclusionExclusion",
+	"graph.CompleteBipartite":  "own tests only: TestCompleteBipartite, TestGeneratorPanics",
+	"graph.Torus":              "own tests only: TestTorus, TestGeneratorPanics",
+	"phonecall.PushWithMemory": "own tests only: TestPushWithMemory*",
 }
 
 // checkUnused type-checks the non-test Go of every package under rootDir

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -87,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *estimate {
 		target := core.WHPTarget(nv)
 		rMax := 8 * core.TheoremSevenR(nv, diam)
-		rhat, ok := core.EstimateR(g, nv, target, *trials, *seed, rMax)
+		rhat, ok := core.EstimateR(context.Background(), g, nv, target, *trials, *seed, rMax)
 		marker := ""
 		if !ok {
 			marker = " (search cap hit)"
@@ -112,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rr = core.TheoremSevenR(nv, diam)
 		fmt.Fprintf(stdout, "using Theorem 7's r = 2·d·ln n = %d\n", rr)
 	}
-	rate, lo, hi := core.ReachabilityRate(g, nv, rr, *trials, *seed)
+	rate, lo, hi := core.ReachabilityRate(context.Background(), g, nv, rr, *trials, *seed)
 	fmt.Fprintf(stdout, "Pr[Treach] with r=%d: %.3f  (95%% CI [%.3f, %.3f], %d trials)\n", rr, rate, lo, hi, *trials)
 	fmt.Fprintf(stdout, "whp target 1-1/n = %.4f\n", core.WHPTarget(nv))
 	return 0

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -104,7 +105,7 @@ func TestEstimateSeededOutput(t *testing.T) {
 	const n, trials, seed = 8, 12, 3
 	g := graph.Star(n)
 	diam, _ := graph.Diameter(g)
-	rhat, ok := core.EstimateR(g, n, core.WHPTarget(n), trials, seed, 8*core.TheoremSevenR(n, diam))
+	rhat, ok := core.EstimateR(context.Background(), g, n, core.WHPTarget(n), trials, seed, 8*core.TheoremSevenR(n, diam))
 	if !ok {
 		t.Fatal("the star's threshold search should converge")
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/assign"
@@ -28,12 +29,12 @@ func main() {
 
 	// Theorem 7: 2·d·ln n random slots per link always suffice whp.
 	rSafe := core.TheoremSevenR(n, diam)
-	rate, lo, hi := core.ReachabilityRate(g, frame, rSafe, 40, 7)
+	rate, lo, hi := core.ReachabilityRate(context.Background(), g, frame, rSafe, 40, 7)
 	fmt.Printf("Theorem 7 budget  : %d wake slots per link → Pr[all-pairs routable] = %.3f [%.3f,%.3f]\n",
 		rSafe, rate, lo, hi)
 
 	// In practice the threshold is far smaller: estimate it.
-	rhat, ok := core.EstimateR(g, frame, core.WHPTarget(n), 40, 11, rSafe*2)
+	rhat, ok := core.EstimateR(context.Background(), g, frame, core.WHPTarget(n), 40, 11, rSafe*2)
 	if ok {
 		fmt.Printf("measured threshold: %d slots per link already reach the 1-1/n target\n", rhat)
 		fmt.Printf("                    (%.0f%% of the worst-case budget)\n\n",

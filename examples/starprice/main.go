@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -34,7 +35,7 @@ func main() {
 	// Random side: sweep r and watch the 2-split phase transition.
 	fmt.Println("random labels per edge → Pr[Treach] (40 trials each):")
 	for _, r := range []int{1, 2, 4, 7, 14, 28, 56} {
-		rate, _, _ := core.ReachabilityRate(g, n, r, 40, uint64(1000+r))
+		rate, _, _ := core.ReachabilityRate(context.Background(), g, n, r, 40, uint64(1000+r))
 		rho := float64(r) / math.Log2(n)
 		fmt.Printf("  r=%3d (ρ=%4.1f·log₂n): %.2f\n", r, rho, rate)
 	}
@@ -49,7 +50,7 @@ func main() {
 		100*ts.Fraction(), ts.AllPairs())
 
 	// The headline number.
-	rhat, _ := core.EstimateR(g, n, core.WHPTarget(n), 40, 17, 128)
+	rhat, _ := core.EstimateR(context.Background(), g, n, core.WHPTarget(n), 40, 17, 128)
 	fmt.Printf("\nestimated r(n) = %d ⇒ PoR = m·r/OPT = %.1f ≈ %.2f·log₂ n (Theorem 6: Θ(log n))\n",
 		rhat, core.PoR(m, rhat, 2*m-1), core.PoR(m, rhat, 2*m-1)/math.Log2(n))
 }

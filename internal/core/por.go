@@ -23,21 +23,16 @@ import (
 // ReachabilityRate estimates Pr[Treach] when every edge of g receives r
 // independent uniform labels from {1,…,lifetime}: the success fraction over
 // the given number of trials, with its Wilson 95% confidence interval. It
-// panics unless r >= 1 and trials >= 1.
-func ReachabilityRate(g *graph.Graph, lifetime, r, trials int, seed uint64) (rate, lo, hi float64) {
-	return ReachabilityRateCtx(context.Background(), g, lifetime, r, trials, seed)
-}
-
-// ReachabilityRateCtx is ReachabilityRate under a context: cancellation
-// stops the Monte-Carlo early and the rate covers completed trials only
-// (the confidence interval still divides by the requested trial count, so
-// a cancelled probe under-reports — callers abandon the search anyway).
-// The trials relabel one network per worker in place (sim.BatchRunner).
-func ReachabilityRateCtx(ctx context.Context, g *graph.Graph, lifetime, r, trials int, seed uint64) (rate, lo, hi float64) {
+// panics unless r >= 1 and trials >= 1. Cancelling ctx stops the
+// Monte-Carlo early and the rate covers completed trials only (the
+// confidence interval still divides by the requested trial count, so a
+// cancelled probe under-reports — callers abandon the search anyway). The
+// trials relabel one network per worker in place (sim.BatchRunner).
+func ReachabilityRate(ctx context.Context, g *graph.Graph, lifetime, r, trials int, seed uint64) (rate, lo, hi float64) {
 	return reachabilityRate(ctx, nil, g, lifetime, r, trials, seed)
 }
 
-// reachabilityRate is ReachabilityRateCtx drawing its worker networks from
+// reachabilityRate is ReachabilityRate drawing its worker networks from
 // free, g's free list (nil: a private one).
 func reachabilityRate(ctx context.Context, free *sim.FreeList, g *graph.Graph, lifetime, r, trials int, seed uint64) (rate, lo, hi float64) {
 	if r < 1 {
@@ -47,9 +42,9 @@ func reachabilityRate(ctx context.Context, free *sim.FreeList, g *graph.Graph, l
 		panic("core: ReachabilityRate needs trials >= 1")
 	}
 	b := sim.BatchRunner{Model: avail.NewIID(dist.NewUniform(lifetime), r), Substrate: g, Seed: seed, FreeList: free}
-	res, _ := b.RunFromContext(ctx, 0, trials, func(_ int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
+	res, _ := b.Run(ctx, 0, trials, func(_ int, stream *rng.Stream, draw sim.Draw) sim.Metrics {
 		ok := 0.0
-		if temporal.SatisfiesTreachSerial(net, nil) {
+		if temporal.SatisfiesTreachSerial(draw(stream), nil) {
 			ok = 1
 		}
 		return sim.Metrics{"ok": ok}
@@ -65,15 +60,10 @@ func reachabilityRate(ctx context.Context, free *sim.FreeList, g *graph.Graph, l
 // sound up to Monte-Carlo noise; use enough trials that the phase
 // transition is sharp relative to the binomial error. The second result is
 // false when even rMax does not reach the target. It panics unless target
-// is in (0, 1], trials >= 1 and rMax >= 1.
-func EstimateR(g *graph.Graph, lifetime int, target float64, trials int, seed uint64, rMax int) (int, bool) {
-	return EstimateRCtx(context.Background(), g, lifetime, target, trials, seed, rMax)
-}
-
-// EstimateRCtx is EstimateR under a context. On cancellation the search
-// aborts between (or inside) probes and returns its current upper bracket
-// with ok=false; callers must treat the pair as "not found".
-func EstimateRCtx(ctx context.Context, g *graph.Graph, lifetime int, target float64, trials int, seed uint64, rMax int) (int, bool) {
+// is in (0, 1], trials >= 1 and rMax >= 1. On cancellation of ctx the
+// search aborts between (or inside) probes and returns its current upper
+// bracket with ok=false; callers must treat the pair as "not found".
+func EstimateR(ctx context.Context, g *graph.Graph, lifetime int, target float64, trials int, seed uint64, rMax int) (int, bool) {
 	if target <= 0 || target > 1 {
 		panic("core: EstimateR target must be in (0,1]")
 	}

@@ -14,7 +14,7 @@ import (
 func TestReachabilityRateCliqueIsOne(t *testing.T) {
 	// The clique satisfies Treach with any labels (direct edges).
 	g := graph.Clique(10, false)
-	rate, lo, hi := ReachabilityRate(g, 10, 1, 30, 1)
+	rate, lo, hi := ReachabilityRate(context.Background(), g, 10, 1, 30, 1)
 	if rate != 1 {
 		t.Fatalf("clique rate = %v, want 1", rate)
 	}
@@ -25,7 +25,7 @@ func TestReachabilityRateCliqueIsOne(t *testing.T) {
 
 func TestReachabilityRateStarSingleLabelLow(t *testing.T) {
 	g := graph.Star(24)
-	rate, _, _ := ReachabilityRate(g, 24, 1, 40, 2)
+	rate, _, _ := ReachabilityRate(context.Background(), g, 24, 1, 40, 2)
 	if rate > 0.2 {
 		t.Fatalf("star r=1 rate = %v, want near 0", rate)
 	}
@@ -33,9 +33,9 @@ func TestReachabilityRateStarSingleLabelLow(t *testing.T) {
 
 func TestReachabilityRateMonotoneInR(t *testing.T) {
 	g := graph.Star(16)
-	r1, _, _ := ReachabilityRate(g, 16, 1, 60, 3)
-	r8, _, _ := ReachabilityRate(g, 16, 8, 60, 3)
-	r32, _, _ := ReachabilityRate(g, 16, 32, 60, 3)
+	r1, _, _ := ReachabilityRate(context.Background(), g, 16, 1, 60, 3)
+	r8, _, _ := ReachabilityRate(context.Background(), g, 16, 8, 60, 3)
+	r32, _, _ := ReachabilityRate(context.Background(), g, 16, 32, 60, 3)
 	if !(r1 <= r8+0.1 && r8 <= r32+0.1) {
 		t.Fatalf("rates not (noisily) monotone: %v %v %v", r1, r8, r32)
 	}
@@ -49,7 +49,7 @@ func TestEstimateRStarLogarithmic(t *testing.T) {
 	// threshold should land in a small-constant multiple of that — and far
 	// below n.
 	g := graph.Star(32)
-	r, ok := EstimateR(g, 32, WHPTarget(32), 60, 4, 256)
+	r, ok := EstimateR(context.Background(), g, 32, WHPTarget(32), 60, 4, 256)
 	if !ok {
 		t.Fatal("EstimateR did not converge")
 	}
@@ -60,7 +60,7 @@ func TestEstimateRStarLogarithmic(t *testing.T) {
 
 func TestEstimateRCliqueIsOne(t *testing.T) {
 	g := graph.Clique(12, false)
-	r, ok := EstimateR(g, 12, WHPTarget(12), 30, 5, 8)
+	r, ok := EstimateR(context.Background(), g, 12, WHPTarget(12), 30, 5, 8)
 	if !ok || r != 1 {
 		t.Fatalf("r(clique) = %d,%v, want 1", r, ok)
 	}
@@ -70,7 +70,7 @@ func TestEstimateRUnreachableTarget(t *testing.T) {
 	// A path with lifetime 1 can never satisfy Treach (needs 2 increasing
 	// labels): EstimateR must hit rMax and report failure.
 	g := graph.Path(4)
-	r, ok := EstimateR(g, 1, 0.9, 10, 6, 4)
+	r, ok := EstimateR(context.Background(), g, 1, 0.9, 10, 6, 4)
 	if ok {
 		t.Fatalf("EstimateR claimed success with r=%d", r)
 	}
@@ -83,13 +83,13 @@ func TestEstimateRPanics(t *testing.T) {
 	g := graph.Path(3)
 	ctx := context.Background()
 	assertPanics(t, []panicCase{
-		{"target-0", func() { EstimateR(g, 3, 0, 5, 1, 4) }, "target must be in (0,1]"},
-		{"target-2", func() { EstimateR(g, 3, 2, 5, 1, 4) }, "target must be in (0,1]"},
-		{"rmax-0", func() { EstimateR(g, 3, 0.5, 5, 1, 0) }, "rMax >= 1"},
+		{"target-0", func() { EstimateR(ctx, g, 3, 0, 5, 1, 4) }, "target must be in (0,1]"},
+		{"target-2", func() { EstimateR(ctx, g, 3, 2, 5, 1, 4) }, "target must be in (0,1]"},
+		{"rmax-0", func() { EstimateR(ctx, g, 3, 0.5, 5, 1, 0) }, "rMax >= 1"},
 		// With no trials every probe is NaN, and NaN < target would end
 		// the search at r = 1 as if it had succeeded.
-		{"trials-0", func() { EstimateR(g, 3, 0.5, 0, 1, 4) }, "EstimateR needs trials >= 1"},
-		{"trials-neg", func() { EstimateRCtx(ctx, g, 3, 0.5, -5, 1, 4) }, "EstimateR needs trials >= 1"},
+		{"trials-0", func() { EstimateR(ctx, g, 3, 0.5, 0, 1, 4) }, "EstimateR needs trials >= 1"},
+		{"trials-neg", func() { EstimateR(ctx, g, 3, 0.5, -5, 1, 4) }, "EstimateR needs trials >= 1"},
 	})
 }
 
@@ -100,11 +100,11 @@ func TestReachabilityRatePanics(t *testing.T) {
 	g := graph.Path(3)
 	ctx := context.Background()
 	assertPanics(t, []panicCase{
-		{"r-0", func() { ReachabilityRate(g, 3, 0, 5, 1) }, "r >= 1"},
-		{"r-neg", func() { ReachabilityRate(g, 3, -3, 5, 1) }, "r >= 1"},
-		{"trials-0", func() { ReachabilityRate(g, 3, 2, 0, 1) }, "ReachabilityRate needs trials >= 1"},
-		{"trials-neg", func() { ReachabilityRateCtx(ctx, g, 3, 2, -5, 1) }, "ReachabilityRate needs trials >= 1"},
-		{"lifetime-0", func() { ReachabilityRate(g, 0, 2, 5, 1) }, "lifetime"},
+		{"r-0", func() { ReachabilityRate(ctx, g, 3, 0, 5, 1) }, "r >= 1"},
+		{"r-neg", func() { ReachabilityRate(ctx, g, 3, -3, 5, 1) }, "r >= 1"},
+		{"trials-0", func() { ReachabilityRate(ctx, g, 3, 2, 0, 1) }, "ReachabilityRate needs trials >= 1"},
+		{"trials-neg", func() { ReachabilityRate(ctx, g, 3, 2, -5, 1) }, "ReachabilityRate needs trials >= 1"},
+		{"lifetime-0", func() { ReachabilityRate(ctx, g, 0, 2, 5, 1) }, "lifetime"},
 	})
 }
 
@@ -193,7 +193,7 @@ func TestTheoremSevenRSatisfiesReachability(t *testing.T) {
 	g := graph.Cycle(24) // d = 12
 	d, _ := graph.Diameter(g)
 	r := TheoremSevenR(g.N(), d)
-	rate, _, _ := ReachabilityRate(g, g.N(), r, 30, 7)
+	rate, _, _ := ReachabilityRate(context.Background(), g, g.N(), r, 30, 7)
 	if rate < 0.95 {
 		t.Fatalf("Theorem 7 r=%d gave rate %v on C_24", r, rate)
 	}
@@ -205,7 +205,7 @@ func TestEstimateRCtxCancelled(t *testing.T) {
 	// A cancelled context must abort the search immediately and report
 	// "not found" so callers discard the bracket.
 	start := time.Now()
-	r, ok := EstimateRCtx(ctx, graph.Star(256), 256, 0.99, 1000, 1, 1<<20)
+	r, ok := EstimateR(ctx, graph.Star(256), 256, 0.99, 1000, 1, 1<<20)
 	if ok {
 		t.Fatalf("cancelled search reported success (r=%d)", r)
 	}
@@ -214,11 +214,16 @@ func TestEstimateRCtxCancelled(t *testing.T) {
 	}
 }
 
+// TestEstimateRCtxMatchesEstimateR: a search under a live, cancellable
+// context that is never cancelled returns what it returns under
+// context.Background.
 func TestEstimateRCtxMatchesEstimateR(t *testing.T) {
 	g := graph.Star(32)
-	r1, ok1 := EstimateR(g, 32, WHPTarget(32), 20, 5, 512)
-	r2, ok2 := EstimateRCtx(context.Background(), g, 32, WHPTarget(32), 20, 5, 512)
+	r1, ok1 := EstimateR(context.Background(), g, 32, WHPTarget(32), 20, 5, 512)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r2, ok2 := EstimateR(ctx, g, 32, WHPTarget(32), 20, 5, 512)
 	if r1 != r2 || ok1 != ok2 {
-		t.Fatalf("EstimateR (%d,%v) != EstimateRCtx (%d,%v)", r1, ok1, r2, ok2)
+		t.Fatalf("EstimateR (%d,%v) under Background, (%d,%v) under a live context", r1, ok1, r2, ok2)
 	}
 }

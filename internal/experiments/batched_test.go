@@ -2,7 +2,7 @@ package experiments
 
 // Differential coverage for the batched sweep execution path: a sweep run
 // through SweepTarget.Source (per-worker networks relabeled in place, or
-// the runner fallback for randomized substrates) must reproduce the
+// rebuilt per trial for randomized substrates) must reproduce the
 // Observable rebuild path's checkpoint bit-identically, for any worker
 // count. Same for E18's source against its observable.
 
@@ -10,12 +10,80 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/avail"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sweep"
+	"repro/internal/temporal"
 )
+
+// Observable is the per-trial rebuild reference for Source. Each trial
+// draws one substrate (randomized families consume the trial stream first;
+// deterministic families are built once per size and shared — they never
+// touch the stream, so caching cannot perturb trial randomness), one
+// labeling, and reports the metric. Cells whose parameters are infeasible
+// observe NaN (see cellParams).
+func (t SweepTarget) Observable() (sweep.CellObservable, error) {
+	t = t.withDefaults()
+	if err := t.Validate(sweep.Grid{}); err != nil {
+		return nil, err
+	}
+	var substrates sync.Map // n → *graph.Graph, deterministic families only
+	substrate := func(n int, r *rng.Stream) (*graph.Graph, error) {
+		if !deterministicFamilies[t.Graph] {
+			return graph.Family(t.Graph, n, graph.FamilyOpts{}, r)
+		}
+		if g, ok := substrates.Load(n); ok {
+			return g.(*graph.Graph), nil
+		}
+		g, err := graph.Family(t.Graph, n, graph.FamilyOpts{}, r)
+		if err == nil {
+			// Concurrent trials may race to build the same size; both
+			// results are identical, so last-store-wins is harmless.
+			substrates.Store(n, g)
+		}
+		return g, err
+	}
+	return func(values map[string]float64, trial int, r *rng.Stream) float64 {
+		n, m, ok := t.cellParams(values)
+		if !ok {
+			return math.NaN()
+		}
+		g, err := substrate(n, r)
+		if err != nil || g.N() == 0 {
+			return math.NaN()
+		}
+		net := avail.Network(m, g, r)
+		return t.measure(net, r)
+	}, nil
+}
+
+// e18Observable is the per-trial rebuild reference for e18Source: the
+// same cell measurement with a fresh avail.Network per trial. cliques maps
+// n to a prebuilt substrate and must cover every n the grid can produce.
+func e18Observable(cliques map[int]*graph.Graph,
+	mk func(a int, p float64) (avail.Model, error)) sweep.CellObservable {
+	return func(values map[string]float64, trial int, r *rng.Stream) float64 {
+		n := int(values["n"])
+		p := values["c"] * math.Log(float64(n)) / float64(n)
+		if p > 1 {
+			p = 1
+		}
+		m, err := mk(n, p)
+		if err != nil {
+			return math.NaN()
+		}
+		net := avail.Network(m, cliques[n], r)
+		if temporal.SatisfiesTreachSerial(net, nil) {
+			return 1
+		}
+		return 0
+	}
+}
 
 // runSweepBothPaths executes the same sweep spec through the observable
 // and the source paths and returns the two checkpoints.
@@ -63,9 +131,12 @@ func assertCheckpointsEqual(t *testing.T, name string, got, want *sweep.Checkpoi
 
 // TestSweepSourceMatchesObservable sweeps representative targets — an
 // i.i.d. law, the Markov chains, a p(t) schedule, the geometric scenario
-// (BatchRunner's incremental ScenarioState + RelabelEdges path) and a
-// randomized substrate (the runner fallback) — through both execution
-// paths and pins the checkpoints identical, across worker counts.
+// (BatchRunner's incremental ScenarioState + RelabelEdges path) and the
+// randomized substrates (the rebuild route through familyScenario, a
+// geometric model nested in it included) — through both execution paths
+// and pins the checkpoints identical, across worker counts. Above n = 64
+// the reach and meandelta metrics sample their sources from the stream
+// after the draw, so those cells also pin where the draw leaves it.
 func TestSweepSourceMatchesObservable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -87,6 +158,12 @@ func TestSweepSourceMatchesObservable(t *testing.T) {
 			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{16}}, {Name: "radius", Values: []float64{0.2, 0.4}}}}},
 		{"zipf-gnp-fallback", SweepTarget{Model: "zipf", Graph: "gnp", Lifetime: 10, Metric: "treach"},
 			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{10, 16}}}}},
+		{"uniform-tree-meandelta", SweepTarget{Model: "uniform", Graph: "tree", Lifetime: 12, Metric: "meandelta"},
+			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{9, 70}}}}},
+		{"markov-regular-reach", SweepTarget{Model: "markov", Graph: "regular", Metric: "reach"},
+			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{10, 66}}, {Name: "lifetime", Values: []float64{16, 40}}}}},
+		{"geometric-gnp-reach", SweepTarget{Model: "geometric", Graph: "gnp", Lifetime: 8, Metric: "reach"},
+			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{10, 16}}, {Name: "radius", Values: []float64{0.25, 0.3}}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,6 +192,27 @@ func TestSweepSourceInfeasibleCellFails(t *testing.T) {
 		Prec: sweep.Precision{Abs: 0.2, MaxTrials: 8, Batch: 4}, Seed: 1, Source: src}
 	if _, err := s.Run(context.Background(), nil, nil); err == nil {
 		t.Fatal("batched sweep of an infeasible cell succeeded, want loud failure")
+	}
+
+	// A size the family cannot be built on (regular needs deg < n),
+	// reachable only by bisecting n, observes NaN on every trial and still
+	// reports each one to the progress hook.
+	regular, err := SweepTarget{Model: "uniform", Graph: "regular"}.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fired atomic.Int32
+	vals, err := regular(map[string]float64{"n": 4}, 1, 2, func() { fired.Add(1) })(context.Background(), 0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != 5 || fired.Load() != 5 {
+		t.Fatalf("infeasible cell: %d observations, %d progress calls, want 5 and 5", len(vals), fired.Load())
+	}
+	for i, v := range vals {
+		if !math.IsNaN(v) {
+			t.Fatalf("infeasible cell: observation %d = %v, want NaN", i, v)
+		}
 	}
 }
 

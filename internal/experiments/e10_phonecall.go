@@ -33,7 +33,7 @@ func E10PhoneCall(cfg Config) Result {
 	for _, n := range ns {
 		gu := graph.Clique(n, false)
 		gd := graph.Clique(n, true)
-		res := cfg.runDraw(trials, cfg.Seed+uint64(n)*11, uniform(n, 1), gd, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+		res := cfg.run(nil, trials, cfg.Seed+uint64(n)*11, uniform(n, 1), gd, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
 			m := sim.Metrics{}
 			src := r.Intn(n)
 			pu := phonecall.Push(gu, src, 0, r)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/table"
-	"repro/internal/temporal"
 )
 
 // E11MultiLabel is the multi-label extension the paper's §2 note leaves
@@ -33,7 +32,8 @@ func E11MultiLabel(cfg Config) Result {
 	lnN := math.Log(float64(n))
 	var xs, ys []float64
 	for _, r := range rs {
-		res := cfg.runNet(free, trials, cfg.Seed+uint64(r)<<10, uniform(n, r), g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+		res := cfg.run(free, trials, cfg.Seed+uint64(r)<<10, uniform(n, r), g, func(trial int, stream *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(stream)
 			d := serialDiameter(net, 128, stream)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {

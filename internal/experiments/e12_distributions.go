@@ -49,7 +49,8 @@ func E12Distributions(cfg Config) Result {
 	for li, law := range laws(n) {
 		// Seed by law index: name-derived seeds collide (the two geometric
 		// laws format to equal-length names), correlating their trials.
-		res := cfg.runNet(free, trials, cfg.Seed+uint64(li+1)<<9, avail.NewIID(law, 1), g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+		res := cfg.run(free, trials, cfg.Seed+uint64(li+1)<<9, avail.NewIID(law, 1), g, func(trial int, stream *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(stream)
 			d := serialDiameter(net, 96, stream)
 			m := sim.Metrics{"reach": 0, "meanDelta": d.MeanFinite}
 			if d.AllReachable {
@@ -93,7 +94,8 @@ func E12Distributions(cfg Config) Result {
 		"law", "r/edge", "Pr[Treach]", "mean label",
 	)
 	for li, law := range laws(np) {
-		res := cfg.runNet(freePath, trials*2, cfg.Seed^0xE12B+uint64(li+1), avail.NewIID(law, r), path, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
+		res := cfg.run(freePath, trials*2, cfg.Seed^0xE12B+uint64(li+1), avail.NewIID(law, r), path, func(trial int, stream *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(stream)
 			ok := 0.0
 			if temporal.SatisfiesTreachSerial(net, nil) {
 				ok = 1

@@ -8,7 +8,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/table"
-	"repro/internal/temporal"
 )
 
 // E13Remark1 validates Remark 1: the undirected normalized URT clique (one
@@ -34,7 +33,8 @@ func E13Remark1(cfg Config) Result {
 	for _, n := range ns {
 		gd := graph.Clique(n, true)
 		gu := graph.Clique(n, false)
-		res := cfg.runNet(nil, trials, cfg.Seed^0xE13+uint64(n), uniform(n, 1), gd, func(trial int, netD *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.run(nil, trials, cfg.Seed^0xE13+uint64(n), uniform(n, 1), gd, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+			netD := draw(r)
 			m := sim.Metrics{}
 			dD := serialDiameter(netD, 128, r)
 			if dD.AllReachable {

@@ -38,7 +38,8 @@ func E14Windows(cfg Config) Result {
 	)
 	var xs, ys []float64
 	for _, w := range ws {
-		res := cfg.runNet(free, trials, cfg.Seed^0xE14+uint64(w)<<8, windows{n, w}, g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+		res := cfg.run(free, trials, cfg.Seed^0xE14+uint64(w)<<8, windows{n, w}, g, func(trial int, stream *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(stream)
 			d := serialDiameter(net, 128, stream)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {

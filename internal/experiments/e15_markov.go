@@ -6,7 +6,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/table"
-	"repro/internal/temporal"
 )
 
 // E15MarkovDiameter opens the correlated-availability scenario class: each
@@ -48,7 +47,8 @@ func E15MarkovDiameter(cfg Config) Result {
 			tb.AddNote("runlen %g skipped: %v", L, err)
 			continue
 		}
-		res := cfg.runNet(free, trials, cfg.Seed+uint64(li+1)<<11, m, g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+		res := cfg.run(free, trials, cfg.Seed+uint64(li+1)<<11, m, g, func(trial int, stream *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(stream)
 			d := serialDiameter(net, 96, stream)
 			mt := sim.Metrics{
 				"reach":     0,

@@ -97,7 +97,8 @@ func E16TimeVarying(cfg Config) Result {
 				tb.AddNote("%s at c=%g skipped: %v", s.name, c, err)
 				continue
 			}
-			res := cfg.runNet(free, trials, cfg.Seed+uint64(row)<<13, m, g, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+			res := cfg.run(free, trials, cfg.Seed+uint64(row)<<13, m, g, func(trial int, stream *rng.Stream, draw sim.Draw) sim.Metrics {
+				net := draw(stream)
 				mt := sim.Metrics{"treach": 0, "reach": 0}
 				if temporal.SatisfiesTreachSerial(net, nil) {
 					mt["treach"] = 1

@@ -58,7 +58,8 @@ func E17Geometric(cfg Config) Result {
 			tb.AddNote("radius %.3g skipped: %v", radius, err)
 			continue
 		}
-		res := cfg.runNet(nil, trials, cfg.Seed+uint64(mi+1)<<15, m, substrate, func(trial int, net *temporal.Network, stream *rng.Stream) sim.Metrics {
+		res := cfg.run(nil, trials, cfg.Seed+uint64(mi+1)<<15, m, substrate, func(trial int, stream *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(stream)
 			sup := net.Graph()
 			mt := sim.Metrics{
 				"m":      float64(sup.M()),

@@ -58,43 +58,17 @@ func e18Grid(ns []int, cs []float64) sweep.Grid {
 	}}
 }
 
-// e18Observable measures temporal connectivity for one grid cell: a
-// directed clique on n vertices with lifetime a = n, availability model mk
-// at per-slot probability p = c·ln n/n, one network draw per trial —
-// 1 when every ordered pair is temporally reachable. cliques maps n to a
-// prebuilt substrate and must cover every n the grid can produce.
-func e18Observable(cliques map[int]*graph.Graph,
-	mk func(a int, p float64) (avail.Model, error)) sweep.CellObservable {
-	return func(values map[string]float64, trial int, r *rng.Stream) float64 {
-		n := int(values["n"])
-		p := values["c"] * math.Log(float64(n)) / float64(n)
-		if p > 1 {
-			p = 1
-		}
-		m, err := mk(n, p)
-		if err != nil {
-			// Infeasible knob corner (e.g. markov alpha > 1, reachable
-			// only if the bracket expands far above c = 1): NaN makes
-			// the estimator fail that cell loudly instead of recording
-			// a confident false "disconnected".
-			return math.NaN()
-		}
-		net := avail.Network(m, cliques[n], r)
-		if temporal.SatisfiesTreachSerial(net, nil) {
-			return 1
-		}
-		return 0
-	}
-}
-
-// e18Source is e18Observable through the batched trial engine
-// (sim.BatchRunner): the cell's model is built once and every trial
-// relabels a per-worker clique in place. Infeasible cells yield the same
-// per-trial NaNs the observable reports, so the estimator fails them
-// identically; feasible cells produce bit-identical estimates at ≥3× the
-// trials/sec (the model construction and the stream discipline match
-// e18Observable exactly). The caller's substrates carry, per n, the
-// clique, its static-reachability cache and its worker free list.
+// e18Source measures temporal connectivity for one grid cell: a directed
+// clique on n vertices with lifetime a = n, availability model mk at
+// per-slot probability p = c·ln n/n, one network per trial — 1 when every
+// ordered pair is temporally reachable. The cell's model is built once and
+// every trial relabels a per-worker clique in place (sim.BatchRunner); the
+// differential tests pin the estimates against a per-trial rebuild.
+// Infeasible cells (e.g. markov alpha > 1, reachable only if the bracket
+// expands far above c = 1) observe NaN, which makes the estimator fail the
+// cell loudly instead of recording a confident false "disconnected". The
+// caller's substrates carry, per n, the clique, its static-reachability
+// cache and its worker free list.
 func e18Source(subs map[int]e18Substrate,
 	mk func(a int, p float64) (avail.Model, error)) sweep.CellSource {
 	return func(values map[string]float64, seed uint64, workers int, onTrial func()) sweep.Source {
@@ -195,8 +169,7 @@ func E18ConnectivityThreshold(cfg Config) Result {
 		src := e18Source(subs, fam.mk)
 
 		// Phase 1: the coarse resumable grid sweep, batched — each cell
-		// relabels per-worker cliques in place (bit-identical to the
-		// e18Observable rebuild path, which the differential tests pin).
+		// relabels per-worker cliques in place.
 		s := sweep.Sweep{
 			Grid:    e18Grid(ns, cs),
 			Kind:    sweep.Proportion,

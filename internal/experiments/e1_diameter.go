@@ -42,7 +42,8 @@ func E1Diameter(cfg Config) Result {
 		// Both tables' rows for n relabel one pool of worker cliques.
 		g := graph.Clique(n, true)
 		free := new(sim.FreeList)
-		res := cfg.runNet(free, trials, cfg.Seed+uint64(n), uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.run(free, trials, cfg.Seed+uint64(n), uniform(n, 1), g, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(r)
 			d := serialDiameter(net, maxSources, r)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {
@@ -65,7 +66,8 @@ func E1Diameter(cfg Config) Result {
 			ys = append(ys, td.Mean())
 		}
 
-		res = cfg.runNet(free, trials, cfg.Seed^0xE1B+uint64(n), uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		res = cfg.run(free, trials, cfg.Seed^0xE1B+uint64(n), uniform(n, 1), g, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(r)
 			k := temporal.ConnectedPrefix(net, nil)
 			m := sim.Metrics{"conn": float64(k)}
 			d := serialDiameter(net, 32, r)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/table"
-	"repro/internal/temporal"
 )
 
 // E2Lifetime measures how the temporal diameter of the uniform random
@@ -32,7 +31,8 @@ func E2Lifetime(cfg Config) Result {
 	var xs, ys []float64
 	for _, c := range cs {
 		a := c * n
-		res := cfg.runNet(nil, trials, cfg.Seed+uint64(c)<<8, uniform(a, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.run(nil, trials, cfg.Seed+uint64(c)<<8, uniform(a, 1), g, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(r)
 			d := serialDiameter(net, 128, r)
 			m := sim.Metrics{"reach": 0}
 			if d.AllReachable {

@@ -32,7 +32,8 @@ func E3Expansion(cfg Config) Result {
 	)
 	for _, n := range ns {
 		g := graph.Clique(n, true)
-		res := cfg.runNet(nil, trials, cfg.Seed+uint64(n)*3, uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.run(nil, trials, cfg.Seed+uint64(n)*3, uniform(n, 1), g, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(r)
 			s := r.Intn(n)
 			t := r.Intn(n - 1)
 			if t >= s {
@@ -86,7 +87,8 @@ func E3Expansion(cfg Config) Result {
 		c1 float64
 		c2 int
 	}{{1, 4}, {2, 4}, {2, 8}, {3, 8}, {4, 16}} {
-		res := cfg.runNet(freeAb, trials, cfg.Seed^0xE3B+uint64(pc.c2)<<16+uint64(pc.c1), uniform(nAb, 1), gAb, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.run(freeAb, trials, cfg.Seed^0xE3B+uint64(pc.c2)<<16+uint64(pc.c1), uniform(nAb, 1), gAb, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(r)
 			s := r.Intn(nAb)
 			t := r.Intn(nAb - 1)
 			if t >= s {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/table"
-	"repro/internal/temporal"
 )
 
 // E4Spread measures the §3.5 flooding protocol on the directed normalized
@@ -33,7 +32,8 @@ func E4Spread(cfg Config) Result {
 	var xs, ys []float64
 	for _, n := range ns {
 		g := graph.Clique(n, true)
-		res := cfg.runNet(nil, trials, cfg.Seed+uint64(n)*7, uniform(n, 1), g, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+		res := cfg.run(nil, trials, cfg.Seed+uint64(n)*7, uniform(n, 1), g, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+			net := draw(r)
 			src := r.Intn(n)
 			sp := core.Spread(net, src)
 			m := sim.Metrics{

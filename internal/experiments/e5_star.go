@@ -37,7 +37,8 @@ func E5StarReachability(cfg Config) Result {
 		free := new(sim.FreeList)
 		for _, rho := range rhos {
 			r := int(math.Max(1, math.Round(rho*log2n)))
-			res := cfg.runNet(free, trials, cfg.Seed+uint64(n)<<20+uint64(rho*16), uniform(n, r), g, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
+			res := cfg.run(free, trials, cfg.Seed+uint64(n)<<20+uint64(rho*16), uniform(n, r), g, func(trial int, stream *rng.Stream, draw sim.Draw) sim.Metrics {
+				net := draw(stream)
 				m := sim.Metrics{"reach": 0, "split": 0}
 				if temporal.SatisfiesTreachSerial(net, nil) {
 					m["reach"] = 1

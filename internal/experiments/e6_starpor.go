@@ -34,7 +34,7 @@ func E6StarPoR(cfg Config) Result {
 		}
 		g := graph.Star(n)
 		m := g.M()
-		r, ok := core.EstimateRCtx(cfg.ctx(), g, n, core.WHPTarget(n), trials, cfg.Seed+uint64(n)<<12, 64*int(math.Log2(float64(n))))
+		r, ok := core.EstimateR(cfg.ctx(), g, n, core.WHPTarget(n), trials, cfg.Seed+uint64(n)<<12, 64*int(math.Log2(float64(n))))
 		rOut := table.I(r)
 		if !ok {
 			rOut = ">" + rOut

@@ -89,7 +89,8 @@ func E7GeneralReachability(cfg Config) Result {
 		free := new(sim.FreeList)
 		for _, c := range cs {
 			r := int(math.Max(1, math.Round(c*float64(fam.diam)*lnN)))
-			res := cfg.runNet(free, trials, cfg.Seed+uint64(n)<<24+uint64(c*1000), uniform(n, r), fam.g, func(trial int, net *temporal.Network, _ *rng.Stream) sim.Metrics {
+			res := cfg.run(free, trials, cfg.Seed+uint64(n)<<24+uint64(c*1000), uniform(n, r), fam.g, func(trial int, stream *rng.Stream, draw sim.Draw) sim.Metrics {
+				net := draw(stream)
 				ok := 0.0
 				if temporal.SatisfiesTreachSerial(net, nil) {
 					ok = 1
@@ -128,7 +129,7 @@ func E7GeneralReachability(cfg Config) Result {
 			q = d
 		}
 		lambda := q / d
-		res := cfg.run(ccTrials, cfg.Seed^0xCC+uint64(d), func(trial int, stream *rng.Stream) sim.Metrics {
+		res := cfg.run(nil, ccTrials, cfg.Seed^0xCC+uint64(d), nil, nil, func(trial int, stream *rng.Stream, _ sim.Draw) sim.Metrics {
 			covered := make([]bool, d)
 			remaining := d
 			draws := 0

@@ -29,7 +29,7 @@ func E8PoRGeneral(cfg Config) Result {
 		m := fam.g.M()
 		thm7 := core.TheoremSevenR(n, fam.diam)
 		rMax := 4 * thm7
-		r, ok := core.EstimateRCtx(cfg.ctx(), fam.g, n, core.WHPTarget(n), trials, cfg.Seed^0xE8+uint64(n)<<16, rMax)
+		r, ok := core.EstimateR(cfg.ctx(), fam.g, n, core.WHPTarget(n), trials, cfg.Seed^0xE8+uint64(n)<<16, rMax)
 		rOut := table.I(r)
 		if !ok {
 			rOut = ">" + rOut

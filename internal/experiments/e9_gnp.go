@@ -32,7 +32,7 @@ func E9GnpConnectivity(cfg Config) Result {
 		var xs, ys []float64
 		for _, c := range cs {
 			p := c * math.Log(float64(n)) / float64(n)
-			res := cfg.run(trials, cfg.Seed+uint64(n)<<18+uint64(c*64), func(trial int, r *rng.Stream) sim.Metrics {
+			res := cfg.run(nil, trials, cfg.Seed+uint64(n)<<18+uint64(c*64), nil, nil, func(trial int, r *rng.Stream, _ sim.Draw) sim.Metrics {
 				g := graph.Gnp(n, p, false, r)
 				_, comps := graph.ConnectedComponents(g)
 				conn := 0.0

@@ -43,42 +43,19 @@ type Config struct {
 	MP map[string]float64
 }
 
-// run executes trials through the shared Monte-Carlo harness with the
-// Config's context and progress hook wired in — the route for trials that
-// draw no labeled network over a fixed substrate: E7b's coupon draws and
-// E9's G(n, p) substrates. Per-trial seeds and aggregation order are
-// exactly those of sim.Runner, so completed runs are bit-identical with or
-// without the plumbing.
-func (cfg Config) run(trials int, seed uint64, trial sim.Trial) *sim.Results {
-	res, _ := sim.Runner{Trials: trials, Seed: seed, Workers: cfg.Workers, OnTrial: cfg.Progress}.
-		RunContext(cfg.ctx(), trial)
+// run executes trials 0 … trials−1 on the Monte-Carlo engine with the
+// Config's context, workers and progress hook wired in. Each trial draws
+// its instance of availability model m over substrate g through draw (E10
+// after two phone-call walks, the others first thing), so per-worker
+// networks relabel in place instead of rebuilding; E7b's coupon draws and
+// E9's G(n, p) substrates pass nil for m and g and draw no network. free
+// is g's worker free list, shared by the rows a driver runs over g and
+// dropped with g; nil gives the call a private one. Completed runs are
+// bit-identical with or without the plumbing.
+func (cfg Config) run(free *sim.FreeList, trials int, seed uint64, m avail.Model, g *graph.Graph, trial sim.Trial) *sim.Results {
+	b := &sim.BatchRunner{Model: m, Substrate: g, Seed: seed, Workers: cfg.Workers, OnTrial: cfg.Progress, FreeList: free}
+	res, _ := b.Run(cfg.ctx(), 0, trials, trial)
 	return res
-}
-
-// runNet is run for trials that each measure one freshly drawn instance of
-// availability model m over the fixed substrate g — the route of every
-// such trial in E1–E5, E7 and E11–E17. Trials flow through the batched
-// engine (sim.BatchRunner), which relabels one per-worker network in place
-// when the model supports in-place resampling and transparently falls back
-// to per-trial rebuilds otherwise. The labels are drawn first and the
-// trial body gets the advanced stream, so results are bit-identical to
-// calling avail.Network at the top of a cfg.run trial body — only faster.
-// free is g's worker free list, shared by the rows a driver runs over g
-// and dropped with g; nil gives the call a private one.
-func (cfg Config) runNet(free *sim.FreeList, trials int, seed uint64, m avail.Model, g *graph.Graph, trial sim.NetTrial) *sim.Results {
-	res, _ := cfg.batch(free, seed, m, g).RunFromContext(cfg.ctx(), 0, trials, trial)
-	return res
-}
-
-// runDraw is runNet for trials that draw their network mid-trial (E10,
-// whose flood network follows two phone-call walks on the same stream).
-func (cfg Config) runDraw(trials int, seed uint64, m avail.Model, g *graph.Graph, trial sim.DrawTrial) *sim.Results {
-	res, _ := cfg.batch(nil, seed, m, g).RunDrawFromContext(cfg.ctx(), 0, trials, trial)
-	return res
-}
-
-func (cfg Config) batch(free *sim.FreeList, seed uint64, m avail.Model, g *graph.Graph) *sim.BatchRunner {
-	return &sim.BatchRunner{Model: m, Substrate: g, Seed: seed, Workers: cfg.Workers, OnTrial: cfg.Progress, FreeList: free}
 }
 
 // uniform is the UNI-CASE model: r i.i.d. uniform labels per edge from

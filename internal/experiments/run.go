@@ -18,8 +18,8 @@ type Meta struct {
 	Seed  uint64 `json:"seed"`
 	Quick bool   `json:"quick"`
 	// Trials counts the Monte-Carlo trials that completed, summed across
-	// the driver's harness runs. Drivers that estimate through core's
-	// bisection search (E6, E8) run their probes outside the harness and
+	// the driver's runs. Drivers that estimate through core's bisection
+	// search (E6, E8) run their probes outside the progress hook and
 	// report 0.
 	Trials int `json:"trials"`
 }

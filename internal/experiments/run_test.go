@@ -28,7 +28,7 @@ func renderAll(res Result) string {
 // so wrapper tests need not run real drivers.
 func stubExperiment(id string, trials int, trial sim.Trial) Experiment {
 	return Experiment{ID: id, Title: "stub", Anchor: "-", Run: func(cfg Config) Result {
-		cfg.run(trials, cfg.Seed, trial)
+		cfg.run(nil, trials, cfg.Seed, nil, nil, trial)
 		tb := table.New(id, "x")
 		tb.AddRow("1")
 		return Result{Tables: []*table.Table{tb}}
@@ -81,7 +81,7 @@ func TestRunDeterministicAcrossCalls(t *testing.T) {
 func TestRunAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	e := stubExperiment("EX", 100, func(int, *rng.Stream) sim.Metrics {
+	e := stubExperiment("EX", 100, func(int, *rng.Stream, sim.Draw) sim.Metrics {
 		t.Error("trial ran under a cancelled context")
 		return nil
 	})
@@ -101,7 +101,7 @@ func TestRunCancelMidRun(t *testing.T) {
 	defer cancel()
 	started := make(chan struct{})
 	var once atomic.Bool
-	slow := stubExperiment("ESLOW", 1000, func(i int, _ *rng.Stream) sim.Metrics {
+	slow := stubExperiment("ESLOW", 1000, func(i int, _ *rng.Stream, _ sim.Draw) sim.Metrics {
 		if once.CompareAndSwap(false, true) {
 			close(started)
 		}
@@ -126,7 +126,7 @@ func TestRunCancelMidRun(t *testing.T) {
 
 func TestRunProgressForwarded(t *testing.T) {
 	var user int64
-	e := stubExperiment("EP", 50, func(i int, _ *rng.Stream) sim.Metrics {
+	e := stubExperiment("EP", 50, func(i int, _ *rng.Stream, _ sim.Draw) sim.Metrics {
 		return sim.Metrics{"x": 1}
 	})
 	_, meta, err := Run(context.Background(), e, Config{Seed: 2, Progress: func() {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"repro/internal/avail"
 	"repro/internal/graph"
@@ -152,12 +151,11 @@ var deterministicFamilies = map[string]bool{
 // availability model. ok = false marks an unmeasurable cell — a size below
 // the domain (reachable only from threshold bisection probing under it) or
 // model parameters the registry rejects (e.g. a Markov pi/runlen pair with
-// alpha > 1) — which both execution paths surface as NaN observations so
-// the adaptive estimator fails the cell loudly; a confident 0 there would
-// invert the response at the feasibility edge and break threshold
-// bracketing. Nothing here touches a trial stream, so the resolution can
-// happen per trial (Observable) or once per cell (Source) without changing
-// a single draw.
+// alpha > 1) — which Source surfaces as NaN observations so the adaptive
+// estimator fails the cell loudly; a confident 0 there would invert the
+// response at the feasibility edge and break threshold bracketing.
+// Nothing here touches a trial stream, so resolving it once per cell
+// changes no draw against resolving it per trial.
 func (t SweepTarget) cellParams(values map[string]float64) (n int, m avail.Model, ok bool) {
 	// Validate pins grid axes to integers; rounding (not truncation)
 	// covers the remaining fractional source — threshold bisection
@@ -218,85 +216,44 @@ func (t SweepTarget) measure(net *temporal.Network, r *rng.Stream) float64 {
 	}
 }
 
-// Observable builds the per-cell, per-trial measurement. Each trial draws
-// one substrate (randomized families consume the trial stream first;
-// deterministic families are built once per size and shared — they never
-// touch the stream, so caching cannot perturb trial randomness), one
-// labeling, and reports the metric. Cells whose parameters are infeasible
-// observe NaN (see cellParams).
-func (t SweepTarget) Observable() (sweep.CellObservable, error) {
+// Source builds the per-cell trial source factory behind sweep.Sweep.Source
+// and Adaptive.EstimateSource: one sim.BatchRunner per cell, with the
+// cell's model built once. Deterministic substrate families are built once
+// per cell and every trial relabels a per-worker network in place.
+// Randomized families (tree, gnp, regular) draw their substrate from each
+// trial's stream before its labels, so the cell's model is wrapped as a
+// scenario that does both and the runner rebuilds each trial's network
+// through it. Cells whose parameters are infeasible observe NaN on a
+// runner without a model (see cellParams). Each trial's numbers are a
+// function of (cell seed, trial index) only, never of the worker count;
+// the differential tests pin them against the per-trial rebuild.
+func (t SweepTarget) Source() (sweep.CellSource, error) {
 	t = t.withDefaults()
 	if err := t.Validate(sweep.Grid{}); err != nil {
 		return nil, err
 	}
-	var substrates sync.Map // n → *graph.Graph, deterministic families only
-	substrate := func(n int, r *rng.Stream) (*graph.Graph, error) {
-		if !deterministicFamilies[t.Graph] {
-			return graph.Family(t.Graph, n, graph.FamilyOpts{}, r)
-		}
-		if g, ok := substrates.Load(n); ok {
-			return g.(*graph.Graph), nil
-		}
-		g, err := graph.Family(t.Graph, n, graph.FamilyOpts{}, r)
-		if err == nil {
-			// Concurrent trials may race to build the same size; both
-			// results are identical, so last-store-wins is harmless.
-			substrates.Store(n, g)
-		}
-		return g, err
-	}
-	return func(values map[string]float64, trial int, r *rng.Stream) float64 {
-		n, m, ok := t.cellParams(values)
-		if !ok {
-			return math.NaN()
-		}
-		g, err := substrate(n, r)
-		if err != nil || g.N() == 0 {
-			return math.NaN()
-		}
-		net := avail.Network(m, g, r)
-		return t.measure(net, r)
-	}, nil
-}
-
-// Source builds the per-cell trial source factory — the batched execution
-// path behind sweep.Sweep.Source and Adaptive.EstimateSource. Cells over
-// deterministic substrate families run through sim.BatchRunner: the cell's
-// model and substrate are built once, and every trial relabels one
-// per-worker network in place instead of rebuilding graph, labels and
-// time-edge indexes from scratch. Randomized families (whose substrate
-// must be drawn from each trial's stream before its labels) and
-// infeasible cells fall back to the exact Observable semantics through a
-// plain runner. Either way each cell's numbers are bit-identical to the
-// Observable path for every worker count — only the trials/sec change;
-// the differential tests pin this.
-func (t SweepTarget) Source() (sweep.CellSource, error) {
-	t = t.withDefaults()
-	obs, err := t.Observable()
-	if err != nil {
-		return nil, err
-	}
 	return func(values map[string]float64, seed uint64, workers int, onTrial func()) sweep.Source {
-		fallback := func(ctx context.Context, start, count int) ([]float64, error) {
-			return sim.Runner{Seed: seed, Workers: workers, OnTrial: onTrial}.
-				ScalarsFromContext(ctx, start, count, func(trial int, r *rng.Stream) float64 {
-					return obs(values, trial, r)
-				})
-		}
-		if !deterministicFamilies[t.Graph] {
-			return fallback
-		}
+		b := &sim.BatchRunner{Seed: seed, Workers: workers, OnTrial: onTrial}
 		n, m, ok := t.cellParams(values)
-		if !ok {
-			return fallback // Observable yields the per-trial NaNs
+		if !ok || graph.CheckFamily(t.Graph, n, graph.FamilyOpts{}) != nil {
+			return func(ctx context.Context, start, count int) ([]float64, error) {
+				return b.ObserveFrom(ctx, start, count, func(int, *temporal.Network, *rng.Stream) float64 {
+					return math.NaN()
+				})
+			}
 		}
-		// Deterministic families never touch the stream, so a throwaway
-		// one builds the same substrate every trial would have seen.
-		g, err := graph.Family(t.Graph, n, graph.FamilyOpts{}, rng.New(0))
-		if err != nil || g.N() == 0 {
-			return fallback
+		if deterministicFamilies[t.Graph] {
+			// Deterministic families never touch the stream, so a throwaway
+			// one builds the same substrate every trial would have seen;
+			// CheckFamily above rules out the error.
+			b.Substrate, _ = graph.Family(t.Graph, n, graph.FamilyOpts{}, rng.New(0))
+		} else {
+			// The scenario generates the whole support graph; the runner
+			// needs only the vertex count.
+			b.Substrate = graph.NewBuilder(n, false).Build()
+			m = familyScenario{Model: m, family: t.Graph}
 		}
-		b := sim.BatchRunner{Model: m, Substrate: g, Seed: seed, Workers: workers, OnTrial: onTrial}
+		b.Model = m
 		measure := t.measure
 		if t.Metric == "treach" && !avail.IsScenario(m) {
 			// The static half of the Treach decision depends only on the
@@ -304,9 +261,10 @@ func (t SweepTarget) Source() (sweep.CellSource, error) {
 			// the temporal question. Same answers (pinned by the
 			// differential tests), substantially cheaper trials. Scenario
 			// models are excluded: their trials run on a per-trial support
-			// graph, not on g, so a StaticReach built for g would be a
-			// substrate mismatch (SatisfiesTreachStatic panics on it).
-			sr := temporal.NewStaticReach(g)
+			// graph, not on the substrate, so a StaticReach built for it
+			// would be a substrate mismatch (SatisfiesTreachStatic panics
+			// on it).
+			sr := temporal.NewStaticReach(b.Substrate)
 			measure = func(net *temporal.Network, r *rng.Stream) float64 {
 				if temporal.SatisfiesTreachStatic(net, sr, nil) {
 					return 1
@@ -315,9 +273,32 @@ func (t SweepTarget) Source() (sweep.CellSource, error) {
 			}
 		}
 		return func(ctx context.Context, start, count int) ([]float64, error) {
-			return b.ObserveFrom(ctx, start, count, func(trial int, net *temporal.Network, r *rng.Stream) float64 {
+			return b.ObserveFrom(ctx, start, count, func(_ int, net *temporal.Network, r *rng.Stream) float64 {
 				return measure(net, r)
 			})
 		}
 	}, nil
+}
+
+// familyScenario draws a randomized substrate family per trial and labels
+// it with the embedded model: Generate builds graph.Family(family, n, r)
+// and then draws the labeling exactly as avail.Network(Model, g, r) does,
+// so a trial consumes its stream as the per-trial rebuild does. Embedding
+// the avail.Model interface hides the model's own fast paths (Resampler,
+// IncrementalScenario), so sim.BatchRunner rebuilds every trial.
+type familyScenario struct {
+	avail.Model
+	family string
+}
+
+func (s familyScenario) Generate(n int, r *rng.Stream) (*graph.Graph, temporal.Labeling) {
+	g, err := graph.Family(s.family, n, graph.FamilyOpts{}, r)
+	if err != nil {
+		// Source runs graph.CheckFamily on the cell first.
+		panic("experiments: " + err.Error())
+	}
+	if sc, ok := s.Model.(avail.Scenario); ok {
+		return sc.Generate(g.N(), r)
+	}
+	return g, s.Assign(g, r)
 }

@@ -36,47 +36,6 @@ func BFSInto(g *Graph, src int, dist []int32, queue []int32) int {
 	return reached
 }
 
-// ShortestPath returns one shortest s→t path as a vertex sequence
-// (including both endpoints), or nil if t is unreachable from s.
-func ShortestPath(g *Graph, s, t int) []int {
-	if s == t {
-		return []int{s}
-	}
-	parent := make([]int32, g.N())
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[s] = int32(s)
-	queue := []int32{int32(s)}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.OutNeighbors(int(u)) {
-			if parent[v] < 0 {
-				parent[v] = u
-				if int(v) == t {
-					return tracePath(parent, s, t)
-				}
-				queue = append(queue, v)
-			}
-		}
-	}
-	return nil
-}
-
-func tracePath(parent []int32, s, t int) []int {
-	var rev []int
-	for v := t; ; v = int(parent[v]) {
-		rev = append(rev, v)
-		if v == s {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // ConnectedComponents labels each vertex of an undirected graph with a
 // component id in [0, count) and returns the labels and component count.
 // It panics on directed graphs; use StronglyConnectedComponents there.

@@ -52,32 +52,6 @@ func TestBFSDirectedRespectsOrientation(t *testing.T) {
 	}
 }
 
-func TestShortestPath(t *testing.T) {
-	g := Cycle(6)
-	p := ShortestPath(g, 0, 3)
-	if len(p) != 4 {
-		t.Fatalf("C_6 shortest path 0->3 = %v, want length 4", p)
-	}
-	if p[0] != 0 || p[len(p)-1] != 3 {
-		t.Fatalf("path endpoints wrong: %v", p)
-	}
-	// Consecutive vertices must be adjacent.
-	for i := 0; i+1 < len(p); i++ {
-		if !hasEdge(g, p[i], p[i+1]) {
-			t.Fatalf("path step %v-%v not an edge", p[i], p[i+1])
-		}
-	}
-	if p := ShortestPath(g, 2, 2); len(p) != 1 || p[0] != 2 {
-		t.Fatalf("trivial path = %v", p)
-	}
-	// Unreachable.
-	b := NewBuilder(3, false)
-	b.AddEdge(0, 1)
-	if p := ShortestPath(b.Build(), 0, 2); p != nil {
-		t.Fatalf("unreachable path = %v, want nil", p)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	b := NewBuilder(7, false)
 	b.AddEdge(0, 1)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -29,17 +30,12 @@ func stubRegistry(entries ...experiments.Experiment) func(string) (experiments.E
 // seed, so different seeds produce different tables.
 func fastExperiment(id string, trials int) experiments.Experiment {
 	return experiments.Experiment{ID: id, Title: "stub " + id, Anchor: "-", Run: func(cfg experiments.Config) experiments.Result {
-		runner := sim.Runner{Trials: trials, Seed: cfg.Seed, OnTrial: cfg.Progress}
 		ctx := cfg.Ctx
 		if ctx == nil {
-			res := runner.Run(func(i int, r *rng.Stream) sim.Metrics {
-				return sim.Metrics{"v": r.Float64()}
-			})
-			tb := table.New(id+": stub", "mean")
-			tb.AddRow(table.F(res.Sample("v").Mean(), 6))
-			return experiments.Result{Tables: []*table.Table{tb}}
+			ctx = context.Background()
 		}
-		res, _ := runner.RunContext(ctx, func(i int, r *rng.Stream) sim.Metrics {
+		runner := &sim.BatchRunner{Seed: cfg.Seed, OnTrial: cfg.Progress}
+		res, _ := runner.Run(ctx, 0, trials, func(i int, r *rng.Stream, _ sim.Draw) sim.Metrics {
 			return sim.Metrics{"v": r.Float64()}
 		})
 		tb := table.New(id+": stub", "mean")
@@ -52,8 +48,8 @@ func fastExperiment(id string, trials int) experiments.Experiment {
 func slowExperiment(id string, started chan<- string, release <-chan struct{}) experiments.Experiment {
 	var once sync.Once
 	return experiments.Experiment{ID: id, Title: "slow " + id, Anchor: "-", Run: func(cfg experiments.Config) experiments.Result {
-		runner := sim.Runner{Trials: 500, Seed: cfg.Seed, Workers: 1, OnTrial: cfg.Progress}
-		res, _ := runner.RunContext(cfg.Ctx, func(i int, r *rng.Stream) sim.Metrics {
+		runner := &sim.BatchRunner{Seed: cfg.Seed, Workers: 1, OnTrial: cfg.Progress}
+		res, _ := runner.Run(cfg.Ctx, 0, 500, func(i int, r *rng.Stream, _ sim.Draw) sim.Metrics {
 			once.Do(func() { started <- id })
 			select {
 			case <-release:
@@ -78,8 +74,8 @@ func panicExperiment(id string) experiments.Experiment {
 // the sim worker goroutines rather than the job worker itself.
 func trialPanicExperiment(id string) experiments.Experiment {
 	return experiments.Experiment{ID: id, Title: "boom", Anchor: "-", Run: func(cfg experiments.Config) experiments.Result {
-		runner := sim.Runner{Trials: 50, Seed: cfg.Seed, OnTrial: cfg.Progress}
-		runner.RunContext(cfg.Ctx, func(i int, _ *rng.Stream) sim.Metrics {
+		runner := &sim.BatchRunner{Seed: cfg.Seed, OnTrial: cfg.Progress}
+		runner.Run(cfg.Ctx, 0, 50, func(i int, _ *rng.Stream, _ sim.Draw) sim.Metrics {
 			if i == 7 {
 				panic("trial kaboom")
 			}

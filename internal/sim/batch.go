@@ -18,7 +18,6 @@ package sim
 // substrate relabel warm networks instead of building fresh ones.
 
 import (
-	"context"
 	"slices"
 	"sync"
 
@@ -28,34 +27,11 @@ import (
 	"repro/internal/temporal"
 )
 
-// NetTrial measures one freshly labeled temporal-network instance. The
-// network is owned by the calling worker and is overwritten by its next
-// trial: implementations must not retain net (or slices obtained from it,
-// e.g. EdgeLabels) beyond the call. r is the trial's stream, already
-// advanced past the label draws — exactly the state it would have after
-// avail.Network inside a plain Trial.
-type NetTrial func(trial int, net *temporal.Network, r *rng.Stream) Metrics
-
-// NetObservable is NetTrial's single-valued form, for the adaptive sweep
-// engine's scalar path. The same no-retention rule applies.
-type NetObservable func(trial int, net *temporal.Network, r *rng.Stream) float64
-
-// Draw labels the calling worker's network with the draw starting at r's
-// current position — the network avail.Network(Model, Substrate, r) would
-// build, consuming r identically — and returns it. The network is valid
-// until the trial draws again or returns, under NetTrial's no-retention
-// rule.
-type Draw func(r *rng.Stream) *temporal.Network
-
-// DrawTrial is a trial body that draws its network itself, at the point of
-// its stream where it needs one: a trial that spends stream on other work
-// first (E10's phone-call walks) still relabels its worker's network in
-// place instead of rebuilding one through avail.Network.
-type DrawTrial func(trial int, r *rng.Stream, draw Draw) Metrics
-
-// BatchRunner drives Monte-Carlo trials of one availability model over one
-// fixed substrate through an amortized in-place path. The zero value is
-// not useful; set Model and Substrate (and usually Seed).
+// BatchRunner is the Monte-Carlo engine: it runs independent seeded
+// trials across a worker pool, each drawing at most one network of Model
+// over Substrate through an amortized in-place path. Set Model and
+// Substrate (and usually Seed); a runner without a Model runs trials that
+// draw no network.
 //
 // Fixed-substrate models that implement avail.Resampler take the
 // Resample + Relabel path. Scenario models that implement
@@ -105,10 +81,6 @@ type BatchRunner struct {
 type FreeList struct {
 	mu   sync.Mutex
 	free []*batchWorker
-}
-
-func (b *BatchRunner) runner() Runner {
-	return Runner{Seed: b.Seed, Workers: b.Workers, OnTrial: b.OnTrial}
 }
 
 func (b *BatchRunner) list() *FreeList {
@@ -296,38 +268,4 @@ func (w *batchWorker) diffEdges(from, to []int32) {
 		w.insFrom = append(w.insFrom, from[j])
 		w.insTo = append(w.insTo, to[j])
 	}
-}
-
-// RunFromContext runs the count trials with global indices start, …,
-// start+count−1 under Runner.ScalarsFromContext's determinism and
-// RunContext's cancellation and panic contract, handing each trial its
-// worker's relabeled network.
-func (b *BatchRunner) RunFromContext(ctx context.Context, start, count int, trial NetTrial) (*Results, error) {
-	return b.RunDrawFromContext(ctx, start, count, func(i int, r *rng.Stream, draw Draw) Metrics {
-		return trial(i, draw(r), r)
-	})
-}
-
-// RunDrawFromContext is RunFromContext for trials that draw their network
-// themselves, mid-trial, through the worker's Draw.
-func (b *BatchRunner) RunDrawFromContext(ctx context.Context, start, count int, trial DrawTrial) (*Results, error) {
-	return b.runner().runFromWorkers(ctx, start, count, func() (Trial, func()) {
-		w := b.acquire()
-		draw := Draw(w.instance)
-		return func(i int, r *rng.Stream) Metrics {
-			return trial(i, r, draw)
-		}, func() { b.release(w) }
-	})
-}
-
-// ObserveFrom is RunFromContext's scalar form: the completed observations
-// in trial order, with no Metrics map per trial — the executor the
-// adaptive sweep engine's batched sources wrap.
-func (b *BatchRunner) ObserveFrom(ctx context.Context, start, count int, obs NetObservable) ([]float64, error) {
-	return b.runner().scalarsFromWorkers(ctx, start, count, func() (ScalarTrial, func()) {
-		w := b.acquire()
-		return func(i int, r *rng.Stream) float64 {
-			return obs(i, w.instance(r), r)
-		}, func() { b.release(w) }
-	})
 }

@@ -1,9 +1,10 @@
 package sim_test
 
 // Differential coverage for the batched trial engine: BatchRunner must be
-// bit-identical to the rebuild path — a plain Runner whose trial body
-// builds avail.Network from scratch — across every registered availability
-// model, every worker count, and the degenerate substrates n = 0 and 1.
+// bit-identical to the rebuild path — a runner without a model whose trial
+// body builds avail.Network from scratch — across every registered
+// availability model, every worker count, and the degenerate substrates
+// n = 0 and 1.
 // This file lives in package sim_test so it can exercise sim together with
 // avail and temporal the way the experiment drivers do.
 
@@ -50,6 +51,24 @@ func measureNet(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
 	return mt
 }
 
+// measureDraw is measureNet on the trial's drawn network.
+func measureDraw(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+	return measureNet(trial, draw(r), r)
+}
+
+// rebuild is the oracle every batched route is checked against: a runner
+// without a model whose trials build avail.Network(m, g, r) from scratch.
+func rebuild(t *testing.T, m avail.Model, g *graph.Graph, trials int, seed uint64) *sim.Results {
+	t.Helper()
+	res, err := (&sim.BatchRunner{Seed: seed}).Run(context.Background(), 0, trials, func(trial int, r *rng.Stream, _ sim.Draw) sim.Metrics {
+		return measureNet(trial, avail.Network(m, g, r), r)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // assertResultsEqual compares two Results metric by metric, value by value.
 func assertResultsEqual(t *testing.T, name string, got, want *sim.Results) {
 	t.Helper()
@@ -94,13 +113,10 @@ func TestBatchRunnerMatchesRebuild(t *testing.T) {
 			t.Fatalf("Build(%q): %v", name, err)
 		}
 		for _, sub := range substrates {
-			// The rebuild oracle: the exact trial body BatchRunner replaces.
-			want := sim.Runner{Trials: trials, Seed: seed}.Run(func(trial int, r *rng.Stream) sim.Metrics {
-				return measureNet(trial, avail.Network(m, sub.g, r), r)
-			})
+			want := rebuild(t, m, sub.g, trials, seed)
 			for _, workers := range []int{1, 4, 0} { // 0 = GOMAXPROCS
 				b := sim.BatchRunner{Model: m, Substrate: sub.g, Seed: seed, Workers: workers}
-				got, err := b.RunFromContext(context.Background(), 0, trials, measureNet)
+				got, err := b.Run(context.Background(), 0, trials, measureDraw)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", name, sub.name, workers, err)
 				}
@@ -111,8 +127,9 @@ func TestBatchRunnerMatchesRebuild(t *testing.T) {
 }
 
 // TestBatchRunnerObserveFromMatchesScalars pins the scalar path — the one
-// the adaptive sweep engine's sources use — against the Runner scalar path
-// and against RunFromContext's range semantics (split ranges concatenate).
+// the adaptive sweep engine's sources use — against the rebuild oracle's
+// scalar path and against Run's range semantics (split ranges
+// concatenate).
 func TestBatchRunnerObserveFromMatchesScalars(t *testing.T) {
 	g := graph.Clique(8, true)
 	m, err := avail.Build("markov", avail.Params{Lifetime: 16})
@@ -125,8 +142,8 @@ func TestBatchRunnerObserveFromMatchesScalars(t *testing.T) {
 		}
 		return 0
 	}
-	want, err := sim.Runner{Seed: 5}.ScalarsFromContext(context.Background(), 0, 40,
-		func(trial int, r *rng.Stream) float64 {
+	want, err := (&sim.BatchRunner{Seed: 5}).ObserveFrom(context.Background(), 0, 40,
+		func(trial int, _ *temporal.Network, r *rng.Stream) float64 {
 			return obs(trial, avail.Network(m, g, r), r)
 		})
 	if err != nil {
@@ -165,12 +182,10 @@ func TestBatchRunnerGeometricGridMatchesRebuild(t *testing.T) {
 	}
 	g := graph.Clique(64, false) // scenario models use only the vertex count
 	const trials, seed = 20, 423
-	want := sim.Runner{Trials: trials, Seed: seed}.Run(func(trial int, r *rng.Stream) sim.Metrics {
-		return measureNet(trial, avail.Network(m, g, r), r)
-	})
+	want := rebuild(t, m, g, trials, seed)
 	for _, workers := range []int{1, 4, 0} {
 		b := sim.BatchRunner{Model: m, Substrate: g, Seed: seed, Workers: workers}
-		got, err := b.RunFromContext(context.Background(), 0, trials, measureNet)
+		got, err := b.Run(context.Background(), 0, trials, measureDraw)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -192,7 +207,8 @@ func TestBatchRunnerPanicPropagates(t *testing.T) {
 		}
 	}()
 	b := sim.BatchRunner{Model: m, Substrate: g, Seed: 1}
-	b.RunFromContext(context.Background(), 0, 8, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+	b.Run(context.Background(), 0, 8, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+		draw(r)
 		if trial == 5 {
 			panic("boom")
 		}

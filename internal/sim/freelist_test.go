@@ -61,7 +61,7 @@ func holdAll(workers, start int) func(trial int) {
 }
 
 // TestSharedFreeListMatchesPrivateRunners runs a sequence of runners over
-// one substrate on one free list, each once through RunFromContext and
+// one substrate on one free list, each once through Run and
 // twice through ObserveFrom, and compares every result with a fresh
 // private runner's. Resample models of one lifetime rebind the warm
 // workers (every acquisition after the first call hits); a lifetime change
@@ -92,7 +92,7 @@ func TestSharedFreeListMatchesPrivateRunners(t *testing.T) {
 		for _, st := range steps {
 			name := fmt.Sprintf("%s workers=%d", st.name, workers)
 			private := sim.BatchRunner{Model: st.m, Substrate: g, Seed: seed, Workers: workers}
-			want, err := private.RunFromContext(context.Background(), 0, trials, measureNet)
+			want, err := private.Run(context.Background(), 0, trials, measureDraw)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,9 +104,9 @@ func TestSharedFreeListMatchesPrivateRunners(t *testing.T) {
 			h0, m0 := freelistCounts()
 			shared := sim.BatchRunner{Model: st.m, Substrate: g, Seed: seed, Workers: workers, FreeList: free}
 			hold := holdAll(workers, 0)
-			got, err := shared.RunFromContext(context.Background(), 0, trials, func(trial int, net *temporal.Network, r *rng.Stream) sim.Metrics {
+			got, err := shared.Run(context.Background(), 0, trials, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
 				hold(trial)
-				return measureNet(trial, net, r)
+				return measureDraw(trial, r, draw)
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -155,19 +155,22 @@ func TestRunDrawMatchesNetworkMidStream(t *testing.T) {
 		free := new(sim.FreeList)
 		for _, name := range avail.Names() {
 			m := buildModel(t, name, avail.Params{Lifetime: 12})
-			want := sim.Runner{Trials: trials, Seed: seed}.Run(func(trial int, r *rng.Stream) sim.Metrics {
-				pre := float64(r.Intn(1000))
-				mt := measureNet(trial, avail.Network(m, g, r), r)
-				mt["pre"] = pre
-				return mt
-			})
-			b := sim.BatchRunner{Model: m, Substrate: g, Seed: seed, Workers: workers, FreeList: free}
-			got, err := b.RunDrawFromContext(context.Background(), 0, trials, func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
+			// The same body on both runners: the one without a model hands
+			// it a Draw that rebuilds through avail.Network.
+			midStream := func(trial int, r *rng.Stream, draw sim.Draw) sim.Metrics {
 				pre := float64(r.Intn(1000))
 				mt := measureNet(trial, draw(r), r)
 				mt["pre"] = pre
 				return mt
+			}
+			want, err := (&sim.BatchRunner{Seed: seed}).Run(context.Background(), 0, trials, func(trial int, r *rng.Stream, _ sim.Draw) sim.Metrics {
+				return midStream(trial, r, func(r *rng.Stream) *temporal.Network { return avail.Network(m, g, r) })
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := sim.BatchRunner{Model: m, Substrate: g, Seed: seed, Workers: workers, FreeList: free}
+			got, err := b.Run(context.Background(), 0, trials, midStream)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,80 +9,142 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/internal/temporal"
 )
 
 // Metrics is the named measurements one trial produces.
 type Metrics map[string]float64
 
+// Draw labels the calling worker's network with the draw starting at r's
+// current position — the network avail.Network(Model, Substrate, r) would
+// build, consuming r identically — and returns it. The network is owned by
+// the worker and overwritten by its next draw: a trial must not retain it
+// (or slices obtained from it, e.g. EdgeLabels) beyond the call. On a
+// runner without a Model, Draw returns nil and consumes nothing.
+type Draw func(r *rng.Stream) *temporal.Network
+
 // Trial runs one randomized experiment instance. It must use only the
 // provided stream for randomness and may be called concurrently with other
-// trials.
-type Trial func(trial int, r *rng.Stream) Metrics
+// trials. A trial that measures a labeled network draws it through draw at
+// the point of its stream where it needs one — first thing for most, after
+// other work for some (E10's phone-call walks).
+type Trial func(trial int, r *rng.Stream, draw Draw) Metrics
 
-// Runner configures a Monte-Carlo run. The zero value runs zero trials;
-// set Trials (and usually Seed).
-type Runner struct {
-	// Trials is the number of independent repetitions.
-	Trials int
-	// Seed is the base seed; trial i uses rng.NewStream(Seed, i).
-	Seed uint64
-	// Workers bounds parallelism; 0 means GOMAXPROCS.
-	Workers int
-	// OnTrial, when non-nil, is invoked once after each completed trial.
-	// It is called from worker goroutines and must be safe for concurrent
-	// use; it must not affect the trial's randomness.
-	OnTrial func()
-}
+// NetObservable is the single-valued trial body of ObserveFrom: net is the
+// trial's network, already drawn (nil on a runner without a Model), and r
+// the trial's stream advanced past that draw. Draw's no-retention rule
+// applies to net.
+type NetObservable func(trial int, net *temporal.Network, r *rng.Stream) float64
 
-// Run executes the trial function and aggregates its metrics. The drivers
-// call RunContext; BenchmarkSweepFixedBaseline and the tests call Run.
-func (c Runner) Run(trial Trial) *Results {
-	res, _ := c.RunContext(context.Background(), trial)
-	return res
-}
-
-// RunContext is Run under a context: workers stop claiming new trials once
-// ctx is cancelled (trials already started run to completion) and the
-// context's error is returned. The Results aggregate completed trials only,
-// in trial order, so a run that finishes uncancelled is bit-identical to
-// Run for any worker count or cancellation plumbing.
+// Run executes the count trials with global indices start, …, start+count−1,
+// trial g under the stream rng.NewStream(Seed, g), and aggregates their
+// metrics in trial order, so a run is bit-identical for any worker count
+// and (0, k) followed by (k, m) gives exactly the trials of (0, k+m).
 //
-// A panic inside a trial is caught on its worker goroutine, aborts the
-// remaining trials, and is re-raised on the calling goroutine — so callers
-// wrapping RunContext in recover really do contain trial bugs instead of
-// losing the process.
-func (c Runner) RunContext(ctx context.Context, trial Trial) (*Results, error) {
-	if c.Trials < 0 {
-		panic("sim: negative trial count")
+// Workers stop claiming new trials once ctx is cancelled (trials already
+// started run to completion) and the context's error is returned; the
+// Results then aggregate the completed trials only. A panic inside a trial
+// is caught on its worker goroutine, aborts the remaining trials, and is
+// re-raised on the calling goroutine, so a caller's recover contains trial
+// bugs instead of losing the process. A negative start or count panics.
+func (b *BatchRunner) Run(ctx context.Context, start, count int, trial Trial) (*Results, error) {
+	perTrial, completed := runTrials(ctx, b, start, count, trial)
+
+	// Aggregate after all workers finish, feeding each Sample in trial
+	// order, so results are bit-exact regardless of scheduling.
+	trials := 0
+	for _, done := range completed {
+		if done {
+			trials++
+		}
 	}
-	return c.runFromWorkers(ctx, 0, c.Trials, func() (Trial, func()) { return trial, nil })
+	res := &Results{byName: make(map[string]*stats.Sample), trials: trials}
+	for i, m := range perTrial {
+		if !completed[i] {
+			continue
+		}
+		for name := range m {
+			if res.byName[name] == nil {
+				res.byName[name] = &stats.Sample{}
+			}
+		}
+	}
+	for name, s := range res.byName {
+		for i, m := range perTrial {
+			if !completed[i] {
+				continue
+			}
+			if v, ok := m[name]; ok {
+				s.Add(v)
+			}
+		}
+	}
+	return res, ctx.Err()
 }
 
-// ScalarTrial is a single-valued trial body: one observation per trial.
-type ScalarTrial func(trial int, r *rng.Stream) float64
-
-// ScalarsFromContext runs the count trials with global indices start, …,
-// start+count−1 (Runner.Trials is ignored), each under its canonical
-// stream rng.NewStream(Seed, index), with RunContext's cancellation and
-// panic contract, returning the completed observations in trial order. So
-// (0, k) followed by (k, m) returns exactly the observations of (0, k+m):
-// the allocation-lean, batch-resumable core the adaptive sweep engine
-// (internal/sweep) extends trial sequences through.
-func (c Runner) ScalarsFromContext(ctx context.Context, start, count int, trial ScalarTrial) ([]float64, error) {
-	return c.scalarsFromWorkers(ctx, start, count, func() (ScalarTrial, func()) { return trial, nil })
+// ObserveFrom is Run's scalar form, with Run's determinism, cancellation
+// and panic contract: each trial's network is drawn before obs runs, and
+// the completed observations come back in trial order with no Metrics map
+// per trial — the executor the adaptive sweep engine's sources wrap.
+func (b *BatchRunner) ObserveFrom(ctx context.Context, start, count int, obs NetObservable) ([]float64, error) {
+	vals, completed := runTrials(ctx, b, start, count, func(g int, r *rng.Stream, draw Draw) float64 {
+		return obs(g, draw(r), r)
+	})
+	// Compact to completed trials in trial order (in place: the write
+	// index never passes the read index).
+	out := vals[:0]
+	for i, done := range completed {
+		if done {
+			out = append(out, vals[i])
+		}
+	}
+	return out, ctx.Err()
 }
 
-// runLoop is the claim-execute core every run variant shares: workers
+// runTrials runs body for the trials with global indices start, …,
+// start+count−1 on b's worker pool, trial g under rng.NewStream(Seed, g),
+// and returns each offset's result with the flags of the offsets that
+// completed.
+func runTrials[T any](ctx context.Context, b *BatchRunner, start, count int, body func(g int, r *rng.Stream, draw Draw) T) ([]T, []bool) {
+	if start < 0 || count < 0 {
+		panic("sim: negative trial range")
+	}
+	out := make([]T, count)
+	completed := b.runLoop(ctx, count, func() (func(int), func()) {
+		draw, done := b.worker()
+		return func(i int) {
+			g := start + i
+			out[i] = body(g, rng.NewStream(b.Seed, uint64(g)), draw)
+		}, done
+	})
+	return out, completed
+}
+
+// noDraw is the Draw of a runner without a Model.
+func noDraw(*rng.Stream) *temporal.Network { return nil }
+
+// worker returns one worker goroutine's Draw and the hook that releases
+// its state when the goroutine exits. A runner without a Model draws
+// nothing and leaves the free list alone.
+func (b *BatchRunner) worker() (Draw, func()) {
+	if b.Model == nil {
+		return noDraw, nil
+	}
+	w := b.acquire()
+	return w.instance, func() { b.release(w) }
+}
+
+// runLoop is the claim-execute core Run and ObserveFrom share: workers
 // claim trial offsets 0 … count−1 in atomic order; makeRun is invoked once
-// per worker goroutine — per-worker reusable state, such as BatchRunner's
-// substrate + time-edge index, lives in the returned closure — and the
-// body executes one offset, storing its own result. Because per-trial
-// randomness depends only on the global trial index, worker count and
-// claim order never change any number. A panic in a body aborts the
-// remaining trials and is re-raised on the calling goroutine; the returned
-// flags report which offsets completed.
-func (c Runner) runLoop(ctx context.Context, count int, makeRun func() (run func(offset int), done func())) []bool {
-	workers := c.Workers
+// per worker goroutine — per-worker reusable state, such as the worker's
+// substrate network and time-edge index, lives in the returned closure —
+// and the body executes one offset, storing its own result. Because
+// per-trial randomness depends only on the global trial index, worker
+// count and claim order never change any number. A panic in a body aborts
+// the remaining trials and is re-raised on the calling goroutine; the
+// returned flags report which offsets completed.
+func (b *BatchRunner) runLoop(ctx context.Context, count int, makeRun func() (run func(offset int), done func())) []bool {
+	workers := b.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -119,8 +181,8 @@ func (c Runner) runLoop(ctx context.Context, count int, makeRun func() (run func
 					run(i)
 					completed[i] = true
 				}()
-				if completed[i] && c.OnTrial != nil {
-					c.OnTrial()
+				if completed[i] && b.OnTrial != nil {
+					b.OnTrial()
 				}
 			}
 		}()
@@ -131,81 +193,6 @@ func (c Runner) runLoop(ctx context.Context, count int, makeRun func() (run func
 		panic(panicked)
 	}
 	return completed
-}
-
-// runFromWorkers runs the count trials with global indices start, …,
-// start+count−1 and aggregates their metrics, with a per-worker trial
-// factory; the optional done hook returned alongside the trial runs when
-// its worker goroutine exits (BatchRunner releases worker state back to
-// its free list there).
-func (c Runner) runFromWorkers(ctx context.Context, start, count int, makeTrial func() (Trial, func())) (*Results, error) {
-	if start < 0 || count < 0 {
-		panic("sim: negative trial range")
-	}
-	perTrial := make([]Metrics, count)
-	completed := c.runLoop(ctx, count, func() (func(int), func()) {
-		trial, done := makeTrial()
-		return func(i int) {
-			g := start + i
-			perTrial[i] = trial(g, rng.NewStream(c.Seed, uint64(g)))
-		}, done
-	})
-
-	// Aggregate after all workers finish, feeding each Sample in trial
-	// order, so results are bit-exact regardless of scheduling.
-	trials := 0
-	for _, done := range completed {
-		if done {
-			trials++
-		}
-	}
-	res := &Results{byName: make(map[string]*stats.Sample), trials: trials}
-	for i, m := range perTrial {
-		if !completed[i] {
-			continue
-		}
-		for name := range m {
-			if res.byName[name] == nil {
-				res.byName[name] = &stats.Sample{}
-			}
-		}
-	}
-	for name, s := range res.byName {
-		for i, m := range perTrial {
-			if !completed[i] {
-				continue
-			}
-			if v, ok := m[name]; ok {
-				s.Add(v)
-			}
-		}
-	}
-	return res, ctx.Err()
-}
-
-// scalarsFromWorkers is ScalarsFromContext with a per-worker trial
-// factory, with runFromWorkers's done-hook contract.
-func (c Runner) scalarsFromWorkers(ctx context.Context, start, count int, makeTrial func() (ScalarTrial, func())) ([]float64, error) {
-	if start < 0 || count < 0 {
-		panic("sim: negative trial range")
-	}
-	vals := make([]float64, count)
-	completed := c.runLoop(ctx, count, func() (func(int), func()) {
-		trial, done := makeTrial()
-		return func(i int) {
-			g := start + i
-			vals[i] = trial(g, rng.NewStream(c.Seed, uint64(g)))
-		}, done
-	})
-	// Compact to completed trials in trial order (in place: the write
-	// index never passes the read index).
-	out := vals[:0]
-	for i, done := range completed {
-		if done {
-			out = append(out, vals[i])
-		}
-	}
-	return out, ctx.Err()
 }
 
 // Results aggregates per-metric samples from a run.

@@ -8,11 +8,21 @@ import (
 	"testing"
 
 	"repro/internal/rng"
+	"repro/internal/temporal"
 )
 
+// runAll runs trials 0 … count−1 on b uncancelled.
+func runAll(t *testing.T, b *BatchRunner, count int, trial Trial) *Results {
+	t.Helper()
+	res, err := b.Run(context.Background(), 0, count, trial)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return res
+}
+
 func TestRunAggregatesAllTrials(t *testing.T) {
-	r := Runner{Trials: 100, Seed: 1}
-	res := r.Run(func(trial int, _ *rng.Stream) Metrics {
+	res := runAll(t, &BatchRunner{Seed: 1}, 100, func(trial int, _ *rng.Stream, _ Draw) Metrics {
 		return Metrics{"x": float64(trial)}
 	})
 	s := res.Sample("x")
@@ -28,13 +38,13 @@ func TestRunAggregatesAllTrials(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	trial := func(i int, r *rng.Stream) Metrics {
+	trial := func(i int, r *rng.Stream, _ Draw) Metrics {
 		// Depends on the per-trial stream, so scheduling leaks would show.
 		return Metrics{"v": r.Float64(), "w": float64(r.Intn(1000))}
 	}
-	base := Runner{Trials: 64, Seed: 42, Workers: 1}.Run(trial)
+	base := runAll(t, &BatchRunner{Seed: 42, Workers: 1}, 64, trial)
 	for _, workers := range []int{2, 4, 16} {
-		got := Runner{Trials: 64, Seed: 42, Workers: workers}.Run(trial)
+		got := runAll(t, &BatchRunner{Seed: 42, Workers: workers}, 64, trial)
 		for _, name := range []string{"v", "w"} {
 			// Bit-exact equality: same values in same trial order.
 			if got.Sample(name).Mean() != base.Sample(name).Mean() ||
@@ -47,11 +57,11 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunSeedChangesResults(t *testing.T) {
-	trial := func(i int, r *rng.Stream) Metrics {
+	trial := func(i int, r *rng.Stream, _ Draw) Metrics {
 		return Metrics{"v": r.Float64()}
 	}
-	a := Runner{Trials: 32, Seed: 1}.Run(trial)
-	b := Runner{Trials: 32, Seed: 2}.Run(trial)
+	a := runAll(t, &BatchRunner{Seed: 1}, 32, trial)
+	b := runAll(t, &BatchRunner{Seed: 2}, 32, trial)
 	if a.Sample("v").Mean() == b.Sample("v").Mean() {
 		t.Fatal("different seeds produced identical results")
 	}
@@ -59,7 +69,7 @@ func TestRunSeedChangesResults(t *testing.T) {
 
 func TestPartialMetrics(t *testing.T) {
 	// Trials report "odd" only on odd indices.
-	res := Runner{Trials: 10, Seed: 3}.Run(func(i int, _ *rng.Stream) Metrics {
+	res := runAll(t, &BatchRunner{Seed: 3}, 10, func(i int, _ *rng.Stream, _ Draw) Metrics {
 		m := Metrics{"always": 1}
 		if i%2 == 1 {
 			m["odd"] = float64(i)
@@ -79,7 +89,7 @@ func TestPartialMetrics(t *testing.T) {
 }
 
 func TestMissingMetricSafe(t *testing.T) {
-	res := Runner{Trials: 3, Seed: 1}.Run(func(i int, _ *rng.Stream) Metrics {
+	res := runAll(t, &BatchRunner{Seed: 1}, 3, func(i int, _ *rng.Stream, _ Draw) Metrics {
 		return Metrics{"x": 1}
 	})
 	s := res.Sample("nope")
@@ -89,7 +99,7 @@ func TestMissingMetricSafe(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	res := Runner{Trials: 2, Seed: 1}.Run(func(i int, _ *rng.Stream) Metrics {
+	res := runAll(t, &BatchRunner{Seed: 1}, 2, func(i int, _ *rng.Stream, _ Draw) Metrics {
 		return Metrics{"zeta": 1, "alpha": 2, "mid": 3}
 	})
 	names := res.Names()
@@ -105,7 +115,7 @@ func TestNames(t *testing.T) {
 }
 
 func TestRate(t *testing.T) {
-	res := Runner{Trials: 10, Seed: 1}.Run(func(i int, _ *rng.Stream) Metrics {
+	res := runAll(t, &BatchRunner{Seed: 1}, 10, func(i int, _ *rng.Stream, _ Draw) Metrics {
 		v := 0.0
 		if i < 7 {
 			v = 1
@@ -118,7 +128,7 @@ func TestRate(t *testing.T) {
 }
 
 func TestZeroTrials(t *testing.T) {
-	res := Runner{Trials: 0, Seed: 1}.Run(func(i int, _ *rng.Stream) Metrics {
+	res := runAll(t, &BatchRunner{Seed: 1}, 0, func(i int, _ *rng.Stream, _ Draw) Metrics {
 		t.Fatal("trial should not run")
 		return nil
 	})
@@ -127,18 +137,9 @@ func TestZeroTrials(t *testing.T) {
 	}
 }
 
-func TestNegativeTrialsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative trials should panic")
-		}
-	}()
-	Runner{Trials: -1}.Run(func(i int, _ *rng.Stream) Metrics { return nil })
-}
-
 func TestEachTrialRunsExactlyOnce(t *testing.T) {
 	var calls [257]int32
-	Runner{Trials: 257, Seed: 5, Workers: 8}.Run(func(i int, _ *rng.Stream) Metrics {
+	runAll(t, &BatchRunner{Seed: 5, Workers: 8}, 257, func(i int, _ *rng.Stream, _ Draw) Metrics {
 		atomic.AddInt32(&calls[i], 1)
 		return nil
 	})
@@ -149,17 +150,58 @@ func TestEachTrialRunsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestRunContextCompletedMatchesRun: a run that finishes uncancelled must be
-// bit-identical to Run — the determinism contract the experiment service
+// TestNoModelDrawsNothing: a runner without a Model hands its trials a
+// Draw that returns nil without touching the stream, ObserveFrom bodies a
+// nil network, and neither touches the free list.
+func TestNoModelDrawsNothing(t *testing.T) {
+	free := new(FreeList)
+	b := &BatchRunner{Seed: 11, Workers: 3, FreeList: free}
+	h0, m0 := obsFreelistHits.Value(), obsFreelistMisses.Value()
+	res := runAll(t, b, 20, func(g int, r *rng.Stream, draw Draw) Metrics {
+		net := draw(r)
+		ok := 0.0
+		if net == nil && r.Float64() == rng.NewStream(11, uint64(g)).Float64() {
+			ok = 1
+		}
+		return Metrics{"ok": ok}
+	})
+	if res.Rate("ok") != 1 {
+		t.Fatalf("%v of trials drew a network or moved the stream", 1-res.Rate("ok"))
+	}
+	vals, err := b.ObserveFrom(context.Background(), 0, 20, func(_ int, net *temporal.Network, _ *rng.Stream) float64 {
+		if net != nil {
+			return 1
+		}
+		return 0
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range vals {
+		if v != 0 {
+			t.Fatalf("observation %d got a network", i)
+		}
+	}
+	if h1, m1 := obsFreelistHits.Value(), obsFreelistMisses.Value(); h1 != h0 || m1 != m0 || len(free.free) != 0 {
+		t.Fatalf("runner without a model touched the free list: %d hits, %d misses, %d idle",
+			h1-h0, m1-m0, len(free.free))
+	}
+}
+
+// TestRunContextCompletedMatchesRun: a run under a live, cancellable
+// context that finishes uncancelled must be bit-identical to one under
+// context.Background — the determinism contract the experiment service
 // relies on for cache correctness.
 func TestRunContextCompletedMatchesRun(t *testing.T) {
-	trial := func(i int, r *rng.Stream) Metrics {
+	trial := func(i int, r *rng.Stream, _ Draw) Metrics {
 		return Metrics{"v": r.Float64(), "w": float64(r.Intn(1000))}
 	}
-	base := Runner{Trials: 64, Seed: 42, Workers: 3}.Run(trial)
-	got, err := Runner{Trials: 64, Seed: 42, Workers: 7}.RunContext(context.Background(), trial)
+	base := runAll(t, &BatchRunner{Seed: 42, Workers: 3}, 64, trial)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := (&BatchRunner{Seed: 42, Workers: 7}).Run(ctx, 0, 64, trial)
 	if err != nil {
-		t.Fatalf("RunContext: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if got.Trials() != base.Trials() {
 		t.Fatalf("Trials %d != %d", got.Trials(), base.Trials())
@@ -168,7 +210,7 @@ func TestRunContextCompletedMatchesRun(t *testing.T) {
 		if got.Sample(name).Mean() != base.Sample(name).Mean() ||
 			got.Sample(name).StdDev() != base.Sample(name).StdDev() ||
 			got.Sample(name).Min() != base.Sample(name).Min() {
-			t.Fatalf("metric %s differs between Run and RunContext", name)
+			t.Fatalf("metric %s differs between the two contexts", name)
 		}
 	}
 }
@@ -177,7 +219,7 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := int32(0)
-	res, err := Runner{Trials: 50, Seed: 1}.RunContext(ctx, func(i int, _ *rng.Stream) Metrics {
+	res, err := (&BatchRunner{Seed: 1}).Run(ctx, 0, 50, func(i int, _ *rng.Stream, _ Draw) Metrics {
 		atomic.AddInt32(&ran, 1)
 		return Metrics{"x": 1}
 	})
@@ -202,7 +244,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		cancel()
 		close(release)
 	}()
-	res, err := Runner{Trials: 1000, Seed: 9, Workers: 2}.RunContext(ctx, func(i int, _ *rng.Stream) Metrics {
+	res, err := (&BatchRunner{Seed: 9, Workers: 2}).Run(ctx, 0, 1000, func(i int, _ *rng.Stream, _ Draw) Metrics {
 		once.Do(func() { close(started) })
 		<-release
 		return Metrics{"x": 1}
@@ -220,16 +262,16 @@ func TestRunContextCancelMidRun(t *testing.T) {
 
 func TestOnTrialCountsCompletedTrials(t *testing.T) {
 	var n int32
-	Runner{Trials: 123, Seed: 4, Workers: 5, OnTrial: func() { atomic.AddInt32(&n, 1) }}.
-		Run(func(i int, _ *rng.Stream) Metrics { return Metrics{"x": 1} })
+	b := &BatchRunner{Seed: 4, Workers: 5, OnTrial: func() { atomic.AddInt32(&n, 1) }}
+	runAll(t, b, 123, func(i int, _ *rng.Stream, _ Draw) Metrics { return Metrics{"x": 1} })
 	if n != 123 {
 		t.Fatalf("OnTrial fired %d times, want 123", n)
 	}
 }
 
 // TestTrialPanicReachesCaller: a panic inside a trial must surface on the
-// Run/RunContext caller's goroutine (where a recover can contain it), not
-// kill the process from a worker goroutine.
+// Run caller's goroutine (where a recover can contain it), not kill the
+// process from a worker goroutine.
 func TestTrialPanicReachesCaller(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -240,7 +282,7 @@ func TestTrialPanicReachesCaller(t *testing.T) {
 			t.Fatalf("panic value mangled: %v", r)
 		}
 	}()
-	Runner{Trials: 100, Seed: 1, Workers: 4}.Run(func(i int, _ *rng.Stream) Metrics {
+	(&BatchRunner{Seed: 1, Workers: 4}).Run(context.Background(), 0, 100, func(i int, _ *rng.Stream, _ Draw) Metrics {
 		if i == 13 {
 			panic("trial blew up")
 		}
@@ -249,10 +291,10 @@ func TestTrialPanicReachesCaller(t *testing.T) {
 }
 
 // TestScalarsFromSplitGolden is the batch-resume contract the adaptive
-// sweep engine extends trial sequences on: ScalarsFromContext over (0, k)
+// sweep engine extends trial sequences on: ObserveFrom over (0, k)
 // followed by (k, m) must return the observations of (0, k+m) bit for bit.
 func TestScalarsFromSplitGolden(t *testing.T) {
-	trial := func(i int, r *rng.Stream) float64 {
+	obs := func(i int, _ *temporal.Network, r *rng.Stream) float64 {
 		v := r.Float64() + float64(r.Intn(1000))
 		if i%3 == 0 {
 			v -= r.Float64()
@@ -262,16 +304,16 @@ func TestScalarsFromSplitGolden(t *testing.T) {
 	const k, m = 17, 46
 	ctx := context.Background()
 	for _, workers := range []int{1, 4, 0} {
-		runner := Runner{Seed: 1234, Workers: workers}
-		full, err := runner.ScalarsFromContext(ctx, 0, k+m, trial)
+		b := &BatchRunner{Seed: 1234, Workers: workers}
+		full, err := b.ObserveFrom(ctx, 0, k+m, obs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		head, err := runner.ScalarsFromContext(ctx, 0, k, trial)
+		head, err := b.ObserveFrom(ctx, 0, k, obs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tail, err := runner.ScalarsFromContext(ctx, k, m, trial)
+		tail, err := b.ObserveFrom(ctx, k, m, obs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +334,8 @@ func TestScalarsFromSplitGolden(t *testing.T) {
 func TestScalarsFromStreamsMatchGlobalIndex(t *testing.T) {
 	var mu sync.Mutex
 	got := map[int]float64{}
-	vals, err := Runner{Seed: 7, Workers: 3}.ScalarsFromContext(context.Background(), 100, 20, func(g int, r *rng.Stream) float64 {
+	b := &BatchRunner{Seed: 7, Workers: 3}
+	vals, err := b.ObserveFrom(context.Background(), 100, 20, func(g int, _ *temporal.Network, r *rng.Stream) float64 {
 		v := r.Float64()
 		mu.Lock()
 		got[g] = v
@@ -313,6 +356,20 @@ func TestScalarsFromStreamsMatchGlobalIndex(t *testing.T) {
 	}
 }
 
+// TestNegativeTrialsPanics: a negative start or count is a caller bug.
+func TestNegativeTrialsPanics(t *testing.T) {
+	for _, r := range [][2]int{{-1, 5}, {0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("range (%d, %d) should panic", r[0], r[1])
+				}
+			}()
+			(&BatchRunner{Seed: 1}).Run(context.Background(), r[0], r[1], func(int, *rng.Stream, Draw) Metrics { return nil })
+		}()
+	}
+}
+
 func TestScalarsFromNegativePanics(t *testing.T) {
 	for _, r := range [][2]int{{-1, 5}, {0, -1}} {
 		func() {
@@ -321,17 +378,17 @@ func TestScalarsFromNegativePanics(t *testing.T) {
 					t.Fatalf("range (%d, %d) should panic", r[0], r[1])
 				}
 			}()
-			Runner{Seed: 1}.ScalarsFromContext(context.Background(), r[0], r[1], func(int, *rng.Stream) float64 { return 0 })
+			(&BatchRunner{Seed: 1}).ObserveFrom(context.Background(), r[0], r[1], func(int, *temporal.Network, *rng.Stream) float64 { return 0 })
 		}()
 	}
 }
 
 func BenchmarkRunnerOverhead(b *testing.B) {
-	r := Runner{Trials: 100, Seed: 1}
-	trial := func(i int, s *rng.Stream) Metrics { return Metrics{"x": s.Float64()} }
+	r := &BatchRunner{Seed: 1}
+	trial := func(i int, s *rng.Stream, _ Draw) Metrics { return Metrics{"x": s.Float64()} }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Run(trial)
+		r.Run(context.Background(), 0, 100, trial)
 	}
 }

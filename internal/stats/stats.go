@@ -115,17 +115,6 @@ func (s *Sample) CI95() float64 {
 	return 1.96 * s.StdErr()
 }
 
-// FractionAtMost returns the fraction of observations <= x.
-func (s *Sample) FractionAtMost(x float64) float64 {
-	if s.N() == 0 {
-		return math.NaN()
-	}
-	s.ensureSorted()
-	// Upper bound index of x.
-	i := sort.SearchFloat64s(s.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(s.N())
-}
-
 // String summarizes the sample for debugging output.
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
@@ -176,19 +165,6 @@ func Fit(xs, ys []float64) LinFit {
 		r2 = 1 - ssRes/syy
 	}
 	return LinFit{Alpha: alpha, Beta: beta, R2: r2, N: n}
-}
-
-// MeanOfInts is a convenience for averaging integer observations (e.g.
-// arrival times) without building a Sample.
-func MeanOfInts(xs []int) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
 }
 
 // BinomialCI returns the Wilson score 95% confidence interval for a

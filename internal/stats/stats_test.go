@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -30,7 +29,6 @@ func TestEmptySample(t *testing.T) {
 	for name, v := range map[string]float64{
 		"Mean": s.Mean(), "StdDev": s.StdDev(), "Min": s.Min(), "Max": s.Max(),
 		"StdErr": s.StdErr(), "Quantile": s.Quantile(0.5),
-		"FractionAtMost": s.FractionAtMost(1),
 	} {
 		if !math.IsNaN(v) {
 			t.Fatalf("empty sample %s = %v, want NaN", name, v)
@@ -114,18 +112,6 @@ func TestQuantilePanics(t *testing.T) {
 			}()
 			s.Quantile(q)
 		}()
-	}
-}
-
-func TestFractionAtMost(t *testing.T) {
-	s := sampleOf(1, 2, 2, 3, 10)
-	cases := []struct{ x, want float64 }{
-		{0, 0}, {1, 0.2}, {2, 0.6}, {2.5, 0.6}, {10, 1}, {11, 1},
-	}
-	for _, tc := range cases {
-		if got := s.FractionAtMost(tc.x); !almostEqual(got, tc.want, 1e-12) {
-			t.Fatalf("FractionAtMost(%v) = %v, want %v", tc.x, got, tc.want)
-		}
 	}
 }
 
@@ -226,15 +212,6 @@ func TestFitMismatchPanics(t *testing.T) {
 	Fit([]float64{1, 2}, []float64{1})
 }
 
-func TestMeanOfInts(t *testing.T) {
-	if got := MeanOfInts([]int{1, 2, 3, 4}); !almostEqual(got, 2.5, 1e-12) {
-		t.Fatalf("MeanOfInts = %v, want 2.5", got)
-	}
-	if !math.IsNaN(MeanOfInts(nil)) {
-		t.Fatal("MeanOfInts(nil) should be NaN")
-	}
-}
-
 func TestBinomialCI(t *testing.T) {
 	lo, hi := BinomialCI(50, 100)
 	if lo >= 0.5 || hi <= 0.5 {
@@ -306,39 +283,6 @@ func TestQuickMeanBounded(t *testing.T) {
 			return true
 		}
 		return s.Mean() >= s.Min()-1e-9 && s.Mean() <= s.Max()+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: FractionAtMost agrees with a direct count.
-func TestQuickFractionAtMost(t *testing.T) {
-	f := func(raw []float64, x float64) bool {
-		if math.IsNaN(x) {
-			x = 0
-		}
-		var s Sample
-		var clean []float64
-		for _, v := range raw {
-			if math.IsNaN(v) {
-				continue
-			}
-			s.Add(v)
-			clean = append(clean, v)
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		sort.Float64s(clean)
-		cnt := 0
-		for _, v := range clean {
-			if v <= x {
-				cnt++
-			}
-		}
-		want := float64(cnt) / float64(len(clean))
-		return almostEqual(s.FractionAtMost(x), want, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

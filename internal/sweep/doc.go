@@ -16,11 +16,11 @@
 //   - Cell c of a grid derives its own seed CellSeed(seed, c), and trial i
 //     of that cell always draws from rng.NewStream(CellSeed(seed, c), i) —
 //     the same stream discipline as internal/sim.
-//   - Batches extend the trial sequence via sim.Runner.ScalarsFromContext
-//     (or a Source, such as one backed by sim.BatchRunner.ObserveFrom), and
-//     observations are folded into the streaming estimator in trial order,
-//     so the accumulated state after n trials is a fold over the first n
-//     observations regardless of scheduling.
+//   - Batches extend the trial sequence via sim.BatchRunner.ObserveFrom
+//     (or any other Source), and observations are folded into the
+//     streaming estimator in trial order, so the accumulated state after
+//     n trials is a fold over the first n observations regardless of
+//     scheduling.
 //   - The adaptive stopping rule (and the size of the next batch) reads
 //     only that accumulated state, so the loop visits an identical trial
 //     prefix for any Workers value — Estimate results are bit-identical
@@ -40,10 +40,11 @@
 // How trials execute is swappable without touching any number: a Source
 // supplies the observations for a trial range (Adaptive.EstimateSource),
 // and a CellSource builds one per grid cell (Sweep.Source) or per
-// bisection probe (Threshold.FindAdaptiveSource). The default source is a
-// plain sim.Runner over the observable; the batched source
-// (experiments.SweepTarget.Source, backed by sim.BatchRunner) amortizes
-// substrate and index construction across a cell's trials. Conforming
+// bisection probe (Threshold.FindAdaptiveSource). The default source runs
+// the observable on a sim.BatchRunner without a model; the batched source
+// (experiments.SweepTarget.Source, a BatchRunner with the cell's model and
+// substrate) amortizes substrate and index construction across a cell's
+// trials. Conforming
 // sources are bit-identical per cell, so SpecKey deliberately ignores
 // them.
 package sweep

@@ -8,6 +8,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/temporal"
 )
 
 // Kind selects the estimator and interval family for a response.
@@ -120,17 +121,17 @@ type Observable func(trial int, r *rng.Stream) float64
 
 // Source executes the trials with global indices start, …, start+count−1
 // and returns the completed observations in trial order. It is the
-// executor the adaptive loop batches through when the default
-// sim.Runner-backed one is not enough — most importantly the batched trial
-// engine (sim.BatchRunner.ObserveFrom), which amortizes substrate and
-// index construction across a cell's trials.
+// executor the adaptive loop batches through when the default one, a
+// sim.BatchRunner without a model, is not enough — most importantly a
+// BatchRunner with a model and substrate, whose ObserveFrom amortizes
+// substrate and index construction across a cell's trials.
 //
 // A Source owns the whole determinism contract for its trials: observation
 // i must be a function only of (its seed, i), never of worker count or
 // scheduling — a conforming source changes how fast an estimate is
 // computed, never its value, which is why SpecKey does not mention it. On
 // cancellation it returns the completed prefix-in-order along with the
-// context's error, exactly as sim.Runner.ScalarsFromContext does.
+// context's error, exactly as sim.BatchRunner.ObserveFrom does.
 type Source func(ctx context.Context, start, count int) ([]float64, error)
 
 // Adaptive runs the CI-driven trial loop for one response.
@@ -158,14 +159,16 @@ type Adaptive struct {
 // cancelled loop returns the estimate over the trials that completed along
 // with the context's error.
 func (a Adaptive) Estimate(ctx context.Context, obs Observable) (Estimate, error) {
-	runner := sim.Runner{Seed: a.Seed, Workers: a.Workers, OnTrial: a.OnTrial}
+	b := &sim.BatchRunner{Seed: a.Seed, Workers: a.Workers, OnTrial: a.OnTrial}
 	return a.EstimateSource(ctx, func(ctx context.Context, start, count int) ([]float64, error) {
-		return runner.ScalarsFromContext(ctx, start, count, sim.ScalarTrial(obs))
+		return b.ObserveFrom(ctx, start, count, func(trial int, _ *temporal.Network, r *rng.Stream) float64 {
+			return obs(trial, r)
+		})
 	})
 }
 
 // EstimateSource is Estimate batching through an explicit trial source
-// instead of the default sim.Runner-backed one — the entry point for
+// instead of the default model-less sim.BatchRunner — the entry point for
 // batched execution (see Source). The Adaptive's Seed, Workers and OnTrial
 // are not consulted: a source carries its own; conforming sources make the
 // returned Estimate identical to Estimate over the equivalent Observable.

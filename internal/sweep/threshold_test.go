@@ -8,14 +8,17 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/temporal"
 )
 
-// runnerSource is the Source Adaptive.Estimate runs an Observable on:
-// plain sim.Runner trials under seed.
+// runnerSource is the Source Adaptive.Estimate runs an Observable on: a
+// sim.BatchRunner without a model under seed.
 func runnerSource(seed uint64, obs Observable) Source {
-	runner := sim.Runner{Seed: seed}
+	runner := &sim.BatchRunner{Seed: seed}
 	return func(ctx context.Context, start, count int) ([]float64, error) {
-		return runner.ScalarsFromContext(ctx, start, count, sim.ScalarTrial(obs))
+		return runner.ObserveFrom(ctx, start, count, func(trial int, _ *temporal.Network, r *rng.Stream) float64 {
+			return obs(trial, r)
+		})
 	}
 }
 

@@ -166,12 +166,11 @@ func validateLabeling(m, lifetime int, lab Labeling) error {
 }
 
 // growI32 returns s resized to length n, reusing its backing array when
-// the capacity allows; contents are unspecified.
+// the capacity allows and otherwise growing it with headroom, as append
+// does, so a run of ever larger labelings reallocates only when a size
+// outgrows the capacity; contents are unspecified.
 func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // New assembles a temporal network from a graph and a labeling. It verifies
@@ -430,12 +429,7 @@ func (n *Network) buildVertexTimeEdges() {
 	for i := 0; i < nv; i++ {
 		off[i+1] += off[i]
 	}
-	packed := n.vtePacked
-	if cap(packed) < size {
-		packed = make([]uint64, size)
-	} else {
-		packed = packed[:size]
-	}
+	packed := slices.Grow(n.vtePacked[:0], size)[:size]
 	eid := growI32(n.vteEdge, size)
 	pos := growI32(n.vtePos, nv)
 	n.vtePos = pos

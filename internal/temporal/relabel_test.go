@@ -8,6 +8,7 @@ package temporal_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/avail"
@@ -199,6 +200,56 @@ func TestRelabelSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Resample+Relabel+query allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestRelabelGrowthReallocatesRarely: the relabel buffers grow with
+// headroom, as append does, so relabeling one network with ever larger
+// labelings — each beating every earlier size — reallocates a logarithmic
+// number of times, not at every new maximum.
+func TestRelabelGrowthReallocatesRarely(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates in pooled scratch paths")
+	}
+	const steps, lifetime = 64, 64
+	// 90 edges, so every labeling holds all 64 distinct labels and the
+	// query scratch sized by them stays put.
+	g := graph.Clique(10, true)
+	net := temporal.MustNew(g, lifetime, temporal.Labeling{Off: make([]int32, g.M()+1)})
+	arr := make([]int32, g.N())
+	labs := make([]temporal.Labeling, steps)
+	for i := range labs {
+		// Labeling i gives every edge i+1 labels.
+		sets := make([][]int, g.M())
+		for e := range sets {
+			for k := 0; k <= i; k++ {
+				sets[e] = append(sets[e], 1+(e+k)%lifetime)
+			}
+		}
+		labs[i] = temporal.LabelingFromSets(sets)
+	}
+	var before, after runtime.MemStats
+	grew := 0
+	for i, lab := range labs {
+		runtime.ReadMemStats(&before)
+		if err := net.Relabel(lab); err != nil {
+			t.Fatal(err)
+		}
+		// The queries build the lazy time-edge and per-vertex indexes.
+		temporal.SatisfiesTreachSerial(net, nil)
+		net.EarliestArrivalsInto(0, arr)
+		runtime.ReadMemStats(&after)
+		if after.Mallocs != before.Mallocs {
+			grew++
+		}
+		if net.LabelCount() != (i+1)*g.M() {
+			t.Fatalf("labeling %d: %d labels, want %d", i, net.LabelCount(), (i+1)*g.M())
+		}
+	}
+	// Without headroom every relabel reallocates (64 of 64); with it,
+	// 14 of 64 on go1.24.
+	if grew > steps/3 {
+		t.Fatalf("%d of %d growing relabels allocated, want a logarithmic number", grew, steps)
 	}
 }
 
