@@ -129,6 +129,26 @@ func assertCheckpointsEqual(t *testing.T, name string, got, want *sweep.Checkpoi
 	}
 }
 
+// assertSomeCellInformative fails a case whose every cell is degenerate:
+// a proportion of 0 or 1, or a mean of 0. Such cells match on both paths
+// whatever order the trials drew their streams in, so they pin nothing.
+func assertSomeCellInformative(t *testing.T, name string, cp *sweep.Checkpoint) {
+	t.Helper()
+	for _, c := range cp.Cells {
+		switch c.Est.Kind {
+		case sweep.Proportion:
+			if c.Est.Point > 0 && c.Est.Point < 1 {
+				return
+			}
+		case sweep.Mean:
+			if c.Est.Point > 0 {
+				return
+			}
+		}
+	}
+	t.Fatalf("%s: every cell is degenerate (%d cells), so the case cannot tell the paths apart", name, len(cp.Cells))
+}
+
 // TestSweepSourceMatchesObservable sweeps representative targets — an
 // i.i.d. law, the Markov chains, a p(t) schedule, the geometric scenario
 // (BatchRunner's incremental ScenarioState + RelabelEdges path) and the
@@ -143,20 +163,30 @@ func TestSweepSourceMatchesObservable(t *testing.T) {
 		tgt  SweepTarget
 		grid sweep.Grid
 	}{
-		{"uniform-dclique", SweepTarget{Model: "uniform", Metric: "treach"},
+		// Every pair of a labeled clique is one hop apart, so treach and
+		// reach read 1 there: the clique cases measure meandelta or thin
+		// the labels (pi, radius) until some trials fail, and the substrate
+		// StaticReach treach shortcut is covered on a cycle.
+		{"uniform-dclique", SweepTarget{Model: "uniform", Metric: "meandelta"},
 			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{10, 14}}, {Name: "lifetime", Values: []float64{8, 20}}}}},
-		{"markov-clique", SweepTarget{Model: "markov", Graph: "clique", Lifetime: 16, Metric: "reach"},
+		{"uniform-cycle-treach", SweepTarget{Model: "uniform", Graph: "cycle", Metric: "treach"},
+			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{4, 6}}, {Name: "lifetime", Values: []float64{8, 20}}}}},
+		{"markov-clique", SweepTarget{Model: "markov", Graph: "clique", Lifetime: 16, Metric: "reach", MP: map[string]float64{"pi": 0.1}},
 			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{9}}, {Name: "runlen", Values: []float64{1, 4}}}}},
 		{"pt-burst-grid", SweepTarget{Model: "pt-burst", Graph: "grid", Lifetime: 12, Metric: "meandelta"},
 			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{12}}, {Name: "high", Values: []float64{0.3, 0.8}}}}},
-		{"geometric-scenario", SweepTarget{Model: "geometric", Graph: "clique", Lifetime: 8, Metric: "reach"},
+		{"geometric-scenario", SweepTarget{Model: "geometric", Graph: "clique", Lifetime: 8, Metric: "reach", MP: map[string]float64{"radius": 0.3}},
 			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{8}}, {Name: "step", Values: []float64{0.05, 0.2}}}}},
 		// Regression: scenario trials run on a per-trial support graph, so
 		// Source must not apply the substrate StaticReach treach shortcut
 		// (it used to, and SatisfiesTreachStatic panicked on the mismatch).
 		{"geometric-treach", SweepTarget{Model: "geometric", Graph: "clique", Lifetime: 12, Metric: "treach"},
 			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{16}}, {Name: "radius", Values: []float64{0.2, 0.4}}}}},
-		{"zipf-gnp-fallback", SweepTarget{Model: "zipf", Graph: "gnp", Lifetime: 10, Metric: "treach"},
+		// The name is historical: no fallback route is left. The case now
+		// covers familyScenario's rebuild route for an i.i.d. law on a
+		// randomized substrate, under a metric that does not read 0 in
+		// every trial (treach never held on these sparse graphs).
+		{"zipf-gnp-fallback", SweepTarget{Model: "zipf", Graph: "gnp", Lifetime: 10, Metric: "meandelta"},
 			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{10, 16}}}}},
 		{"uniform-tree-meandelta", SweepTarget{Model: "uniform", Graph: "tree", Lifetime: 12, Metric: "meandelta"},
 			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{9, 70}}}}},
@@ -169,6 +199,7 @@ func TestSweepSourceMatchesObservable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			obsCP, srcCP := runSweepBothPaths(t, tc.tgt, tc.grid, 1)
 			assertCheckpointsEqual(t, tc.name+"/workers=1", srcCP, obsCP)
+			assertSomeCellInformative(t, tc.name, obsCP)
 			for _, workers := range []int{4, 0} {
 				_, more := runSweepBothPaths(t, tc.tgt, tc.grid, workers)
 				assertCheckpointsEqual(t, tc.name+"/workers>1", more, obsCP)

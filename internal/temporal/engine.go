@@ -72,13 +72,11 @@ func fillUnreachable(arr []int32) {
 
 // buckets returns the bucket-head array able to index label ranks 0..d-1,
 // zeroed (all buckets empty). Sizing by distinct-label count keeps the
-// scratch O(M) however large the lifetime is.
+// scratch O(M) however large the lifetime is; growing it with headroom,
+// as growI32 does, keeps a run of labelings with ever more distinct labels
+// from reallocating it at every new maximum.
 func (sc *engineScratch) buckets(d int) []int32 {
-	if cap(sc.bh) < d {
-		sc.bh = make([]int32, d)
-		return sc.bh
-	}
-	sc.bh = sc.bh[:d]
+	sc.bh = growI32(sc.bh, d)
 	clear(sc.bh)
 	return sc.bh
 }

@@ -10,6 +10,7 @@ package temporal
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -155,6 +156,66 @@ func TestBitParallelMultiBatch(t *testing.T) {
 		reached := net.EarliestArrivalsInto(s, arr)
 		if got := sets[s].Count(); got != reached {
 			t.Fatalf("source %d: bit-parallel reached %d, scalar %d", s, got, reached)
+		}
+	}
+}
+
+// TestWordScanEveryVertexDirty runs the word scan on labelings in which
+// every vertex turns dirty in one label group, so the group lists all n
+// vertices and the staging writes its spare slot: every edge of a clique
+// labeled 1, and a clique whose Hamiltonian cycle u → u+1 carries label 1
+// and every other edge label 2. ReachableSets and ArrivalRowsBatch must
+// match the fixpoint oracle from every source.
+func TestWordScanEveryVertexDirty(t *testing.T) {
+	for _, nv := range []int{1, 2, 63, 64, 65, 130} {
+		for _, directed := range []bool{false, true} {
+			g := graph.Clique(nv, directed)
+			from, to := g.FromArray(), g.ToArray()
+			ones := make([][]int, g.M())
+			cycle := make([][]int, g.M())
+			for e := range ones {
+				ones[e] = []int{1}
+				u, v := int(from[e]), int(to[e])
+				if v == (u+1)%nv || !directed && u == (v+1)%nv {
+					cycle[e] = []int{1}
+				} else {
+					cycle[e] = []int{2}
+				}
+			}
+			for _, tc := range []struct {
+				name string
+				lab  Labeling
+			}{{"ones", LabelingFromSets(ones)}, {"cycle", LabelingFromSets(cycle)}} {
+				name := fmt.Sprintf("n=%d directed=%v %s", nv, directed, tc.name)
+				net := MustNew(g, 2, tc.lab)
+				sources := make([]int, nv)
+				for i := range sources {
+					sources[i] = i
+				}
+				sets := ReachableSets(net, sources)
+				rows := make([][]int32, batchSize)
+				for j := range rows {
+					rows[j] = make([]int32, nv)
+				}
+				for lo := 0; lo < nv; lo += batchSize {
+					batch := make([]int32, 0, batchSize)
+					for s := lo; s < min(lo+batchSize, nv); s++ {
+						batch = append(batch, int32(s))
+					}
+					net.ArrivalRowsBatch(batch, rows)
+					for j, s := range batch {
+						want := net.earliestArrivalsFixpoint(int(s))
+						for v := range nv {
+							if rows[j][v] != want[v] {
+								t.Fatalf("%s: row %d vertex %d: %d, want %d", name, s, v, rows[j][v], want[v])
+							}
+							if sets[s].Contains(v) != (want[v] != Unreachable) {
+								t.Fatalf("%s: reach bit (%d,%d)=%v, arrival %d", name, s, v, sets[s].Contains(v), want[v])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -341,5 +402,52 @@ func TestHugeLifetimeSparseLabels(t *testing.T) {
 	}
 	if _, ok := net.ForemostJourney(0, 49); !ok {
 		t.Fatal("journey to 49 must exist")
+	}
+}
+
+// TestBucketScratchGrowsWithHeadroom relabels a directed 4-clique with
+// i+1 labels per edge, so the distinct-label count grows with i from 12 to
+// the lifetime, 64, and runs a frontier query after each relabel. The
+// bucket-head scratch grows with headroom, so only a few of the 64 queries
+// allocate (5 on go1.24); sized to exactly the distinct-label count, it
+// reallocated in 54 of them.
+func TestBucketScratchGrowsWithHeadroom(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled scratch at random")
+	}
+	const steps, lifetime = 64, 64
+	g := graph.Clique(4, true)
+	labs := make([]Labeling, steps)
+	for i := range labs {
+		sets := make([][]int, g.M())
+		for e := range sets {
+			for k := 0; k <= i; k++ {
+				sets[e] = append(sets[e], 1+(e+k)%lifetime)
+			}
+		}
+		labs[i] = LabelingFromSets(sets)
+	}
+	net := MustNew(g, lifetime, labs[0])
+	arr := make([]int32, g.N())
+	var before, after runtime.MemStats
+	grew := 0
+	for i, lab := range labs {
+		if err := net.Relabel(lab); err != nil {
+			t.Fatal(err)
+		}
+		net.ensureVertexTimeEdges() // the index build's own growth is not counted
+		if d := len(net.distinct); d != min(i+g.M(), lifetime) {
+			t.Fatalf("labeling %d: %d distinct labels, want %d", i, d, min(i+g.M(), lifetime))
+		}
+		runtime.ReadMemStats(&before)
+		net.EarliestArrivalsInto(0, arr)
+		runtime.ReadMemStats(&after)
+		if after.Mallocs != before.Mallocs {
+			grew++
+		}
+	}
+	t.Logf("%d of %d queries allocated", grew, steps)
+	if grew > 8 {
+		t.Fatalf("%d of %d queries allocated, want at most 8", grew, steps)
 	}
 }

@@ -7,3 +7,7 @@ var DiameterOracle = diameterOracle
 // EndsFills reads temporal_index_builds_total{index="ends"}, the number of
 // endpoint-column fills in this process.
 func EndsFills() uint64 { return obsBuildEnds.Value() }
+
+// RaceEnabled exposes raceEnabled to the external test package, whose
+// allocation-count assertions are skipped under the race detector too.
+const RaceEnabled = raceEnabled

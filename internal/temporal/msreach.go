@@ -12,7 +12,12 @@ package temporal
 //     earliest arrival is that group's label, so a per-group hook turns
 //     the reachability pass into an arrival-time pass: ArrivalGroups hands
 //     them to its caller, ArrivalRowsBatch stamps them into rows, the
-//     temporal diameter folds them into counts.
+//     temporal diameter folds them into counts. Staging is unconditional:
+//     every time edge ORs its new bits into the pending word (zero bits
+//     when there are none) and writes its head to the dirty list, whose
+//     length then advances by arithmetic only when the pending word turns
+//     non-zero. Whether a relaxation adds bits depends on the random
+//     labels, so a branch on it would mispredict; the store costs less.
 //   - staticReachWords answers "which sources have a static path to v"
 //     with a chaotic-order worklist closure: each source bit crosses each
 //     arc at most once, so a batch costs at most what 64 separate BFS
@@ -38,7 +43,7 @@ type reachScratch struct {
 	pend  []uint64 // temporal: bits arriving at the current label
 	stat  []uint64 // static closure bits
 	sPend []uint64 // static: bits not yet propagated
-	dirty []int32  // temporal: vertices with pending bits
+	dirty []int32  // temporal: vertices with pending bits, then one spare slot
 	front []int32  // static: current BFS frontier
 	next  []int32  // static: next BFS frontier
 	srcs  []int32  // batch source buffer
@@ -53,7 +58,16 @@ func (sc *reachScratch) ensure(n int) {
 		sc.stat = make([]uint64, n)
 		sc.sPend = make([]uint64, n)
 	}
+	// A vertex turns dirty at most once per label group, so a group lists
+	// at most n vertices, and wordScan writes each candidate one slot past
+	// the listed ones before deciding to keep it: n+1 slots always do.
+	if cap(sc.dirty) < n+1 {
+		sc.dirty = make([]int32, n+1)
+	}
 }
+
+// nonZero returns 1 when w != 0 and 0 otherwise, without a branch.
+func nonZero(w uint64) int { return int((w | -w) >> 63) }
 
 // fullMask returns the word with one bit per batch source.
 func fullMask(k int) uint64 { return ^uint64(0) >> (64 - uint(k)) }
@@ -71,6 +85,11 @@ type groupFunc func(label int32, dirty []int32, pend []uint64)
 // at group boundaries; just before each merge, onGroup (when non-nil) sees
 // the staged bits. The pass stops early once every vertex holds every
 // source bit — on dense cliques that happens after a small label prefix.
+// Each group is staged by an inner loop that branches on nothing but the
+// group's end, one loop for arcs and one for edges, which relax both ways.
+// A single loop testing directedness at every time edge scanned directed
+// cliques 1.2× slower (GOMAXPROCS=1, 2-vCPU Xeon, fresh labelings per
+// round), and undirected graphs no faster.
 // sources must hold between 1 and 64 vertices.
 func (n *Network) wordScan(sources []int32, sc *reachScratch, onGroup groupFunc) {
 	n.ensureTimeEdges()
@@ -94,44 +113,45 @@ func (n *Network) wordScan(sources []int32, sc *reachScratch, onGroup groupFunc)
 	}
 	from, to := n.g.FromArray(), n.g.ToArray()
 	directed := n.g.Directed()
-	dirty := sc.dirty[:0]
-	group := int32(0)
+	dirty := sc.dirty[:nv+1]
 	te := n.teEdge
 	tl := n.teLabel[:len(te)]
-	for i, e := range te {
-		if l := tl[i]; l != group {
-			// Label-group boundary: arrivals at the previous label become
-			// usable for departures from here on.
-			if len(dirty) > 0 {
-				left -= flushGroup(group, dirty, cur, pend, full, onGroup)
-				dirty = dirty[:0]
-				if left == 0 {
-					break
-				}
+	for i := 0; i < len(te); {
+		// Stage label l's group, the time edges from i to the next label:
+		// its arrivals become usable for departures once it is flushed.
+		l := tl[i]
+		nd := 0 // dirty[:nd] lists the vertices with pending bits
+		if directed {
+			for ; i < len(te) && tl[i] == l; i++ {
+				e := te[i]
+				u, v := from[e], to[e]
+				pv := pend[v]
+				w := pv | cur[u]&^cur[v]
+				pend[v] = w
+				dirty[nd] = v
+				nd += nonZero(w) - nonZero(pv) // 1 exactly when pend[v] turns non-zero
 			}
-			group = l
-		}
-		u, v := from[e], to[e]
-		cu, cv := cur[u], cur[v] // cur changes only at group boundaries
-		if add := cu &^ (cv | pend[v]); add != 0 {
-			if pend[v] == 0 {
-				dirty = append(dirty, v)
+		} else {
+			for ; i < len(te) && tl[i] == l; i++ {
+				e := te[i]
+				u, v := from[e], to[e]
+				cu, cv := cur[u], cur[v]
+				pv, pu := pend[v], pend[u]
+				wv, wu := pv|cu&^cv, pu|cv&^cu
+				pend[v] = wv
+				dirty[nd] = v
+				nd += nonZero(wv) - nonZero(pv)
+				pend[u] = wu
+				dirty[nd] = u
+				nd += nonZero(wu) - nonZero(pu)
 			}
-			pend[v] |= add
 		}
-		if !directed {
-			if add := cv &^ (cu | pend[u]); add != 0 {
-				if pend[u] == 0 {
-					dirty = append(dirty, u)
-				}
-				pend[u] |= add
+		if nd > 0 {
+			if left -= flushGroup(l, dirty[:nd], cur, pend, full, onGroup); left == 0 {
+				break
 			}
 		}
 	}
-	if len(dirty) > 0 { // arrivals staged during the final label group
-		flushGroup(group, dirty, cur, pend, full, onGroup)
-	}
-	sc.dirty = dirty[:0]
 }
 
 // flushGroup hands the bits staged at label to onGroup, then merges them

@@ -100,6 +100,11 @@ type Network struct {
 	vtePacked []uint64
 	vteEdge   []int32
 
+	// regular reports that every edge carries the same number of labels;
+	// the validation pass over the offsets sets it, and buildTimeEdges
+	// picks its scatter loop by it.
+	regular bool
+
 	// Relabel scratch, retained so steady-state relabeling allocates
 	// nothing: teCounts is the counting-sort histogram, vtePos the
 	// per-vertex fill cursor. histValid marks teCounts as holding the
@@ -136,33 +141,40 @@ type Network struct {
 
 // validateLabelingShape checks the CSR offset invariants New and Relabel
 // both require; the label-range check is separate because Relabel fuses it
-// with its histogram pass.
-func validateLabelingShape(m int, lab Labeling) error {
+// with its histogram pass. The same pass over the offsets reports whether
+// the labeling is regular, every edge carrying as many labels as edge 0.
+func validateLabelingShape(m int, lab Labeling) (regular bool, err error) {
 	if len(lab.Off) != m+1 {
-		return fmt.Errorf("temporal: labeling has %d offsets, want %d", len(lab.Off), m+1)
+		return false, fmt.Errorf("temporal: labeling has %d offsets, want %d", len(lab.Off), m+1)
 	}
 	if lab.Off[0] != 0 || int(lab.Off[m]) != len(lab.Labels) {
-		return fmt.Errorf("temporal: labeling offsets do not cover %d labels", len(lab.Labels))
+		return false, fmt.Errorf("temporal: labeling offsets do not cover %d labels", len(lab.Labels))
+	}
+	var k, differ int32
+	if m > 0 {
+		k = lab.Off[1]
 	}
 	for e := 0; e < m; e++ {
-		if lab.Off[e] > lab.Off[e+1] {
-			return fmt.Errorf("temporal: labeling offsets decrease at edge %d", e)
+		c := lab.Off[e+1] - lab.Off[e]
+		if c < 0 {
+			return false, fmt.Errorf("temporal: labeling offsets decrease at edge %d", e)
 		}
+		differ |= c ^ k
 	}
-	return nil
+	return differ == 0, nil
 }
 
 // validateLabeling is the full check: shape plus label range.
-func validateLabeling(m, lifetime int, lab Labeling) error {
-	if err := validateLabelingShape(m, lab); err != nil {
-		return err
+func validateLabeling(m, lifetime int, lab Labeling) (regular bool, err error) {
+	if regular, err = validateLabelingShape(m, lab); err != nil {
+		return false, err
 	}
 	for _, l := range lab.Labels {
 		if l < 1 || int(l) > lifetime {
-			return fmt.Errorf("temporal: label %d outside [1,%d]", l, lifetime)
+			return false, fmt.Errorf("temporal: label %d outside [1,%d]", l, lifetime)
 		}
 	}
-	return nil
+	return regular, nil
 }
 
 // growI32 returns s resized to length n, reusing its backing array when
@@ -182,10 +194,11 @@ func New(g *graph.Graph, lifetime int, lab Labeling) (*Network, error) {
 	if lifetime < 1 {
 		return nil, fmt.Errorf("temporal: lifetime %d < 1", lifetime)
 	}
-	if err := validateLabeling(g.M(), lifetime, lab); err != nil {
+	regular, err := validateLabeling(g.M(), lifetime, lab)
+	if err != nil {
 		return nil, err
 	}
-	n := &Network{g: g, lifetime: int32(lifetime), off: lab.Off, labels: lab.Labels}
+	n := &Network{g: g, lifetime: int32(lifetime), off: lab.Off, labels: lab.Labels, regular: regular}
 	n.sortPerEdge()
 	n.buildTimeEdges()
 	n.labSorted.Store(true)
@@ -219,7 +232,8 @@ func New(g *graph.Graph, lifetime int, lab Labeling) (*Network, error) {
 // any write; afterwards concurrent queries are safe — the lazy index
 // rebuild is guarded by double-checked locking.
 func (n *Network) Relabel(lab Labeling) error {
-	if err := validateLabelingShape(n.g.M(), lab); err != nil {
+	regular, err := validateLabelingShape(n.g.M(), lab)
+	if err != nil {
 		return err
 	}
 	// Fused range validation + histogram, into scratch only — the network
@@ -237,6 +251,7 @@ func (n *Network) Relabel(lab Labeling) error {
 		counts[l+1]++
 	}
 	n.histValid = true
+	n.regular = regular
 	n.off = growI32(n.off, len(lab.Off))
 	copy(n.off, lab.Off)
 	n.labels = growI32(n.labels, len(lab.Labels))
@@ -350,6 +365,16 @@ func (n *Network) sortPerEdge() {
 // instead of re-counted. The label column is filled by a sequential
 // run-length pass after the edge scatter — same contents, one random write
 // stream instead of two.
+//
+// The scatter visits labels in storage order and needs each label's edge
+// id. A regular labeling (every edge carries k labels: the i.i.d. laws
+// with r labels per edge, windows) walks edge by edge: the inner loop's
+// constant trip count predicts perfectly, so there is no misprediction
+// to remove. An irregular one (Markov, p(t), geometric) would mispredict
+// that loop's exit on most edges, so it marks where each edge starts and
+// runs one flat loop over the labels, whose edge ids are a running sum of
+// those marks: no branch depends on a label count. The marks live in the
+// label column, which the run-length pass overwrites afterwards.
 func (n *Network) buildTimeEdges() {
 	obsBuildTimeEdges.Inc()
 	total := len(n.labels)
@@ -366,14 +391,35 @@ func (n *Network) buildTimeEdges() {
 		counts[i] += counts[i-1]
 	}
 	n.teEdge = growI32(n.teEdge, total)
-	n.teLabel = growI32(n.teLabel, total)
-	for e := 0; e < n.g.M(); e++ {
-		for i := n.off[e]; i < n.off[e+1]; i++ {
-			l := n.labels[i]
+	if m := n.g.M(); n.regular {
+		n.teLabel = growI32(n.teLabel, total)
+		for e := 0; e < m; e++ {
+			for i := n.off[e]; i < n.off[e+1]; i++ {
+				l := n.labels[i]
+				p := counts[l]
+				counts[l] = p + 1
+				n.teEdge[p] = int32(e)
+			}
+		}
+	} else {
+		// starts[i] counts the edges e ≥ 1 whose labels begin at index i
+		// (an empty edge shares its index with the next edge; off[m] and
+		// trailing empty edges mark the spare slot at index total), so the
+		// label at index i belongs to edge starts[0] + … + starts[i].
+		starts := growI32(n.teLabel, total+1)
+		clear(starts)
+		for _, o := range n.off[1:] {
+			starts[o]++
+		}
+		e := int32(0)
+		te := n.teEdge
+		for i, l := range n.labels {
+			e += starts[i]
 			p := counts[l]
 			counts[l] = p + 1
-			n.teEdge[p] = int32(e)
+			te[p] = e
 		}
+		n.teLabel = starts[:total]
 	}
 	// After the scatter counts[l] is the end of label l's run (and
 	// counts[0] is still 0), so the label column falls out sequentially.

@@ -1,6 +1,6 @@
 //go:build !race
 
-package temporal_test
+package temporal
 
 // raceEnabled reports whether the race detector instruments this build;
 // allocation-count assertions are skipped under it (instrumented pools

@@ -1,5 +1,5 @@
 //go:build race
 
-package temporal_test
+package temporal
 
 const raceEnabled = true

@@ -164,42 +164,55 @@ func TestRelabelRejectsBadLabelings(t *testing.T) {
 }
 
 // TestRelabelSteadyStateAllocs pins the zero-allocation contract of the
-// Resample + Relabel hot path for a fixed-budget i.i.d. model.
+// Resample + Relabel hot path, for a regular labeling (uniform: one label
+// per edge, the per-edge time-edge build) and an irregular one (markov:
+// varying counts, the flat scatter with its edge-start marks).
 func TestRelabelSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if temporal.RaceEnabled {
 		t.Skip("race instrumentation allocates in pooled scratch paths")
 	}
-	g := graph.Clique(24, true)
-	m, err := avail.Build("uniform", avail.Params{Lifetime: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := m.(avail.Resampler)
-	net := temporal.MustNew(g, m.Lifetime(), temporal.Labeling{Off: make([]int32, g.M()+1)})
-	var lab temporal.Labeling
-	stream := rng.New(9)
-	// Warm up the buffers, then demand zero steady-state allocations.
-	for i := 0; i < 3; i++ {
-		rs.Resample(g, &lab, stream)
-		if err := net.Relabel(lab); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The measured loop includes bit-parallel, diameter and frontier
-	// queries so the lazy index rebuilds happen inside it.
-	sources := []int{0, 5, 5, 23}
-	arr := make([]int32, g.N())
-	allocs := testing.AllocsPerRun(50, func() {
-		rs.Resample(g, &lab, stream)
-		if err := net.Relabel(lab); err != nil {
-			t.Fatal(err)
-		}
-		temporal.SatisfiesTreachSerial(net, nil)
-		temporal.DiameterFromSerial(net, sources)
-		net.EarliestArrivalsInto(0, arr)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Resample+Relabel+query allocates %.1f objects/op, want 0", allocs)
+	for _, tc := range []struct {
+		name  string
+		model string
+		p     avail.Params
+	}{
+		{"regular", "uniform", avail.Params{Lifetime: 24}},
+		{"irregular", "markov", avail.Params{Lifetime: 24, P: map[string]float64{"pi": 0.1, "runlen": 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.Clique(24, true)
+			m, err := avail.Build(tc.model, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := m.(avail.Resampler)
+			net := temporal.MustNew(g, m.Lifetime(), temporal.Labeling{Off: make([]int32, g.M()+1)})
+			var lab temporal.Labeling
+			stream := rng.New(9)
+			// Warm up the buffers, then demand zero steady-state allocations.
+			for i := 0; i < 3; i++ {
+				rs.Resample(g, &lab, stream)
+				if err := net.Relabel(lab); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The measured loop includes bit-parallel, diameter and frontier
+			// queries so the lazy index rebuilds happen inside it.
+			sources := []int{0, 5, 5, 23}
+			arr := make([]int32, g.N())
+			allocs := testing.AllocsPerRun(50, func() {
+				rs.Resample(g, &lab, stream)
+				if err := net.Relabel(lab); err != nil {
+					t.Fatal(err)
+				}
+				temporal.SatisfiesTreachSerial(net, nil)
+				temporal.DiameterFromSerial(net, sources)
+				net.EarliestArrivalsInto(0, arr)
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Resample+Relabel+query allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -208,7 +221,7 @@ func TestRelabelSteadyStateAllocs(t *testing.T) {
 // labelings — each beating every earlier size — reallocates a logarithmic
 // number of times, not at every new maximum.
 func TestRelabelGrowthReallocatesRarely(t *testing.T) {
-	if raceEnabled {
+	if temporal.RaceEnabled {
 		t.Skip("race instrumentation allocates in pooled scratch paths")
 	}
 	const steps, lifetime = 64, 64

@@ -109,7 +109,8 @@ func (n *Network) RelabelEdges(d EdgeDelta) error {
 		}
 		prev = k
 	}
-	if err := validateLabelingShape(newM, d.Labels); err != nil {
+	regular, err := validateLabelingShape(newM, d.Labels)
+	if err != nil {
 		return err
 	}
 	// Fused label-range validation + histogram, exactly as Relabel: scratch
@@ -141,6 +142,7 @@ func (n *Network) RelabelEdges(d EdgeDelta) error {
 	}
 
 	n.histValid = true
+	n.regular = regular
 	n.off = growI32(n.off, len(d.Labels.Off))
 	copy(n.off, d.Labels.Off)
 	n.labels = growI32(n.labels, len(d.Labels.Labels))

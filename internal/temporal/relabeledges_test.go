@@ -207,62 +207,78 @@ func TestRelabelEdgesRejectsBadInput(t *testing.T) {
 
 // TestRelabelEdgesSteadyStateAllocs pins the zero-allocation contract of
 // the topology-churn trial loop on both routes, with lazy index rebuilds
-// and kernel queries inside the measured loop.
+// and kernel queries inside the measured loop, for irregular labelings
+// (varying counts, the flat time-edge scatter) and regular ones (two
+// labels per edge, the per-edge build).
 func TestRelabelEdgesSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if temporal.RaceEnabled {
 		t.Skip("race instrumentation allocates in pooled scratch paths")
 	}
 	const lifetime, n = 16, 24
-	r := rng.New(23)
-	keysA := randomKeySet(r, n, 60)
-	keysB := randomKeySet(r, n, 55)
-	gA := buildCanonical(n, keysA)
-	labA := randomLabeling(gA, lifetime, r)
-	labB := randomLabeling(buildCanonical(n, keysB), lifetime, r)
-	fromA, toA := edgesFromKeys(n, keysA)
-	fromB, toB := edgesFromKeys(n, keysB)
+	twoPerEdge := func(g *graph.Graph, lifetime int, r *rng.Stream) temporal.Labeling {
+		sets := make([][]int, g.M())
+		for e := range sets {
+			sets[e] = []int{1 + r.Intn(lifetime), 1 + r.Intn(lifetime)}
+		}
+		return temporal.LabelingFromSets(sets)
+	}
+	for _, tc := range []struct {
+		name string
+		draw func(*graph.Graph, int, *rng.Stream) temporal.Labeling
+	}{{"irregular", randomLabeling}, {"regular", twoPerEdge}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rng.New(23)
+			keysA := randomKeySet(r, n, 60)
+			keysB := randomKeySet(r, n, 55)
+			gA := buildCanonical(n, keysA)
+			labA := tc.draw(gA, lifetime, r)
+			labB := tc.draw(buildCanonical(n, keysB), lifetime, r)
+			fromA, toA := edgesFromKeys(n, keysA)
+			fromB, toB := edgesFromKeys(n, keysB)
 
-	// Deltas between A and B, computed once: full-churn replacements that
-	// exercise the rebuild route.
-	diff := func(curKeys, nextKeys []int64, nextFrom, nextTo []int32) temporal.EdgeDelta {
-		var d temporal.EdgeDelta
-		for e, k := range curKeys {
-			if !slices.Contains(nextKeys, k) {
-				d.Remove = append(d.Remove, int32(e))
+			// Deltas between A and B, computed once: full-churn
+			// replacements that exercise the rebuild route.
+			diff := func(curKeys, nextKeys []int64, nextFrom, nextTo []int32) temporal.EdgeDelta {
+				var d temporal.EdgeDelta
+				for e, k := range curKeys {
+					if !slices.Contains(nextKeys, k) {
+						d.Remove = append(d.Remove, int32(e))
+					}
+				}
+				for i, k := range nextKeys {
+					if !slices.Contains(curKeys, k) {
+						d.InsertFrom = append(d.InsertFrom, nextFrom[i])
+						d.InsertTo = append(d.InsertTo, nextTo[i])
+					}
+				}
+				return d
 			}
-		}
-		for i, k := range nextKeys {
-			if !slices.Contains(curKeys, k) {
-				d.InsertFrom = append(d.InsertFrom, nextFrom[i])
-				d.InsertTo = append(d.InsertTo, nextTo[i])
-			}
-		}
-		return d
-	}
-	aToB := diff(keysA, keysB, fromB, toB)
-	bToA := diff(keysB, keysA, fromA, toA)
-	aToB.Labels = labB
-	bToA.Labels = labA
+			aToB := diff(keysA, keysB, fromB, toB)
+			bToA := diff(keysB, keysA, fromA, toA)
+			aToB.Labels = labB
+			bToA.Labels = labA
 
-	net := temporal.MustNew(gA, lifetime, labA)
-	arr := make([]int32, gA.N())
-	run := func(d temporal.EdgeDelta) {
-		if err := net.RelabelEdges(d); err != nil {
-			t.Fatal(err)
-		}
-		temporal.SatisfiesTreachSerial(net, nil)
-		net.EarliestArrivalsInto(0, arr)
-	}
-	for i := 0; i < 3; i++ { // warm every buffer on both parities
-		run(aToB)
-		run(bToA)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		run(aToB)
-		run(bToA)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state RelabelEdges+query allocates %.1f objects/op, want 0", allocs)
+			net := temporal.MustNew(gA, lifetime, labA)
+			arr := make([]int32, gA.N())
+			run := func(d temporal.EdgeDelta) {
+				if err := net.RelabelEdges(d); err != nil {
+					t.Fatal(err)
+				}
+				temporal.SatisfiesTreachSerial(net, nil)
+				net.EarliestArrivalsInto(0, arr)
+			}
+			for i := 0; i < 3; i++ { // warm every buffer on both parities
+				run(aToB)
+				run(bToA)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				run(aToB)
+				run(bToA)
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state RelabelEdges+query allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
 
