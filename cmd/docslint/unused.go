@@ -45,13 +45,12 @@ var keep = map[string]string{
 	"core.TDUpperBoundScale":       "theorem scale: Theorem 4's ln n",
 
 	// Test fixtures another package's tests use.
-	"bitset.Set.Count":           "test fixture: temporal's tests count ReachableSets' sets",
-	"graph.Graph.CanonicalEdges": "test fixture: sim's batch_internal_test.go",
-	"graph.Lollipop":             "test fixture: assign's TestBoxesClaim1AllFamilies",
-	"rng.Stream.NormFloat64":     "test fixture: normal draws in stats' and sweep's tests",
-	"sim.Results.Names":          "test fixture: the differential tests of package sim_test",
-	"sim.Results.Trials":         "test fixture: package sim_test and service's manager_test.go",
-	"stats.Sample.Values":        "test fixture: sim's differential tests compare values in order",
+	"bitset.Set.Count":       "test fixture: temporal's tests count ReachableSets' sets",
+	"graph.Lollipop":         "test fixture: assign's TestBoxesClaim1AllFamilies",
+	"rng.Stream.NormFloat64": "test fixture: normal draws in stats' and sweep's tests",
+	"sim.Results.Names":      "test fixture: the differential tests of package sim_test",
+	"sim.Results.Trials":     "test fixture: package sim_test and service's manager_test.go",
+	"stats.Sample.Values":    "test fixture: sim's differential tests compare values in order",
 
 	// Called only by their own package's tests, which would go with them:
 	// candidates for deletion, each naming those tests.

@@ -3,11 +3,9 @@
 // experiments can be frozen, shared and replayed.
 //
 // Label assignment goes through the availability-model registry
-// (internal/avail): -model picks any registered model and -mp sets its
-// parameters. The legacy -law/-lawparam flags remain as aliases for the
-// i.i.d. models; -lawparam with -model is a usage error, since -mp names
-// the knob there. Scenario models (geometric) build their own support graph
-// on n vertices and ignore -family.
+// (internal/avail): -model picks any registered model (default uniform)
+// and -mp sets its parameters. Scenario models (geometric) build their own
+// support graph on n vertices and ignore -family.
 //
 // A bad flag value is a usage error: exit 2, the message on stderr and
 // nothing on stdout.
@@ -17,7 +15,7 @@
 //	gen -family clique -n 64 > clique64.tnet
 //	gen -family star -n 128 -r 8 -seed 7
 //	gen -family gnp -n 200 -p 0.05 -lifetime 400
-//	gen -family grid -n 36 -law geom -lawparam 0.05
+//	gen -family grid -n 36 -model geom -mp p=0.05
 //	gen -model markov -mp pi=0.05,runlen=6 -family path -n 50
 //	gen -model pt-burst -mp start=0.3,width=0.1 -n 64
 //	gen -model geometric -mp radius=0.18,step=0.05 -n 100
@@ -50,10 +48,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		deg        = fs.Int("deg", 4, "degree for regular")
 		lifetime   = fs.Int("lifetime", 0, "lifetime a, ≥ 0 (0 = n)")
 		r          = fs.Int("r", 1, "labels per edge for the i.i.d. models (≥ 1); other models ignore it")
-		model      = fs.String("model", "", "availability model (see -list-models); overrides -law")
+		model      = fs.String("model", "uniform", "availability model (see -list-models)")
 		mp         = fs.String("mp", "", "model parameters, name=value[,name=value…]")
-		law        = fs.String("law", "uniform", "legacy i.i.d. label law: uniform, geom, binom, zipf")
-		lawParam   = fs.Float64("lawparam", 0, "legacy law parameter (geom p, binom p, zipf s); -law only")
 		seed       = fs.Uint64("seed", 1, "generation seed")
 		listModels = fs.Bool("list-models", false, "list availability models and exit")
 	)
@@ -91,32 +87,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage("%v", err)
 	}
-	name := *model
-	if name != "" && *lawParam != 0 {
-		return usage("-lawparam applies to -law only; with -model set the knob with -mp")
-	}
-	if name == "" {
-		// Legacy path: the law names are registry names; -lawparam maps to
-		// the law's single knob.
-		name = *law
-		if *lawParam != 0 {
-			if knobs == nil {
-				knobs = map[string]float64{}
-			}
-			switch *law {
-			case "geom", "binom":
-				knobs["p"] = *lawParam
-			case "zipf":
-				knobs["s"] = *lawParam
-			default:
-				return usage("-lawparam is meaningless for law %q", *law)
-			}
-		}
-	}
-
-	b, ok := avail.Lookup(name)
+	b, ok := avail.Lookup(*model)
 	if !ok {
-		return usage("unknown model %q (have %s)", name, strings.Join(avail.Names(), ", "))
+		return usage("unknown model %q (have %s)", *model, strings.Join(avail.Names(), ", "))
 	}
 
 	// The graph comes first: the default lifetime is the *realized* vertex
@@ -141,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if a == 0 {
 		a = g.N()
 	}
-	m, err := avail.Build(name, avail.Params{Lifetime: a, R: *r, P: knobs})
+	m, err := avail.Build(*model, avail.Params{Lifetime: a, R: *r, P: knobs})
 	if err != nil {
 		return usage("%v", err)
 	}

@@ -31,9 +31,9 @@ func TestFlagErrors(t *testing.T) {
 		{[]string{"-model", "nope"}, `unknown model "nope"`},
 		{[]string{"-mp", "pi"}, `bad knob "pi"`},
 		{[]string{"-model", "markov", "-mp", "pi=2"}, "markov needs pi in (0,1)"},
-		{[]string{"-lawparam", "3"}, `-lawparam is meaningless for law "uniform"`},
-		{[]string{"-model", "geom", "-lawparam", "0.3"}, "-lawparam applies to -law only"},
-		{[]string{"-model", "markov", "-law", "zipf", "-lawparam", "2"}, "-lawparam applies to -law only"},
+		{[]string{"-model", ""}, `unknown model ""`},
+		{[]string{"-law", "zipf"}, "flag provided but not defined: -law"},
+		{[]string{"-lawparam", "0.3"}, "flag provided but not defined: -lawparam"},
 		{[]string{"-bogus"}, "flag provided but not defined"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -51,10 +51,11 @@ func TestFlagErrors(t *testing.T) {
 
 // TestHeaderMatchesNetwork decodes the printed network and checks that the
 // comment header reports its size, edge count and lifetime, for the
-// default lifetime (the realized vertex count), an explicit one, and a
-// scenario model.
+// defaults (a uniform-labeled 64-clique), the default lifetime (the
+// realized vertex count), an explicit one, and a scenario model.
 func TestHeaderMatchesNetwork(t *testing.T) {
 	for _, args := range [][]string{
+		{},
 		{"-family", "hypercube", "-n", "20", "-seed", "3"},
 		{"-family", "star", "-n", "9", "-lifetime", "30", "-r", "2", "-seed", "4"},
 		{"-model", "markov", "-mp", "pi=0.2,runlen=3", "-family", "grid", "-n", "10", "-seed", "5"},
@@ -73,6 +74,9 @@ func TestHeaderMatchesNetwork(t *testing.T) {
 		if !strings.HasPrefix(header, "# family=") || !strings.Contains(header, want) {
 			t.Errorf("%v: header %q lacks %q", args, header, want)
 		}
+		if len(args) == 0 && !strings.Contains(header, " model=uniform ") {
+			t.Errorf("bare gen: header %q does not name the uniform model", header)
+		}
 	}
 }
 
@@ -90,7 +94,7 @@ func TestHeaderBudget(t *testing.T) {
 		return header, body
 	}
 	for _, args := range [][]string{
-		{"-law", "geom", "-lawparam", "0.3", "-family", "path", "-n", "6"},
+		{"-model", "geom", "-mp", "p=0.3", "-family", "path", "-n", "6"},
 		{"-model", "zipf", "-family", "star", "-n", "7"},
 	} {
 		if header, _ := gen(append(args, "-r", "3")...); !strings.Contains(header, " r=3 ") {

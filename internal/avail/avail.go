@@ -85,12 +85,10 @@ func IsScenario(m Model) bool {
 //
 // The returned slices are state-owned and overwritten by the next Resample:
 // callers either consume them before resampling again or copy (which is
-// exactly what temporal.Network.RelabelEdges does). The edge list is always
-// in canonical undirected order (from[i] < to[i], strictly ascending
-// lexicographically), so it can be diffed against a previous trial's edges
-// and fed to RelabelEdges directly. A state is bound to the vertex count it
-// was created for; it is not safe for concurrent use — batch engines give
-// each worker its own.
+// exactly what temporal.Network.RelabelEdges does, so they can be fed to
+// it directly). A state is bound to the vertex count it was created for;
+// it is not safe for concurrent use — batch engines give each worker its
+// own.
 type ScenarioState interface {
 	Resample(stream *rng.Stream) (from, to []int32, lab temporal.Labeling)
 }

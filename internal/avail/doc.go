@@ -82,14 +82,13 @@
 // Scenario models get their own batched fast path. A scenario that
 // implements IncrementalScenario hands the engine a reusable per-worker
 // ScenarioState whose Resample returns the trial's support-edge list (in
-// canonical order: from < to, ascending lexicographically) plus its CSR
-// labeling, all in state-owned buffers that the next call overwrites —
-// stream consumption and output bit-identical to Generate. sim.BatchRunner
-// diffs consecutive trials' edge lists and patches one worker-owned
-// network in place through temporal.RelabelEdges (topology delta + full
-// relabel) instead of rebuilding graph, labels and time-edge indexes from
-// scratch. The geometric model's state rebuilds its torus grid every
-// slot: it bins the points into one contiguous run per occupied cell,
+// Generate's edge-id order) plus its CSR labeling, all in state-owned
+// buffers that the next call overwrites — stream consumption and output
+// bit-identical to Generate. sim.BatchRunner hands both to
+// temporal.RelabelEdges, which replaces one worker-owned network's edges
+// and labels in place instead of allocating a fresh graph, labeling and
+// time-edge indexes. The geometric model's state rebuilds its torus grid
+// every slot: it bins the points into one contiguous run per occupied cell,
 // with epoch-stamped run bounds so the grid is never cleared, and scans
 // each run against itself and its four forward neighbours' runs, so a
 // slot visits at most n cells however fine the grid. The grid side is

@@ -7,10 +7,10 @@ import (
 
 // Graph is a simple (di)graph in CSR form, immutable through its query
 // surface. Build one with a Builder or a generator; the zero value is an
-// empty graph with no vertices. The only mutation entry points are the
-// owner-only ReplaceEdges/ApplyEdgeDelta in mutate.go, used by incremental
-// scenario models on graphs they hold exclusively; a graph that is shared
-// must never be mutated.
+// empty graph with no vertices. The only mutation entry point is the
+// owner-only ReplaceEdges in mutate.go, used by incremental scenario
+// models on graphs they hold exclusively; a graph that is shared must
+// never be mutated.
 type Graph struct {
 	n        int
 	directed bool
@@ -31,7 +31,7 @@ type Graph struct {
 	radjEdge []int32
 
 	// Scratch for the owner-only mutation path (mutate.go). nil until the
-	// first ReplaceEdges/ApplyEdgeDelta call; read-only graphs never pay.
+	// first ReplaceEdges call; read-only graphs never pay.
 	mut *mutScratch
 }
 

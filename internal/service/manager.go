@@ -175,16 +175,27 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		return job, nil
 	}
 
+	if err := m.enqueue(job); err != nil {
+		return nil, err
+	}
+	return job, nil
+}
+
+// enqueue gives job its context, puts it on the submit queue and registers
+// it; callers hold m.mu. The queue-depth gauge rises before the send, so
+// the worker's decrement can never run first.
+func (m *Manager) enqueue(job *Job) error {
 	job.ctx, job.cancel = context.WithCancel(m.baseCtx)
+	obsQueueDepth.Add(1)
 	select {
 	case m.queue <- job:
-		obsQueueDepth.Add(1)
 	default:
+		obsQueueDepth.Add(-1)
 		job.cancel()
-		return nil, fmt.Errorf("job queue full (%d pending)", cap(m.queue))
+		return fmt.Errorf("job queue full (%d pending)", cap(m.queue))
 	}
 	m.register(job)
-	return job, nil
+	return nil
 }
 
 // register records the job and evicts the oldest terminal job beyond the

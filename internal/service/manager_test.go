@@ -338,3 +338,26 @@ func TestJobsListedInSubmissionOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestQueueDepthGaugeSettles pins service_queue_depth across both kinds
+// of queued job: once a local sweep and an experiment job have settled,
+// the gauge reads what it read before, each counted once onto the queue
+// and once off.
+func TestQueueDepthGaugeSettles(t *testing.T) {
+	m := New(Options{Workers: 1, Lookup: stubRegistry(fastExperiment("E1", 5))})
+	defer m.Close()
+	before := obsQueueDepth.Value()
+	sweepJob, err := m.SubmitSweep(tinySweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := m.Submit(Request{Experiment: "E1", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, sweepJob, StateDone)
+	waitState(t, job, StateDone)
+	if got := obsQueueDepth.Value(); got != before {
+		t.Fatalf("service_queue_depth = %d after both jobs settled, want %d", got, before)
+	}
+}

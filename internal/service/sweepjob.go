@@ -199,14 +199,9 @@ func (m *Manager) SubmitSweep(req SweepRequest) (*Job, error) {
 		return job, nil
 	}
 
-	job.ctx, job.cancel = context.WithCancel(m.baseCtx)
-	select {
-	case m.queue <- job:
-	default:
-		job.cancel()
-		return nil, fmt.Errorf("job queue full (%d pending)", cap(m.queue))
+	if err := m.enqueue(job); err != nil {
+		return nil, err
 	}
-	m.register(job)
 	return job, nil
 }
 

@@ -37,7 +37,8 @@ import (
 // Resample + Relabel path. Scenario models that implement
 // avail.IncrementalScenario (the mobility models, whose support graph
 // changes per trial) take the ScenarioState + RelabelEdges path: each
-// worker owns its support graph and patches topology and labels in place.
+// worker owns its support graph and replaces its edges and labels in
+// place.
 // Everything else transparently falls back to a full avail.Network rebuild
 // per trial, so BatchRunner is safe to use for every registered model: the
 // fast paths are optimizations, never a behavior change.
@@ -100,11 +101,6 @@ type batchWorker struct {
 	ss        avail.ScenarioState // non-nil selects the incremental scenario path
 	net       *temporal.Network
 	lab       temporal.Labeling
-
-	// Scenario-path diff scratch: the edge delta between the worker's
-	// current support graph and the trial's fresh edge list, reused so the
-	// per-trial diff allocates nothing.
-	remove, insFrom, insTo []int32
 
 	// resampled/scenario/rebuilt count this worker's trials per labeling
 	// path since it was acquired; release flushes them to the process
@@ -179,9 +175,9 @@ func (b *BatchRunner) release(w *batchWorker) {
 //     labels are redrawn into a reused buffer and the temporal indexes
 //     rebuilt in place;
 //   - ScenarioState + RelabelEdges for incremental scenario models: the
-//     trial's support-graph edge list is redrawn into worker state, diffed
-//     against the worker's current graph, and both topology and labels are
-//     patched in place (the graph is worker-owned, so the mutation is safe);
+//     trial's support-graph edge list and labels are redrawn into worker
+//     state and replace the worker network's edges and labels in place
+//     (the graph is worker-owned, so the mutation is safe);
 //   - a full avail.Network rebuild for everything else.
 func (w *batchWorker) instance(stream *rng.Stream) *temporal.Network {
 	switch {
@@ -206,66 +202,20 @@ func (w *batchWorker) instance(stream *rng.Stream) *temporal.Network {
 		w.scenario++
 		from, to, lab := w.ss.Resample(stream)
 		if w.net == nil {
-			// First trial: materialize a worker-owned support graph and
-			// network. Both the edge list and the labeling are copied out of
-			// the scenario state here (Build copies, MustNew retains — hence
-			// the clones), because the state overwrites its buffers next
-			// trial.
-			gb := graph.NewBuilder(w.substrate.N(), false)
-			for i := range from {
-				gb.AddEdge(int(from[i]), int(to[i]))
-			}
-			owned := temporal.Labeling{Off: slices.Clone(lab.Off), Labels: slices.Clone(lab.Labels)}
-			w.net = temporal.MustNew(gb.Build(), w.lifetime, owned)
-			return w.net
+			// First trial on this worker: build a worker-owned edgeless
+			// graph and its index skeleton, then relabel, as on the
+			// resample route.
+			g := graph.NewBuilder(w.substrate.N(), false).Build()
+			w.net = temporal.MustNew(g, w.lifetime, temporal.Labeling{Off: make([]int32, 1)})
 		}
-		w.diffEdges(from, to)
-		err := w.net.RelabelEdges(temporal.EdgeDelta{
-			Remove: w.remove, InsertFrom: w.insFrom, InsertTo: w.insTo, Labels: lab,
-		})
-		if err != nil {
-			// ScenarioState's contract (canonical edge order, well-formed
+		if err := w.net.RelabelEdges(from, to, lab); err != nil {
+			// ScenarioState's contract (Generate's edge list, well-formed
 			// labeling) makes this unreachable.
-			panic("sim: scenario delta rejected: " + err.Error())
+			panic("sim: scenario trial rejected: " + err.Error())
 		}
 		return w.net
 	default:
 		w.rebuilt++
 		return avail.Network(w.model, w.substrate, stream)
-	}
-}
-
-// diffEdges computes the insert/remove delta between the worker network's
-// current (canonical) edge list and the fresh trial's, by one linear merge
-// into reused scratch.
-func (w *batchWorker) diffEdges(from, to []int32) {
-	oldF, oldT := w.net.Graph().FromArray(), w.net.Graph().ToArray()
-	nv := int64(w.substrate.N())
-	w.remove = w.remove[:0]
-	w.insFrom = w.insFrom[:0]
-	w.insTo = w.insTo[:0]
-	i, j := 0, 0
-	for i < len(oldF) && j < len(from) {
-		ko := int64(oldF[i])*nv + int64(oldT[i])
-		kn := int64(from[j])*nv + int64(to[j])
-		switch {
-		case ko == kn:
-			i++
-			j++
-		case ko < kn:
-			w.remove = append(w.remove, int32(i))
-			i++
-		default:
-			w.insFrom = append(w.insFrom, from[j])
-			w.insTo = append(w.insTo, to[j])
-			j++
-		}
-	}
-	for ; i < len(oldF); i++ {
-		w.remove = append(w.remove, int32(i))
-	}
-	for ; j < len(from); j++ {
-		w.insFrom = append(w.insFrom, from[j])
-		w.insTo = append(w.insTo, to[j])
 	}
 }

@@ -5,6 +5,7 @@ package sim
 // every model silently falling back to the rebuild path.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/avail"
@@ -38,8 +39,10 @@ func TestAcquireSelectsPathPerModel(t *testing.T) {
 }
 
 // TestScenarioPathCountsTrials drives a worker through several geometric
-// trials and checks they are all served by the incremental path (first
-// build + RelabelEdges), never the rebuild fallback.
+// trials and checks they are all served by the incremental path (empty
+// skeleton, then RelabelEdges every trial), never the rebuild fallback,
+// each leaving the worker's graph with Generate's edges in Generate's
+// order.
 func TestScenarioPathCountsTrials(t *testing.T) {
 	m, err := avail.Build("geometric", avail.Params{Lifetime: 8})
 	if err != nil {
@@ -55,13 +58,13 @@ func TestScenarioPathCountsTrials(t *testing.T) {
 		if net != w.net {
 			t.Fatalf("trial %d: instance did not return the worker-owned network", i)
 		}
+		want := avail.Network(m, b.Substrate, rng.NewStream(7, i)).Graph()
+		if got := net.Graph(); !slices.Equal(got.FromArray(), want.FromArray()) || !slices.Equal(got.ToArray(), want.ToArray()) {
+			t.Fatalf("trial %d: worker graph's %d edges differ from Generate's %d", i, got.M(), want.M())
+		}
 	}
 	if w.scenario != 5 || w.rebuilt != 0 || w.resampled != 0 {
 		t.Fatalf("path counters scenario=%d rebuilt=%d resampled=%d, want 5/0/0",
 			w.scenario, w.rebuilt, w.resampled)
-	}
-	// The worker-owned graph must stay canonical so the next diff holds.
-	if !w.net.Graph().CanonicalEdges() {
-		t.Fatal("worker graph lost canonical edge order")
 	}
 }

@@ -173,8 +173,8 @@ func TestBatchRunnerObserveFromMatchesScalars(t *testing.T) {
 
 // TestBatchRunnerGeometricGridMatchesRebuild is the mobility-specific
 // differential test at a size that takes the grid-bucket scan and the
-// RelabelEdges rebuild route — the configuration the E17 sweeps run —
-// against the rebuild oracle, across worker counts.
+// RelabelEdges route — the configuration the E17 sweeps run — against the
+// rebuild oracle, across worker counts.
 func TestBatchRunnerGeometricGridMatchesRebuild(t *testing.T) {
 	m, err := avail.Build("geometric", avail.Params{Lifetime: 12})
 	if err != nil {

@@ -21,10 +21,10 @@
 //     time-edge indexes in place — zero steady-state allocations.
 //   - ScenarioState + RelabelEdges: scenario models implementing
 //     avail.IncrementalScenario (geometric) redraw the edge set too. The
-//     worker holds one reusable ScenarioState and one private network;
-//     each trial diffs the new canonical edge list against the previous
-//     one (a linear merge) and patches topology and labels through
-//     temporal.RelabelEdges instead of rebuilding from scratch.
+//     worker holds one reusable ScenarioState and one private network,
+//     built empty on its first trial; each trial's whole edge list and
+//     labeling replace the network's through temporal.RelabelEdges, which
+//     rebuilds the graph and indexes over their buffers.
 //   - Full rebuild: everything else — non-incremental scenarios, or a
 //     NewScenarioState that returned nil for this size — constructs a
 //     fresh avail.Network per trial. The sweep cells over randomized

@@ -55,35 +55,27 @@
 // Relabel rebuilds all indexes in place over the existing buffers, so a
 // steady-state trial allocates nothing either (see sim.BatchRunner).
 //
-// # Topology deltas: RelabelEdges
+// # Whole edge lists: RelabelEdges
 //
 // Scenario models (package avail) redraw not just the labels but the edge
 // set itself every trial. RelabelEdges extends the in-place machinery to
-// that workload: it takes an EdgeDelta — edges to remove (ascending
-// current edge ids), edges to insert (canonical order: from < to,
-// ascending by (from, to)), and the FULL post-delta labeling in post-delta
-// edge-id order — and patches the network's graph and label CSR without
-// reallocating, deferring the time-edge index rebuilds to the same lazy
-// double-checked machinery Relabel uses. Its invariants:
+// that workload: it takes the trial's whole edge list and its labeling in
+// edge-id order, rebuilds the network's graph CSR over its buffers
+// (graph.ReplaceEdges), copies the labels, and defers the time-edge index
+// rebuilds to the same lazy double-checked machinery Relabel uses. Its
+// invariants:
 //
 //   - The network must exclusively own its graph. RelabelEdges mutates the
-//     *graph.Graph in place (graph.ApplyEdgeDelta / graph.ReplaceEdges),
-//     so anything built against the old topology — a StaticReach, cached
-//     adjacency, a shared substrate — is silently invalidated even though
-//     the pointer is unchanged. sim.BatchRunner satisfies this by cloning
-//     a private graph per worker.
-//   - Edge ids after the delta equal the ids a fresh graph.Builder would
-//     assign for the same edge set, because both orders are canonical.
+//     *graph.Graph in place, so anything built against the old topology —
+//     a StaticReach, cached adjacency, a shared substrate — is silently
+//     invalidated even though the pointer is unchanged. sim.BatchRunner
+//     satisfies this by building a private graph per scenario worker.
+//   - Edge ids after the call equal the ids a fresh graph.Builder fed the
+//     same list would assign: edge i is (from[i], to[i]), in any order.
 //     That is what lets a state engine and the from-scratch oracle agree
 //     bit for bit (the conformance tests in avail rely on it).
-//   - Churn routing: when removed+inserted exceeds ChurnRebuildThreshold
-//     (a fraction of the current edge count), patching degenerates to
-//     moving most of the CSR anyway, so RelabelEdges falls back to a full
-//     in-place rebuild (graph.ReplaceEdges) over the same buffers. Both
-//     routes produce identical networks; the obs counter
-//     temporal_relabel_edges_total{route} records which one ran.
 //
-// Validation happens before any mutation, so a malformed delta (unsorted
-// inserts, duplicate edges, out-of-range ids) errors out with the network
-// untouched.
+// Validation happens before any mutation, so a malformed call (a labeling
+// of the wrong shape, an out-of-range label or vertex, a self-loop)
+// errors out with the network untouched.
 package temporal

@@ -62,10 +62,9 @@ func LabelingFromSets(sets [][]int) Labeling {
 // rebuilds every index in place — the batched Monte-Carlo path that holds
 // the substrate fixed and resamples availability per trial. Networks whose
 // graph is exclusively owned (the incremental mobility scenarios) can
-// additionally change topology per trial through RelabelEdges
-// (relabeledges.go), which patches or rebuilds the graph's CSR in place
-// under the same lazy index machinery; shared-substrate networks must
-// never do this.
+// additionally replace their edge list per trial through RelabelEdges,
+// which rebuilds the graph's CSR in place under the same lazy index
+// machinery; shared-substrate networks must never do this.
 type Network struct {
 	g        *graph.Graph
 	lifetime int32
@@ -109,12 +108,10 @@ type Network struct {
 	// nothing: teCounts is the counting-sort histogram, vtePos the
 	// per-vertex fill cursor. histValid marks teCounts as holding the
 	// current labels' histogram (Relabel computes it while copying, so the
-	// lazy time-edge build can skip its counting pass). deltaFrom/deltaTo
-	// hold the merged edge list on RelabelEdges' rebuild route.
-	teCounts           []int32
-	vtePos             []int32
-	histValid          bool
-	deltaFrom, deltaTo []int32
+	// lazy time-edge build can skip its counting pass).
+	teCounts  []int32
+	vtePos    []int32
+	histValid bool
 
 	// Lazy index state. Relabel only copies the labels; the per-edge label
 	// sort and the two derived indexes are redone on first use, so a trial
@@ -232,24 +229,71 @@ func New(g *graph.Graph, lifetime int, lab Labeling) (*Network, error) {
 // any write; afterwards concurrent queries are safe — the lazy index
 // rebuild is guarded by double-checked locking.
 func (n *Network) Relabel(lab Labeling) error {
-	regular, err := validateLabelingShape(n.g.M(), lab)
+	regular, err := n.checkLabeling(n.g.M(), lab)
 	if err != nil {
 		return err
 	}
-	// Fused range validation + histogram, into scratch only — the network
-	// is untouched until the labeling is known good — and the lazy
-	// time-edge build starts from exactly this counting pass, so it later
-	// skips its own.
+	n.storeLabeling(lab, regular)
+	return nil
+}
+
+// RelabelEdges is Relabel for a network whose edge set changes too: the
+// support graph's edge list becomes (from[i], to[i]), edge i carrying
+// lab's run i, and the labels are replaced as by Relabel. The graph's CSR
+// is rebuilt in place over its buffers (graph.ReplaceEdges), and every
+// temporal index is left to the lazy rebuild Relabel uses, so queries
+// afterwards are bit-identical to queries on a network freshly built from
+// the same edge list and labeling, edge identifiers included — pinned by
+// the differential and fuzz tests — and a steady-state call allocates
+// nothing. The lists and lab are not retained.
+//
+// Validation runs before any mutation: the labeling as Relabel checks it,
+// for len(from) edges, then lengths, ranges and self-loops of the edge
+// list inside ReplaceEdges. A failed call leaves network and graph
+// unchanged.
+//
+// CAUTION — unlike Relabel, this mutates *n.Graph() itself. The graph must
+// be exclusively owned by this network and this caller (sim.BatchRunner
+// gives each scenario worker its own); anything derived from the old
+// topology (StaticReach, cached adjacency, slices from FromArray/ToArray)
+// is invalidated even though the pointer is unchanged. Exclusive access is
+// required during the call, exactly as for Relabel.
+func (n *Network) RelabelEdges(from, to []int32, lab Labeling) error {
+	regular, err := n.checkLabeling(len(from), lab)
+	if err != nil {
+		return err
+	}
+	if err := n.g.ReplaceEdges(from, to); err != nil {
+		return err
+	}
+	n.storeLabeling(lab, regular)
+	return nil
+}
+
+// checkLabeling validates lab for m edges, shape and label range, the
+// range check fused with the time-edge build's counting pass. It writes
+// only scratch, so the network is untouched if lab is bad; the lazy
+// time-edge build later starts from this histogram and skips its own.
+func (n *Network) checkLabeling(m int, lab Labeling) (regular bool, err error) {
+	if regular, err = validateLabelingShape(m, lab); err != nil {
+		return false, err
+	}
 	counts := growI32(n.teCounts, int(n.lifetime)+2)
 	clear(counts)
 	n.teCounts = counts
 	n.histValid = false
 	for _, l := range lab.Labels {
 		if l < 1 || l > n.lifetime {
-			return fmt.Errorf("temporal: label %d outside [1,%d]", l, n.lifetime)
+			return false, fmt.Errorf("temporal: label %d outside [1,%d]", l, n.lifetime)
 		}
 		counts[l+1]++
 	}
+	return regular, nil
+}
+
+// storeLabeling copies a labeling checkLabeling accepted into the
+// network and marks every index stale.
+func (n *Network) storeLabeling(lab Labeling, regular bool) {
 	n.histValid = true
 	n.regular = regular
 	n.off = growI32(n.off, len(lab.Off))
@@ -257,7 +301,6 @@ func (n *Network) Relabel(lab Labeling) error {
 	n.labels = growI32(n.labels, len(lab.Labels))
 	copy(n.labels, lab.Labels)
 	n.invalidateIndexes()
-	return nil
 }
 
 // invalidateIndexes marks every lazy index stale, the endpoint column

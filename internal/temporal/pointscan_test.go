@@ -78,8 +78,8 @@ func checkEndsFill(t *testing.T, name string, net *temporal.Network) {
 }
 
 // TestPointScanEndsFill pins the fill after MustNew, after Relabel, and
-// after RelabelEdges on its patch and rebuild routes: each replaces the
-// labeling, so each must drop the column for the next scan to refill.
+// after RelabelEdges with a few and with most edges changed: each replaces
+// the labeling, so each must drop the column for the next scan to refill.
 func TestPointScanEndsFill(t *testing.T) {
 	const lifetime = 13
 	r := rng.New(29)
@@ -96,26 +96,17 @@ func TestPointScanEndsFill(t *testing.T) {
 	g := buildCanonical(nv, keys)
 	unet := temporal.MustNew(g, lifetime, randomLabeling(g, lifetime, r))
 	checkEndsFill(t, "new undirected", unet)
-	for _, route := range []struct {
+	for _, churn := range []struct {
 		name           string
 		remove, insert int
-		rebuild        bool
-	}{
-		{"patch", 2, 2, false},
-		{"rebuild", 20, 20, true},
-	} {
-		remove, insFrom, insTo, merged := randomDelta(r, nv, keys, route.remove, route.insert)
-		churn := float64(len(remove) + len(insFrom))
-		if rebuild := churn > temporal.ChurnRebuildThreshold*float64(max(len(keys), len(merged))); rebuild != route.rebuild {
-			t.Fatalf("%s: delta of %v changes on %d edges takes the other route", route.name, churn, len(keys))
-		}
-		lab := randomLabeling(buildCanonical(nv, merged), lifetime, r)
-		err := unet.RelabelEdges(temporal.EdgeDelta{Remove: remove, InsertFrom: insFrom, InsertTo: insTo, Labels: lab})
-		if err != nil {
+	}{{"few", 2, 2}, {"most", 20, 20}} {
+		keys = nextKeySet(r, nv, keys, churn.remove, churn.insert)
+		from, to := edgesFromKeys(nv, keys)
+		lab := randomLabeling(buildCanonical(nv, keys), lifetime, r)
+		if err := unet.RelabelEdges(from, to, lab); err != nil {
 			t.Fatal(err)
 		}
-		checkEndsFill(t, "relabel edges "+route.name, unet)
-		keys = merged
+		checkEndsFill(t, "relabel edges "+churn.name, unet)
 	}
 }
 

@@ -1,11 +1,11 @@
 package temporal_test
 
-// Differential + fuzz coverage for the topology-delta path: a network whose
-// graph and labels were mutated through RelabelEdges must be
-// indistinguishable — edge identifiers, labels, time edges, arrivals,
-// reachability — from a network freshly built from the merged edge list.
-// This is the contract the incremental scenario engine (avail geometric,
-// sim.BatchRunner) stands on.
+// Differential + fuzz coverage for RelabelEdges: a network whose graph and
+// labels were replaced through it must be indistinguishable — edge
+// identifiers, labels, time edges, arrivals, reachability — from a network
+// freshly built from the same edge list and labeling. This is the contract
+// the incremental scenario engine (avail geometric, sim.BatchRunner)
+// stands on.
 
 import (
 	"fmt"
@@ -26,13 +26,18 @@ func edgesFromKeys(n int, keys []int64) (from, to []int32) {
 	return from, to
 }
 
-func buildCanonical(n int, keys []int64) *graph.Graph {
-	from, to := edgesFromKeys(n, keys)
-	b := graph.NewBuilder(n, false)
+// buildEdges builds the graph a fresh Builder makes of the edge list.
+func buildEdges(n int, directed bool, from, to []int32) *graph.Graph {
+	b := graph.NewBuilder(n, directed)
 	for i := range from {
 		b.AddEdge(int(from[i]), int(to[i]))
 	}
 	return b.Build()
+}
+
+func buildCanonical(n int, keys []int64) *graph.Graph {
+	from, to := edgesFromKeys(n, keys)
+	return buildEdges(n, false, from, to)
 }
 
 // randomKeySet draws m distinct canonical edge keys on n vertices.
@@ -58,24 +63,18 @@ func randomKeySet(r *rng.Stream, n, m int) []int64 {
 	return keys
 }
 
-// randomDelta picks a removal subset (about removeFrac of current edges)
-// and fresh inserts, returning the delta arrays plus the merged key set.
-func randomDelta(r *rng.Stream, n int, cur []int64, removeNum, insertNum int) (remove, insFrom, insTo []int32, merged []int64) {
-	kept := map[int64]bool{}
+// nextKeySet derives the next trial's sorted key set from cur: it drops
+// about removeNum of cur's keys and adds up to insertNum keys not in cur.
+func nextKeySet(r *rng.Stream, n int, cur []int64, removeNum, insertNum int) []int64 {
+	var next []int64
 	for _, k := range cur {
-		kept[k] = true
-	}
-	for e := range cur {
 		if removeNum > 0 && r.Intn(len(cur)) < removeNum {
-			remove = append(remove, int32(e))
-			kept[cur[e]] = false
+			continue
 		}
+		next = append(next, k)
 	}
-	var insKeys []int64
-	for tries := 0; tries < 4*insertNum; tries++ {
-		if len(insKeys) >= insertNum {
-			break
-		}
+	var ins []int64
+	for tries := 0; tries < 4*insertNum && len(ins) < insertNum; tries++ {
 		u, v := r.Intn(n), r.Intn(n)
 		if u == v {
 			continue
@@ -84,21 +83,29 @@ func randomDelta(r *rng.Stream, n int, cur []int64, removeNum, insertNum int) (r
 			u, v = v, u
 		}
 		k := int64(u)*int64(n) + int64(v)
-		if b, dup := kept[k]; (dup && b) || slices.Contains(insKeys, k) {
+		if slices.Contains(cur, k) || slices.Contains(ins, k) {
 			continue
 		}
-		insKeys = append(insKeys, k)
+		ins = append(ins, k)
 	}
-	slices.Sort(insKeys)
-	insFrom, insTo = edgesFromKeys(n, insKeys)
-	for k, b := range kept {
-		if b {
-			merged = append(merged, k)
+	next = append(next, ins...)
+	slices.Sort(next)
+	return next
+}
+
+// shuffleEdges permutes an edge list and flips a random half of its
+// edges, so the list is in no canonical order.
+func shuffleEdges(r *rng.Stream, from, to []int32) {
+	for i := len(from) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		from[i], from[j] = from[j], from[i]
+		to[i], to[j] = to[j], to[i]
+	}
+	for i := range from {
+		if r.Intn(2) == 0 {
+			from[i], to[i] = to[i], from[i]
 		}
 	}
-	merged = append(merged, insKeys...)
-	slices.Sort(merged)
-	return remove, insFrom, insTo, merged
 }
 
 // assertSameTopology pins the mutated graph's edge arrays against the
@@ -116,100 +123,114 @@ func assertSameTopology(t *testing.T, name string, got, want *graph.Graph) {
 	}
 }
 
-// TestRelabelEdgesMatchesNew drives one network through delta sequences on
-// both routes — small deltas under the churn threshold (adjacency patch)
-// and full-replacement deltas above it (in-place rebuild) — pinning every
-// step against a fresh build from the merged edge list.
+// TestRelabelEdgesMatchesNew drives one network through sequences of edge
+// lists — a few edges changing per step, most changing, growing from
+// empty, shrinking toward empty, always empty, the same list every step,
+// nearly complete, and lists in no canonical order on undirected and
+// directed graphs — pinning every step against a fresh build from the
+// same list.
 func TestRelabelEdgesMatchesNew(t *testing.T) {
 	const lifetime = 13
 	for _, tc := range []struct {
 		name              string
 		n, m              int
 		removeNum, insNum int
+		directed, shuffle bool
 	}{
-		{"patch-small", 12, 30, 2, 2},     // churn ~13% → patch route
-		{"rebuild-heavy", 12, 30, 20, 20}, // churn ≫ threshold → rebuild route
-		{"insert-only", 9, 0, 0, 6},       // grow from empty
-		{"remove-only", 9, 14, 14, 0},     // shrink toward empty
-		{"tiny", 2, 0, 0, 1},              // single possible edge
+		{name: "patch-small", n: 12, m: 30, removeNum: 2, insNum: 2},
+		{name: "rebuild-heavy", n: 12, m: 30, removeNum: 20, insNum: 20},
+		{name: "insert-only", n: 9, insNum: 6},
+		{name: "remove-only", n: 9, m: 14, removeNum: 14},
+		{name: "tiny", n: 2, insNum: 1},
+		{name: "empty", n: 6},
+		{name: "repeated", n: 10, m: 20},
+		{name: "near-complete", n: 10, m: 44, removeNum: 1, insNum: 3},
+		{name: "unordered", n: 12, m: 30, removeNum: 20, insNum: 20, shuffle: true},
+		{name: "directed", n: 12, m: 30, removeNum: 20, insNum: 20, directed: true, shuffle: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rng.New(17)
 			cur := randomKeySet(r, tc.n, tc.m)
-			g := buildCanonical(tc.n, cur)
-			lab := randomLabeling(g, lifetime, r)
-			net := temporal.MustNew(g, lifetime, lab)
+			from, to := edgesFromKeys(tc.n, cur)
+			g := buildEdges(tc.n, tc.directed, from, to)
+			net := temporal.MustNew(g, lifetime, randomLabeling(g, lifetime, r))
 			for step := 0; step < 6; step++ {
-				remove, insFrom, insTo, merged := randomDelta(r, tc.n, cur, tc.removeNum, tc.insNum)
-				oracleG := buildCanonical(tc.n, merged)
-				newLab := randomLabeling(oracleG, lifetime, r)
-				err := net.RelabelEdges(temporal.EdgeDelta{
-					Remove: remove, InsertFrom: insFrom, InsertTo: insTo, Labels: newLab,
-				})
-				if err != nil {
+				cur = nextKeySet(r, tc.n, cur, tc.removeNum, tc.insNum)
+				from, to := edgesFromKeys(tc.n, cur)
+				if tc.shuffle {
+					shuffleEdges(r, from, to)
+				}
+				oracleG := buildEdges(tc.n, tc.directed, from, to)
+				lab := randomLabeling(oracleG, lifetime, r)
+				if err := net.RelabelEdges(from, to, lab); err != nil {
 					t.Fatalf("step %d: RelabelEdges: %v", step, err)
 				}
 				name := fmt.Sprintf("step %d", step)
 				assertSameTopology(t, name, net.Graph(), oracleG)
-				assertNetworksEqual(t, name, net, temporal.MustNew(oracleG, lifetime, newLab))
-				cur = merged
+				assertNetworksEqual(t, name, net, temporal.MustNew(oracleG, lifetime, lab))
 			}
 		})
 	}
 }
 
 // TestRelabelEdgesRejectsBadInput pins validation errors and that a failed
-// call leaves network and graph unchanged.
+// call leaves graph and labels unchanged, on a freshly built network and
+// on one whose last RelabelEdges left every index to rebuild.
 func TestRelabelEdgesRejectsBadInput(t *testing.T) {
-	const lifetime = 9
-	n := 6
-	keys := []int64{0*6 + 1, 0*6 + 3, 1*6 + 2, 2*6 + 4} // (0,1) (0,3) (1,2) (2,4)
-	mk := func() *temporal.Network {
-		g := buildCanonical(n, keys)
-		return temporal.MustNew(g, lifetime, randomLabeling(g, lifetime, rng.New(5)))
-	}
-	lab3 := func(m int) temporal.Labeling { // valid shape for m edges, all-empty
+	const lifetime, n = 9, 6
+	from := []int32{0, 0, 1, 2} // (0,1) (0,3) (1,2) (2,4)
+	to := []int32{1, 3, 2, 4}
+	empty := func(m int) temporal.Labeling { // valid shape for m edges, all-empty
 		return temporal.Labeling{Off: make([]int32, m+1)}
 	}
 	cases := []struct {
-		name  string
-		delta temporal.EdgeDelta
+		name     string
+		from, to []int32
+		lab      temporal.Labeling
 	}{
-		{"remove out of range", temporal.EdgeDelta{Remove: []int32{4}, Labels: lab3(3)}},
-		{"remove negative", temporal.EdgeDelta{Remove: []int32{-1}, Labels: lab3(3)}},
-		{"remove unsorted", temporal.EdgeDelta{Remove: []int32{2, 1}, Labels: lab3(2)}},
-		{"insert length mismatch", temporal.EdgeDelta{InsertFrom: []int32{0}, Labels: lab3(5)}},
-		{"insert self-loop", temporal.EdgeDelta{InsertFrom: []int32{2}, InsertTo: []int32{2}, Labels: lab3(5)}},
-		{"insert wrong orientation", temporal.EdgeDelta{InsertFrom: []int32{3}, InsertTo: []int32{1}, Labels: lab3(5)}},
-		{"insert out of range", temporal.EdgeDelta{InsertFrom: []int32{5}, InsertTo: []int32{6}, Labels: lab3(5)}},
-		{"insert unsorted", temporal.EdgeDelta{InsertFrom: []int32{3, 1}, InsertTo: []int32{4, 5}, Labels: lab3(6)}},
-		{"insert duplicate", temporal.EdgeDelta{InsertFrom: []int32{0}, InsertTo: []int32{3}, Labels: lab3(5)}},
-		{"labeling wrong shape", temporal.EdgeDelta{Remove: []int32{0}, Labels: lab3(4)}},
-		{"label out of range", temporal.EdgeDelta{Labels: temporal.LabelingFromSets([][]int{{lifetime + 1}, nil, nil, nil})}},
-		{"label below one", temporal.EdgeDelta{Labels: temporal.LabelingFromSets([][]int{{0}, nil, nil, nil})}},
+		{"length mismatch", []int32{0, 1}, []int32{1}, empty(2)},
+		{"self-loop", []int32{2}, []int32{2}, empty(1)},
+		{"out of range", []int32{5}, []int32{6}, empty(1)},
+		{"negative", []int32{-1}, []int32{2}, empty(1)},
+		{"labeling wrong shape", []int32{0, 1}, []int32{1, 2}, empty(3)},
+		{"offsets short of labels", []int32{0}, []int32{1}, temporal.Labeling{Off: []int32{0, 1}, Labels: []int32{3, 4}}},
+		{"label out of range", []int32{0}, []int32{1}, temporal.LabelingFromSets([][]int{{lifetime + 1}})},
+		{"label below one", []int32{0}, []int32{1}, temporal.LabelingFromSets([][]int{{0}})},
 	}
-	for _, tc := range cases {
-		net := mk()
-		if err := net.RelabelEdges(tc.delta); err == nil {
-			t.Fatalf("%s: RelabelEdges accepted a bad delta", tc.name)
+	// mk builds the graph and labeling every network here starts from, a
+	// fresh copy per call, so nothing is shared with the oracle.
+	mk := func() (*graph.Graph, temporal.Labeling) {
+		g := buildEdges(n, false, from, to)
+		return g, randomLabeling(g, lifetime, rng.New(5))
+	}
+	for _, dirty := range []bool{false, true} {
+		for _, tc := range cases {
+			g, lab := mk()
+			var net *temporal.Network
+			if dirty {
+				net = temporal.MustNew(buildEdges(n, false, nil, nil), lifetime, temporal.Labeling{Off: []int32{0}})
+				if err := net.RelabelEdges(from, to, lab); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				net = temporal.MustNew(g, lifetime, lab)
+			}
+			name := fmt.Sprintf("%s (dirty=%v)", tc.name, dirty)
+			if err := net.RelabelEdges(tc.from, tc.to, tc.lab); err == nil {
+				t.Fatalf("%s: RelabelEdges accepted a bad input", name)
+			}
+			og, olab := mk()
+			assertSameTopology(t, name, net.Graph(), og)
+			assertNetworksEqual(t, name+" after the rejected call", net, temporal.MustNew(og, lifetime, olab))
 		}
-		oracle := mk()
-		assertSameTopology(t, tc.name, net.Graph(), oracle.Graph())
-		assertNetworksEqual(t, tc.name+" (after rejected delta)", net, oracle)
-	}
-
-	directed := temporal.MustNew(graph.Clique(4, true), lifetime,
-		temporal.Labeling{Off: make([]int32, graph.Clique(4, true).M()+1)})
-	if err := directed.RelabelEdges(temporal.EdgeDelta{Labels: lab3(12)}); err == nil {
-		t.Fatal("directed: RelabelEdges should be rejected")
 	}
 }
 
 // TestRelabelEdgesSteadyStateAllocs pins the zero-allocation contract of
-// the topology-churn trial loop on both routes, with lazy index rebuilds
-// and kernel queries inside the measured loop, for irregular labelings
-// (varying counts, the flat time-edge scatter) and regular ones (two
-// labels per edge, the per-edge build).
+// the per-trial topology loop, alternating two edge lists with lazy index
+// rebuilds and kernel queries inside the measured loop, for irregular
+// labelings (varying counts, the flat time-edge scatter) and regular ones
+// (two labels per edge, the per-edge build).
 func TestRelabelEdgesSteadyStateAllocs(t *testing.T) {
 	if temporal.RaceEnabled {
 		t.Skip("race instrumentation allocates in pooled scratch paths")
@@ -236,44 +257,22 @@ func TestRelabelEdgesSteadyStateAllocs(t *testing.T) {
 			fromA, toA := edgesFromKeys(n, keysA)
 			fromB, toB := edgesFromKeys(n, keysB)
 
-			// Deltas between A and B, computed once: full-churn
-			// replacements that exercise the rebuild route.
-			diff := func(curKeys, nextKeys []int64, nextFrom, nextTo []int32) temporal.EdgeDelta {
-				var d temporal.EdgeDelta
-				for e, k := range curKeys {
-					if !slices.Contains(nextKeys, k) {
-						d.Remove = append(d.Remove, int32(e))
-					}
-				}
-				for i, k := range nextKeys {
-					if !slices.Contains(curKeys, k) {
-						d.InsertFrom = append(d.InsertFrom, nextFrom[i])
-						d.InsertTo = append(d.InsertTo, nextTo[i])
-					}
-				}
-				return d
-			}
-			aToB := diff(keysA, keysB, fromB, toB)
-			bToA := diff(keysB, keysA, fromA, toA)
-			aToB.Labels = labB
-			bToA.Labels = labA
-
 			net := temporal.MustNew(gA, lifetime, labA)
 			arr := make([]int32, gA.N())
-			run := func(d temporal.EdgeDelta) {
-				if err := net.RelabelEdges(d); err != nil {
+			run := func(from, to []int32, lab temporal.Labeling) {
+				if err := net.RelabelEdges(from, to, lab); err != nil {
 					t.Fatal(err)
 				}
 				temporal.SatisfiesTreachSerial(net, nil)
 				net.EarliestArrivalsInto(0, arr)
 			}
 			for i := 0; i < 3; i++ { // warm every buffer on both parities
-				run(aToB)
-				run(bToA)
+				run(fromB, toB, labB)
+				run(fromA, toA, labA)
 			}
 			allocs := testing.AllocsPerRun(50, func() {
-				run(aToB)
-				run(bToA)
+				run(fromB, toB, labB)
+				run(fromA, toA, labA)
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state RelabelEdges+query allocates %.1f objects/op, want 0", allocs)
@@ -283,8 +282,9 @@ func TestRelabelEdgesSteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzRelabelEdges lets the fuzzer pick the vertex count, edge densities
-// and delta sizes, applies a chain of random insert/remove sets, and pins
-// every step against the fresh-build oracle.
+// and how many edges each step drops and adds, replaces the edges with a
+// chain of such lists (in no canonical order when the seed is odd), and
+// pins every step against the fresh-build oracle.
 func FuzzRelabelEdges(f *testing.F) {
 	f.Add(uint64(1), uint8(8), uint8(20), uint8(3), uint8(3))
 	f.Add(uint64(2), uint8(2), uint8(0), uint8(0), uint8(1))
@@ -298,23 +298,21 @@ func FuzzRelabelEdges(f *testing.F) {
 		r := rng.New(seed)
 		cur := randomKeySet(r, n, m)
 		g := buildCanonical(n, cur)
-		lab := randomLabeling(g, lifetime, r)
-		net := temporal.MustNew(g, lifetime, lab)
+		net := temporal.MustNew(g, lifetime, randomLabeling(g, lifetime, r))
 		for step := 0; step < 3; step++ {
-			remove, insFrom, insTo, merged := randomDelta(r, n, cur,
-				int(removeRaw)%(len(cur)+1), int(insertRaw)%8)
-			oracleG := buildCanonical(n, merged)
-			newLab := randomLabeling(oracleG, lifetime, r)
-			err := net.RelabelEdges(temporal.EdgeDelta{
-				Remove: remove, InsertFrom: insFrom, InsertTo: insTo, Labels: newLab,
-			})
-			if err != nil {
+			cur = nextKeySet(r, n, cur, int(removeRaw)%(len(cur)+1), int(insertRaw)%8)
+			from, to := edgesFromKeys(n, cur)
+			if seed%2 == 1 {
+				shuffleEdges(r, from, to)
+			}
+			oracleG := buildEdges(n, false, from, to)
+			lab := randomLabeling(oracleG, lifetime, r)
+			if err := net.RelabelEdges(from, to, lab); err != nil {
 				t.Fatalf("step %d: RelabelEdges: %v", step, err)
 			}
 			name := fmt.Sprintf("step %d", step)
 			assertSameTopology(t, name, net.Graph(), oracleG)
-			assertNetworksEqual(t, name, net, temporal.MustNew(oracleG, lifetime, newLab))
-			cur = merged
+			assertNetworksEqual(t, name, net, temporal.MustNew(oracleG, lifetime, lab))
 		}
 	})
 }

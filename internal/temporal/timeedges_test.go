@@ -137,25 +137,25 @@ func TestTimeEdgesMatchReference(t *testing.T) {
 		assertTimeEdges(t, fmt.Sprintf("sequence step %d (%s)", i, name), net)
 	}
 
-	// Topology deltas on both RelabelEdges routes, for every shape.
+	// Edge lists replaced through RelabelEdges, a few edges or most of
+	// them changing per step, for every shape.
 	const nv = 14
 	for _, shape := range labelShapes {
 		for _, churn := range []struct {
 			name           string
 			remove, insert int
-		}{{"patch", 2, 2}, {"rebuild", 20, 20}} {
+		}{{"few", 2, 2}, {"most", 20, 20}} {
 			keys := randomKeySet(r, nv, 40)
 			g := buildCanonical(nv, keys)
 			net := temporal.MustNew(g, lifetime, shapedLabeling(g, lifetime, labelShapes[1], r))
 			for step := 0; step < 3; step++ {
-				remove, insFrom, insTo, merged := randomDelta(r, nv, keys, churn.remove, churn.insert)
-				lab := shapedLabeling(buildCanonical(nv, merged), lifetime, shape, r)
-				d := temporal.EdgeDelta{Remove: remove, InsertFrom: insFrom, InsertTo: insTo, Labels: lab}
-				if err := net.RelabelEdges(d); err != nil {
+				keys = nextKeySet(r, nv, keys, churn.remove, churn.insert)
+				from, to := edgesFromKeys(nv, keys)
+				lab := shapedLabeling(buildCanonical(nv, keys), lifetime, shape, r)
+				if err := net.RelabelEdges(from, to, lab); err != nil {
 					t.Fatal(err)
 				}
 				assertTimeEdges(t, fmt.Sprintf("relabel edges %s/%s/step %d", shape.name, churn.name, step), net)
-				keys = merged
 			}
 		}
 	}
