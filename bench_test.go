@@ -663,8 +663,9 @@ func BenchmarkSweepBatchedIIDGnp(b *testing.B) {
 // fixed 256-trial budget. The rebuild arm draws every trial's support
 // graph, labels and indexes from scratch (avail.Network); the batched arm
 // runs the incremental engine — per-slot grid runs in the scenario
-// state, then ScenarioState + RelabelEdges topology patches on a
-// worker-owned network. The observable is a single-source earliest-arrival
+// state, then each trial's whole edge list and labels handed from
+// ScenarioState to RelabelEdges on a worker-owned network, which rebuilds
+// its CSR in place. The observable is a single-source earliest-arrival
 // sweep, cheap relative to instance construction, so the ratio gauges the
 // two engines rather than a measurement kernel both arms share.
 func sweepGeomCellBench(b *testing.B, batched bool) {

@@ -67,7 +67,6 @@ var keep = map[string]string{
 	"bitset.Set.TestAndAdd":    "own tests only: TestTestAndAdd, TestOutOfRangePanics",
 	"bitset.Set.Union":         "own tests only: TestSetOps, TestSetOpsCapacityMismatchPanics, TestQuickInclusionExclusion",
 	"graph.CompleteBipartite":  "own tests only: TestCompleteBipartite, TestGeneratorPanics",
-	"graph.Torus":              "own tests only: TestTorus, TestGeneratorPanics",
 	"phonecall.PushWithMemory": "own tests only: TestPushWithMemory*",
 }
 

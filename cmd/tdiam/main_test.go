@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,6 +14,44 @@ import (
 	"repro/internal/rng"
 	"repro/internal/temporal"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata from the current run")
+
+// TestGolden pins run's stdout byte for byte for directed and undirected
+// cliques, lifetimes above and below n, and a non-default seed. After an
+// intended output change regenerate with: go test ./cmd/tdiam -update
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"directed", []string{"-n", "64"}},
+		{"undirected", []string{"-n", "64", "-trials", "5", "-undirected"}},
+		{"lifetime-above-n", []string{"-n", "48", "-lifetime", "200", "-trials", "7"}},
+		{"lifetime-below-n", []string{"-n", "64", "-lifetime", "16", "-trials", "4"}},
+		{"seed9", []string{"-n", "128", "-seed", "9"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != 0 {
+				t.Fatalf("%v: exit %d: %s", tc.args, code, stderr.String())
+			}
+			path := filepath.Join("testdata", tc.name+".txt")
+			if *update {
+				if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				t.Errorf("%v: output differs from %s:\n%s", tc.args, path, stdout.String())
+			}
+		})
+	}
+}
 
 // TestFlagErrors pins the usage errors: exit code 2, a message naming the
 // bad flag, and no output on stdout.

@@ -56,7 +56,7 @@ func main() {
 	}
 
 	// Does this labeling preserve all of the graph's reachability?
-	fmt.Printf("\nTreach (every static path has a journey): %v\n", temporal.SatisfiesTreach(net))
+	fmt.Printf("\nTreach (every static path has a journey): %v\n", temporal.SatisfiesTreachSerial(net, nil))
 
 	// Time edges stream in label order — the substrate every algorithm
 	// in this repository scans.

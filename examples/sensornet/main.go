@@ -46,7 +46,7 @@ func main() {
 	boxes := assign.Boxes(g, frame, diam, assign.FirstOfBox)
 	net := temporal.MustNew(g, frame, boxes)
 	fmt.Printf("with coordination : %d slots per link (one per diameter box) — routable: %v\n",
-		diam, temporal.SatisfiesTreach(net))
+		diam, temporal.SatisfiesTreachSerial(net, nil))
 
 	// Demonstrate an actual route on a random uncoordinated deployment.
 	lab := assign.Uniform(g, frame, rhat, rng.New(99))

@@ -28,9 +28,9 @@ func main() {
 	two := temporal.MustNew(g, 2, assign.StarTwoPerEdge(g))
 	opt := temporal.MustNew(g, 2*m, assign.StarOptimal(g))
 	fmt.Printf("deterministic {1,2} on every edge  : %d labels, Treach=%v\n",
-		2*m, temporal.SatisfiesTreach(two))
+		2*m, temporal.SatisfiesTreachSerial(two, nil))
 	fmt.Printf("deterministic optimum              : %d labels, Treach=%v (OPT = 2m-1, exact)\n\n",
-		2*m-1, temporal.SatisfiesTreach(opt))
+		2*m-1, temporal.SatisfiesTreachSerial(opt, nil))
 
 	// Random side: sweep r and watch the 2-split phase transition.
 	fmt.Println("random labels per edge → Pr[Treach] (40 trials each):")

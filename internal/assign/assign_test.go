@@ -120,7 +120,7 @@ func TestConsecutivePreservesReachability(t *testing.T) {
 		}
 		lab := consecutive(g, d)
 		net := temporal.MustNew(g, d, lab)
-		if !temporal.SatisfiesTreach(net) {
+		if !temporal.SatisfiesTreachSerial(net, nil) {
 			t.Fatalf("consecutive labeling violated Treach on %v", g)
 		}
 	}
@@ -131,7 +131,7 @@ func TestConsecutiveTooFewLabelsFails(t *testing.T) {
 	g := graph.Path(8) // diameter 7
 	lab := consecutive(g, 3)
 	net := temporal.MustNew(g, 3, lab)
-	if temporal.SatisfiesTreach(net) {
+	if temporal.SatisfiesTreachSerial(net, nil) {
 		t.Fatal("3 consecutive labels cannot satisfy Treach on a diameter-7 path")
 	}
 }
@@ -147,7 +147,7 @@ func TestBoxesClaim1AllFamilies(t *testing.T) {
 		for _, q := range []int{d, 2 * d, 3*d + 1} {
 			lab := Boxes(g, q, d, FirstOfBox)
 			net := temporal.MustNew(g, q, lab)
-			if !temporal.SatisfiesTreach(net) {
+			if !temporal.SatisfiesTreachSerial(net, nil) {
 				t.Fatalf("box labeling violated Treach on %v with q=%d d=%d", g, q, d)
 			}
 		}
@@ -161,7 +161,7 @@ func TestBoxesRandomPicker(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		lab := Boxes(g, q, d, randomInBox(rng.New(seed)))
 		net := temporal.MustNew(g, q, lab)
-		if !temporal.SatisfiesTreach(net) {
+		if !temporal.SatisfiesTreachSerial(net, nil) {
 			t.Fatalf("random-in-box labeling violated Treach (seed %d)", seed)
 		}
 	}
@@ -208,7 +208,7 @@ func TestStarTwoPerEdge(t *testing.T) {
 			t.Fatalf("Count = %d, want %d", len(lab.Labels), 2*g.M())
 		}
 		net := temporal.MustNew(g, 2, lab)
-		if !temporal.SatisfiesTreach(net) {
+		if !temporal.SatisfiesTreachSerial(net, nil) {
 			t.Fatalf("StarTwoPerEdge violated Treach on K_{1,%d}", n-1)
 		}
 	}
@@ -223,7 +223,7 @@ func TestStarOptimalReachesAndCounts(t *testing.T) {
 			t.Fatalf("K_{1,%d}: Count = %d, want %d", n-1, len(lab.Labels), 2*m-1)
 		}
 		net := temporal.MustNew(g, 2*m, lab)
-		if !temporal.SatisfiesTreach(net) {
+		if !temporal.SatisfiesTreachSerial(net, nil) {
 			t.Fatalf("StarOptimal violated Treach on K_{1,%d}", n-1)
 		}
 	}
@@ -243,7 +243,7 @@ func TestDoubleTourPreservesReachability(t *testing.T) {
 			t.Fatalf("%v: lifetime = %d", g, lifetime)
 		}
 		net := temporal.MustNew(g, lifetime, lab)
-		if !temporal.SatisfiesTreach(net) {
+		if !temporal.SatisfiesTreachSerial(net, nil) {
 			t.Fatalf("DoubleTour violated Treach on %v", g)
 		}
 	}
@@ -449,7 +449,7 @@ func TestStarOptimalDegenerate(t *testing.T) {
 		t.Fatalf("K_{1,1} labels = %d, want 1", len(lab.Labels))
 	}
 	net := temporal.MustNew(g, 2, lab)
-	if !temporal.SatisfiesTreach(net) {
+	if !temporal.SatisfiesTreachSerial(net, nil) {
 		t.Fatal("single-edge star not reachable")
 	}
 }
@@ -524,7 +524,7 @@ func TestUniformWindowsFullLifetime(t *testing.T) {
 	g := graph.Grid(3, 3)
 	lab := UniformWindows(g, g.N(), g.N(), rng.New(5))
 	net := temporal.MustNew(g, g.N(), lab)
-	if !temporal.SatisfiesTreach(net) {
+	if !temporal.SatisfiesTreachSerial(net, nil) {
 		t.Fatal("always-on network violated Treach")
 	}
 }

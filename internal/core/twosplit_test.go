@@ -84,7 +84,7 @@ func TestTwoSplitImpliesTreachOnLeaves(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		net := starNet(15, 40, seed)
 		s := TwoSplit(net)
-		if s.AllPairs() && !temporal.SatisfiesTreach(net) {
+		if s.AllPairs() && !temporal.SatisfiesTreachSerial(net, nil) {
 			t.Fatalf("seed %d: all-pairs 2-split but Treach fails", seed)
 		}
 	}

@@ -202,9 +202,9 @@ func TestSerialDiameterMatchesParallel(t *testing.T) {
 	lab := assign.NormalizedURTN(g, rng.New(5))
 	net := temporal.MustNew(g, 48, lab)
 	serial := serialDiameter(net, 48, rng.New(1))
-	parallel := temporal.Diameter(net)
-	if serial.Max != parallel.Max || serial.AllReachable != parallel.AllReachable {
-		t.Fatalf("serial %+v != parallel %+v", serial, parallel)
+	exact := temporal.Diameter(net)
+	if serial.Max != exact.Max || serial.AllReachable != exact.AllReachable {
+		t.Fatalf("serialDiameter %+v != Diameter %+v", serial, exact)
 	}
 }
 

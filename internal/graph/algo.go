@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-)
-
 // BFS returns the hop distances from src; unreachable vertices get -1.
 func BFS(g *Graph, src int) []int32 {
 	dist := make([]int32, g.N())
@@ -178,66 +173,24 @@ func IsStronglyConnected(g *Graph) bool {
 	return count == 1
 }
 
-// Diameter returns the hop diameter of g — the maximum eccentricity — using
-// a parallel all-sources BFS, and whether the graph is connected (strongly
-// connected when directed). When disconnected, the returned diameter is the
-// maximum over reachable pairs only.
+// Diameter returns the hop diameter of g — the maximum eccentricity, one
+// BFS per source — and whether the graph is connected (strongly connected
+// when directed). When disconnected, the returned diameter is the maximum
+// over reachable pairs only.
 func Diameter(g *Graph) (diam int, connected bool) {
 	n := g.N()
-	if n == 0 {
-		return 0, true
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	results := make(chan [2]int, workers)
-	var next int64
-	var mu sync.Mutex
-	takeSource := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= int64(n) {
-			return -1
+	dist := make([]int32, n)
+	queue := make([]int32, 0, n)
+	connected = true
+	for s := 0; s < n; s++ {
+		if BFSInto(g, s, dist, queue) < n {
+			connected = false
 		}
-		s := int(next)
-		next++
-		return s
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			dist := make([]int32, n)
-			queue := make([]int32, 0, n)
-			localDiam, localMinReach := 0, n
-			for {
-				s := takeSource()
-				if s < 0 {
-					break
-				}
-				reached := BFSInto(g, s, dist, queue)
-				if reached < localMinReach {
-					localMinReach = reached
-				}
-				for _, d := range dist {
-					if int(d) > localDiam {
-						localDiam = int(d)
-					}
-				}
-			}
-			results <- [2]int{localDiam, localMinReach}
-		}()
-	}
-	minReach := n
-	for w := 0; w < workers; w++ {
-		res := <-results
-		if res[0] > diam {
-			diam = res[0]
-		}
-		if res[1] < minReach {
-			minReach = res[1]
+		for _, d := range dist {
+			diam = max(diam, int(d))
 		}
 	}
-	return diam, minReach == n
+	return diam, connected
 }
 
 // SpanningTree returns the edge ids of a BFS spanning tree rooted at vertex

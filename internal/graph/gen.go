@@ -170,23 +170,6 @@ func Grid(rows, cols int) *Graph {
 	return b.Build()
 }
 
-// Torus returns the rows×cols grid with wraparound in both dimensions.
-// Both dimensions must be at least 3 so the graph stays simple.
-func Torus(rows, cols int) *Graph {
-	if rows < 3 || cols < 3 {
-		panic("graph: torus needs dimensions >= 3")
-	}
-	b := NewBuilder(rows*cols, false)
-	id := func(r, c int) int { return r*cols + c }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			b.AddEdge(id(r, c), id(r, (c+1)%cols))
-			b.AddEdge(id(r, c), id((r+1)%rows, c))
-		}
-	}
-	return b.Build()
-}
-
 // Hypercube returns the d-dimensional hypercube on 2^d vertices; vertices
 // are adjacent iff their ids differ in exactly one bit. Its diameter d with
 // n = 2^d makes it the "diameter = log n" family in the Theorem 7 sweeps.

@@ -111,21 +111,6 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-func TestTorus(t *testing.T) {
-	g := Torus(3, 5)
-	if g.N() != 15 || g.M() != 30 {
-		t.Fatalf("torus n=%d m=%d, want 15,30", g.N(), g.M())
-	}
-	for v := 0; v < g.N(); v++ {
-		if g.OutDegree(v) != 4 {
-			t.Fatalf("torus degree %d at %d, want 4", g.OutDegree(v), v)
-		}
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHypercube(t *testing.T) {
 	for d := 0; d <= 6; d++ {
 		g := Hypercube(d)
@@ -316,7 +301,6 @@ func TestGeneratorPanics(t *testing.T) {
 		"path-0":    func() { Path(0) },
 		"cycle-2":   func() { Cycle(2) },
 		"grid-0":    func() { Grid(0, 3) },
-		"torus-2":   func() { Torus(2, 3) },
 		"cube-neg":  func() { Hypercube(-1) },
 		"bipart-0":  func() { CompleteBipartite(0, 3) },
 		"btree-0":   func() { BinaryTree(0) },

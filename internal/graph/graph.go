@@ -105,7 +105,7 @@ func (g *Graph) buildCSR() {
 			place(g.to[e], g.from[e], int32(e))
 		}
 	}
-	g.sortAdj(g.off, g.adjTo, g.adjEdge)
+	g.sortAdj(g.off, g.adjTo, g.adjEdge, nil)
 
 	if g.directed {
 		rdeg := make([]int32, n+1)
@@ -127,16 +127,17 @@ func (g *Graph) buildCSR() {
 			g.radjEdge[p] = int32(e)
 			rpos[v] = p + 1
 		}
-		g.sortAdj(g.roff, g.radjTo, g.radjEdge)
+		g.sortAdj(g.roff, g.radjTo, g.radjEdge, nil)
 	}
 }
 
 // sortAdj sorts every vertex's adjacency slice by neighbor id so EdgeBetween
 // can binary-search. The parallel (neighbor, edge) pairs are packed into
-// one uint64 each so the alloc-free slices.Sort applies; the shared buffer
-// makes the whole pass a single allocation.
-func (g *Graph) sortAdj(off, adjTo, adjEdge []int32) {
-	var buf []uint64
+// one uint64 each so the alloc-free slices.Sort applies. The packing
+// buffer is buf, grown as needed and returned for the next call: buildCSR
+// passes nil, so each of its passes allocates once, and rebuildCSR keeps
+// it, so a steady-state ReplaceEdges allocates nothing.
+func (g *Graph) sortAdj(off, adjTo, adjEdge []int32, buf []uint64) []uint64 {
 	for u := 0; u < g.n; u++ {
 		lo, hi := off[u], off[u+1]
 		seg := adjTo[lo:hi]
@@ -154,6 +155,7 @@ func (g *Graph) sortAdj(off, adjTo, adjEdge []int32) {
 			eseg[i] = int32(uint32(p))
 		}
 	}
+	return buf
 }
 
 // N returns the number of vertices.

@@ -16,12 +16,14 @@ import (
 // or writer may touch the graph during a mutation, exactly like
 // temporal.Network.Relabel.
 
-// mutScratch holds the CSR fill cursors ReplaceEdges reuses. It hangs off
-// the Graph lazily so read-only graphs never pay for it, and so a
-// steady-state loop of one ReplaceEdges per trial allocates nothing.
+// mutScratch holds the CSR fill cursors and the adjacency sort buffer
+// ReplaceEdges reuses. It hangs off the Graph lazily so read-only graphs
+// never pay for it, and so a steady-state loop of one ReplaceEdges per
+// trial allocates nothing.
 type mutScratch struct {
-	pos  []int32 // per-vertex fill cursor for CSR scatter
-	rpos []int32 // reverse-CSR fill cursor (directed graphs)
+	pos  []int32  // per-vertex fill cursor for CSR scatter
+	rpos []int32  // reverse-CSR fill cursor (directed graphs)
+	sort []uint64 // sortAdj's packed (neighbor, edge) buffer
 }
 
 func (g *Graph) scratch() *mutScratch {
@@ -114,7 +116,7 @@ func (g *Graph) rebuildCSR() {
 			pos[g.to[e]] = p + 1
 		}
 	}
-	g.sortAdj(g.off, g.adjTo, g.adjEdge)
+	sc.sort = g.sortAdj(g.off, g.adjTo, g.adjEdge, sc.sort)
 
 	if g.directed {
 		rdeg := growI32(g.roff, n+1)
@@ -137,6 +139,6 @@ func (g *Graph) rebuildCSR() {
 			g.radjTo[p], g.radjEdge[p] = g.from[e], int32(e)
 			rpos[v] = p + 1
 		}
-		g.sortAdj(g.roff, g.radjTo, g.radjEdge)
+		sc.sort = g.sortAdj(g.roff, g.radjTo, g.radjEdge, sc.sort)
 	}
 }

@@ -123,18 +123,36 @@ func TestReplaceEdgesRejectsBadInput(t *testing.T) {
 func TestReplaceEdgesSteadyStateAllocs(t *testing.T) {
 	// After warm-up at a stable edge-count ceiling, ReplaceEdges allocates
 	// nothing — the property the per-trial scenario rebuild path relies on.
+	// A shuffled list leaves adjacency unsorted, so it also covers the
+	// sort's buffer, undirected and directed.
 	from, to := randomEdgeSet(rand.New(rand.NewSource(3)), 64, 200)
-	g := buildFrom(64, false, from, to)
-	if err := g.ReplaceEdges(from, to); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if err := g.ReplaceEdges(from, to); err != nil {
+	sfrom, sto := slices.Clone(from), slices.Clone(to)
+	rand.New(rand.NewSource(4)).Shuffle(len(sfrom), func(i, j int) {
+		sfrom[i], sfrom[j] = sfrom[j], sfrom[i]
+		sto[i], sto[j] = sto[j], sto[i]
+	})
+	for _, tc := range []struct {
+		name     string
+		directed bool
+		from, to []int32
+	}{
+		{"canonical", false, from, to},
+		{"shuffled", false, sfrom, sto},
+		{"shuffled-directed", true, sfrom, sto},
+	} {
+		g := buildFrom(64, tc.directed, nil, nil)
+		if err := g.ReplaceEdges(tc.from, tc.to); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg != 0 {
-		t.Errorf("ReplaceEdges steady state allocs/op = %v, want 0", avg)
+		avg := testing.AllocsPerRun(50, func() {
+			if err := g.ReplaceEdges(tc.from, tc.to); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s: ReplaceEdges steady state allocs/op = %v, want 0", tc.name, avg)
+		}
+		assertSame(t, g, buildFrom(64, tc.directed, tc.from, tc.to))
 	}
 }
 

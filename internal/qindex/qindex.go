@@ -87,8 +87,6 @@ type Options struct {
 	// MemBudget is the row-storage budget in bytes (ModeAuto's full/LRU
 	// pivot and ModeLRU's row bound). 0 means DefaultMemBudget.
 	MemBudget int64
-	// Workers bounds full-table build parallelism; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // Index answers (src, dst, start) earliest-arrival point queries over one
@@ -148,7 +146,7 @@ func key(src int, start int32) uint64 {
 }
 
 // New builds an index over net. ModeFull builds the table before
-// returning (64 sources per pass, Workers-way parallel); the other modes
+// returning (64 sources per pass, on GOMAXPROCS workers); the other modes
 // return immediately and fill on demand.
 func New(net *temporal.Network, o Options) *Index {
 	n := net.Graph().N()
@@ -175,7 +173,7 @@ func New(net *temporal.Network, o Options) *Index {
 	}
 	switch mode {
 	case ModeFull:
-		ix.build(o.Workers)
+		ix.build()
 	case ModeLRU:
 		maxRows := int(budget / rowBytes(max(n, 1)))
 		if maxRows < 1 {
@@ -190,22 +188,17 @@ func New(net *temporal.Network, o Options) *Index {
 }
 
 // build fills the full table, batches of 64 sources claimed off an atomic
-// cursor by up to workers goroutines. Each batch's word scan stamps its
+// cursor by up to GOMAXPROCS goroutines. Each batch's word scan stamps its
 // label groups straight into the batch's 16-bit rows, so the build needs
 // no scratch rows. Rows are disjoint, so the result is bit-identical for
 // any worker count.
-func (ix *Index) build(workers int) {
+func (ix *Index) build() {
 	start := time.Now()
 	n := ix.n
 	full := make([]uint16, n*n)
 	ix.full = full
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	batches := (n + 63) / 64
-	if workers > batches {
-		workers = batches
-	}
+	workers := min(runtime.GOMAXPROCS(0), batches)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -247,7 +247,7 @@ func TestModeAutoPivot(t *testing.T) {
 func TestFullModeRestrictedStart(t *testing.T) {
 	gauge0 := obsResidentBytes.Value()
 	net := queryNetwork(t, graph.Grid(4, 4), 20, 2, 13)
-	ix := New(net, Options{Mode: ModeFull, Workers: 3})
+	ix := New(net, Options{Mode: ModeFull})
 	if d := obsResidentBytes.Value() - gauge0; d != 512 {
 		t.Fatalf("qindex_resident_bytes moved by %d, want 512", d)
 	}

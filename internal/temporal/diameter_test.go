@@ -1,10 +1,10 @@
 package temporal
 
-// Differential tests for the word-scan temporal diameter: Diameter,
-// DiameterFrom and DiameterFromSerial must reproduce, field for field, the
-// DiameterResult folded from per-source linear-oracle arrival rows — on
-// every generator family, on source sets that leave the last 64-source
-// batch partial, on sampled and duplicated sources, and on n = 0, 1, 2.
+// Differential tests for the word-scan temporal diameter: Diameter and
+// DiameterFromSerial must reproduce, field for field, the DiameterResult
+// folded from per-source linear-oracle arrival rows — on every generator
+// family, on source sets that leave the last 64-source batch partial, on
+// sampled and duplicated sources, and on n = 0, 1, 2.
 
 import (
 	"fmt"
@@ -46,17 +46,14 @@ func diameterOracle(n *Network, sources []int) DiameterResult {
 	return res
 }
 
-// diameterMatchesOracle fails the test unless both source-set entry points
-// — and Diameter, when sources are every vertex in order — equal the
-// oracle on sources.
+// diameterMatchesOracle fails the test unless DiameterFromSerial — and
+// Diameter, when sources are every vertex in order — equals the oracle on
+// sources.
 func diameterMatchesOracle(t *testing.T, name string, n *Network, sources []int) {
 	t.Helper()
 	want := diameterOracle(n, sources)
 	if got := DiameterFromSerial(n, sources); got != want {
 		t.Fatalf("%s: %d sources: DiameterFromSerial = %+v, oracle = %+v", name, len(sources), got, want)
-	}
-	if got := DiameterFrom(n, sources); got != want {
-		t.Fatalf("%s: %d sources: DiameterFrom = %+v, oracle = %+v", name, len(sources), got, want)
 	}
 	if len(sources) != n.Graph().N() {
 		return

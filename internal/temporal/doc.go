@@ -49,11 +49,13 @@
 // to them. The point scan is also checked against the linear kernel on a
 // rebuild with every label below start dropped.
 //
-// All public entry points draw their work arrays from a sync.Pool-backed
-// scratch layer, so steady-state queries allocate nothing. For Monte-Carlo
-// workloads that hold the substrate fixed and only resample availability,
-// Relabel rebuilds all indexes in place over the existing buffers, so a
-// steady-state trial allocates nothing either (see sim.BatchRunner).
+// All public entry points run on the calling goroutine and draw their work
+// arrays from a sync.Pool-backed scratch layer, so steady-state queries
+// allocate nothing. For Monte-Carlo workloads that hold the substrate fixed
+// and only resample availability, Relabel rebuilds all indexes in place
+// over the existing buffers, so a steady-state trial allocates nothing
+// either (see sim.BatchRunner, which runs the independent trials in
+// parallel).
 //
 // # Whole edge lists: RelabelEdges
 //

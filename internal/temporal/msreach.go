@@ -23,7 +23,7 @@ package temporal
 //     arc at most once, so a batch costs at most what 64 separate BFS
 //     passes would, and typically far less.
 //
-// SatisfiesTreach, ReachableSets, ArrivalGroups, ArrivalRowsBatch and
+// SatisfiesTreachSerial, ReachableSets, ArrivalGroups, ArrivalRowsBatch and
 // Diameter run on batches of these words: ⌈n/64⌉ passes over the time
 // edges instead of n.
 

@@ -2,65 +2,17 @@ package temporal
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
 
-// Treach is the reachability-preservation property of Definition 6: for
-// every ordered pair (u,v), a static u→v path exists if and only if a
-// (u,v)-journey exists. SatisfiesTreach evaluates it with the bit-parallel
-// kernel — ⌈n/64⌉ word passes instead of n scalar ones — parallelizing
-// across batches and returning early on the first violated batch.
-func SatisfiesTreach(n *Network) bool {
-	nv := n.g.N()
-	if nv == 0 {
-		return true
-	}
-	nb := (nv + batchSize - 1) / batchSize
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nb {
-		workers = nb
-	}
-	if workers <= 1 {
-		return SatisfiesTreachSerial(n, nil)
-	}
-	var next int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := reachPool.Get().(*reachScratch)
-			defer reachPool.Put(sc)
-			for !failed.Load() {
-				b := int(atomic.AddInt64(&next, 1) - 1)
-				if b >= nb {
-					return
-				}
-				lo := b * batchSize
-				hi := lo + batchSize
-				if hi > nv {
-					hi = nv
-				}
-				if n.treachViolated(sc.batch(lo, hi), sc) {
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return !failed.Load()
-}
-
-// SatisfiesTreachSerial is SatisfiesTreach without internal parallelism.
-// Monte-Carlo trials that already run on a worker pool use it to avoid
-// nested goroutine fan-out; scratch may be nil (pooled scratch is used) or
-// a *TreachScratch reused across calls.
+// SatisfiesTreachSerial reports whether n has Treach, the
+// reachability-preservation property of Definition 6: for every ordered
+// pair (u,v), a static u→v path exists if and only if a (u,v)-journey
+// exists. It runs the bit-parallel kernel — ⌈n/64⌉ word passes instead of
+// n scalar ones — on the calling goroutine and returns on the first
+// violated batch. scratch may be nil (pooled scratch is used) or a
+// *TreachScratch reused across calls.
 func SatisfiesTreachSerial(n *Network, scratch *TreachScratch) bool {
 	nv := n.g.N()
 	if nv == 0 {
@@ -186,8 +138,7 @@ type DiameterResult struct {
 	Pairs int64
 }
 
-// diamAccum accumulates a DiameterResult in exact integers, so sharding
-// the source batches over workers cannot change a bit of it.
+// diamAccum accumulates a DiameterResult in exact integers.
 type diamAccum struct {
 	max                int32
 	sum, finite, pairs int64
@@ -211,13 +162,6 @@ func (p *diamAccum) addBatch(n *Network, sources []int32, sc *reachScratch) {
 	})
 }
 
-func (p *diamAccum) merge(q diamAccum) {
-	p.max = max(p.max, q.max)
-	p.sum += q.sum
-	p.finite += q.finite
-	p.pairs += q.pairs
-}
-
 func (p *diamAccum) result() DiameterResult {
 	res := DiameterResult{Max: p.max, AllReachable: p.finite == p.pairs, Pairs: p.pairs}
 	if p.finite > 0 {
@@ -227,57 +171,20 @@ func (p *diamAccum) result() DiameterResult {
 }
 
 // Diameter computes max_{s,t} δ(s,t) exactly from every source, 64
-// sources per word pass, sharding the passes over GOMAXPROCS workers.
+// sources per word pass.
 func Diameter(n *Network) DiameterResult {
 	sources := make([]int, n.g.N())
 	for i := range sources {
 		sources[i] = i
 	}
-	return DiameterFrom(n, sources)
+	return DiameterFromSerial(n, sources)
 }
 
-// DiameterFrom computes the diameter restricted to the given source
-// vertices (targets still range over all vertices). Sampling sources gives
-// an unbiased lower estimate of the full temporal diameter at a fraction of
-// the cost; experiments use it for the largest n. The 64-source batches
-// are sharded over workers.
-func DiameterFrom(n *Network, sources []int) DiameterResult {
-	if n.g.N() == 0 || len(sources) == 0 {
-		return DiameterResult{AllReachable: true}
-	}
-	nb := (len(sources) + batchSize - 1) / batchSize
-	workers := min(runtime.GOMAXPROCS(0), nb)
-	if workers <= 1 {
-		return DiameterFromSerial(n, sources)
-	}
-	results := make(chan diamAccum, workers)
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		go func() {
-			sc := reachPool.Get().(*reachScratch)
-			defer reachPool.Put(sc)
-			var p diamAccum
-			for {
-				b := int(next.Add(1) - 1)
-				if b >= nb {
-					break
-				}
-				p.addBatch(n, sc.pick(sources, b*batchSize), sc)
-			}
-			results <- p
-		}()
-	}
-	var agg diamAccum
-	for w := 0; w < workers; w++ {
-		agg.merge(<-results)
-	}
-	return agg.result()
-}
-
-// DiameterFromSerial is DiameterFrom without internal parallelism — the
-// right shape inside already-parallel Monte-Carlo trials. It draws its
-// work arrays from the pooled scratch layer and allocates nothing in
-// steady state.
+// DiameterFromSerial computes the diameter restricted to the given source
+// vertices (targets still range over all vertices), so a subset of the
+// sources gives a lower bound on the full temporal diameter at a fraction
+// of the cost. It runs on the calling goroutine, draws its work arrays
+// from the pooled scratch layer and allocates nothing in steady state.
 func DiameterFromSerial(n *Network, sources []int) DiameterResult {
 	if n.g.N() == 0 || len(sources) == 0 {
 		return DiameterResult{AllReachable: true}

@@ -57,7 +57,7 @@ func TestCliqueAlwaysSatisfiesTreach(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		for _, directed := range []bool{false, true} {
 			n := cliqueSingleLabelNet(12, directed, seed)
-			if !SatisfiesTreach(n) {
+			if !SatisfiesTreachSerial(n, nil) {
 				t.Fatalf("clique with 1 label/edge violated Treach (seed %d, directed=%v)", seed, directed)
 			}
 			if v := naiveTreachViolations(n); v != 0 {
@@ -82,7 +82,7 @@ func TestStarSingleLabelUsuallyFails(t *testing.T) {
 			sets[e] = []int{1 + r.Intn(16)}
 		}
 		n := MustNew(g, 16, LabelingFromSets(sets))
-		if !SatisfiesTreach(n) {
+		if !SatisfiesTreachSerial(n, nil) {
 			fails++
 		}
 	}
@@ -95,7 +95,7 @@ func TestTreachViolationsCounts(t *testing.T) {
 	// Directed chain with a broken second hop: reachable statically but not
 	// temporally for pairs (0,2).
 	n := pathNet(t, 10, [][]int{{4}, {4}})
-	if SatisfiesTreach(n) {
+	if SatisfiesTreachSerial(n, nil) {
 		t.Fatal("chain with equal labels should violate Treach")
 	}
 	if got := naiveTreachViolations(n); got != 1 {
@@ -110,14 +110,14 @@ func TestTreachDisconnectedGraphVacuous(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	n := MustNew(b.Build(), 5, LabelingFromSets([][]int{{1}, {2}}))
-	if !SatisfiesTreach(n) {
+	if !SatisfiesTreachSerial(n, nil) {
 		t.Fatal("disconnected graph with good labels should satisfy Treach")
 	}
 }
 
 func TestTreachEmptyNetwork(t *testing.T) {
 	n := MustNew(graph.NewBuilder(0, false).Build(), 1, LabelingFromSets(nil))
-	if !SatisfiesTreach(n) {
+	if !SatisfiesTreachSerial(n, nil) {
 		t.Fatal("empty network should satisfy Treach")
 	}
 }
@@ -160,7 +160,7 @@ func TestDiameterAllReachable(t *testing.T) {
 func TestDiameterFromSampledSources(t *testing.T) {
 	n := pathNet(t, 10, [][]int{{1}, {2}})
 	full := Diameter(n)
-	sampled := DiameterFrom(n, []int{0})
+	sampled := DiameterFromSerial(n, []int{0})
 	if sampled.Max != 2 || !sampled.AllReachable {
 		t.Fatalf("sampled from 0: %+v", sampled)
 	}
@@ -190,10 +190,10 @@ func TestDiameterEmptyAndSingleton(t *testing.T) {
 // restricted to that source.
 func TestEccentricity(t *testing.T) {
 	n := pathNet(t, 10, [][]int{{1}, {2}})
-	if res := DiameterFrom(n, []int{0}); !res.AllReachable || res.Max != 2 {
+	if res := DiameterFromSerial(n, []int{0}); !res.AllReachable || res.Max != 2 {
 		t.Fatalf("ecc(0) = %d,%v, want 2,true", res.Max, res.AllReachable)
 	}
-	if res := DiameterFrom(n, []int{2}); res.AllReachable || res.Max != 0 {
+	if res := DiameterFromSerial(n, []int{2}); res.AllReachable || res.Max != 0 {
 		t.Fatalf("ecc(2) = %d,%v, want 0,false", res.Max, res.AllReachable)
 	}
 }
@@ -220,12 +220,12 @@ func TestQuickDiameterAgreesWithEccentricities(t *testing.T) {
 	}
 }
 
-// Property: SatisfiesTreach holds exactly when the per-source recount
+// Property: SatisfiesTreachSerial holds exactly when the per-source recount
 // finds no violation.
 func TestQuickTreachConsistency(t *testing.T) {
 	f := func(seed uint64, directed bool) bool {
 		net := randomNetwork(seed, 10, directed)
-		return SatisfiesTreach(net) == (naiveTreachViolations(net) == 0)
+		return SatisfiesTreachSerial(net, nil) == (naiveTreachViolations(net) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ package temporal_test
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/avail"
@@ -342,6 +343,102 @@ func TestTreachStaticMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConcurrentQueriesAfterRelabel races the lazy index rebuild: after
+// Relabel, and again after RelabelEdges, 8 goroutines query one network
+// through the word scan (DiameterFromSerial, SatisfiesTreachSerial), the
+// point scan (EarliestArrivalTo) and the frontier kernel
+// (EarliestArrivalsInto), each starting with a different kind. Every
+// answer must equal a fresh network's, and the double-checked rebuild must
+// build the time-edge list and the per-vertex index exactly once each. The
+// networks hold about 10k time edges, so a build lasts long enough for the
+// other goroutines to queue behind it.
+func TestConcurrentQueriesAfterRelabel(t *testing.T) {
+	const nv, lifetime = 128, 40
+	r := rng.New(77)
+	clique := graph.Clique(nv, false)
+	net := temporal.MustNew(clique, lifetime, randomLabeling(clique, lifetime, r))
+	lab := randomLabeling(clique, lifetime, r)
+	if err := net.Relabel(lab); err != nil {
+		t.Fatal(err)
+	}
+	raceQueries(t, "Relabel", net, temporal.MustNew(clique, lifetime, lab))
+
+	// RelabelEdges mutates the graph, so the network gets one of its own.
+	own := graph.Gnp(nv, 0.6, false, r)
+	net = temporal.MustNew(own, lifetime, randomLabeling(own, lifetime, r))
+	next := graph.Gnp(nv, 0.6, false, r)
+	lab = randomLabeling(next, lifetime, r)
+	if err := net.RelabelEdges(next.FromArray(), next.ToArray(), lab); err != nil {
+		t.Fatal(err)
+	}
+	raceQueries(t, "RelabelEdges", net, temporal.MustNew(next, lifetime, lab))
+}
+
+// raceQueries runs the concurrent queries of
+// TestConcurrentQueriesAfterRelabel on net, whose indexes a relabel has
+// just invalidated, against the answers of want, a fresh build of the
+// same network.
+func raceQueries(t *testing.T, name string, net, want *temporal.Network) {
+	t.Helper()
+	nv := want.Graph().N()
+	all := make([]int, nv)
+	for i := range all {
+		all[i] = i
+	}
+	diam := temporal.DiameterFromSerial(want, all)
+	treach := temporal.SatisfiesTreachSerial(want, nil)
+	starts := []int32{1, int32(want.Lifetime() / 2)}
+	rows := [][][]int32{restrictedRows(want, starts[0]), restrictedRows(want, starts[1])}
+
+	te0, vx0 := temporal.IndexBuilds()
+	ready := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			row := make([]int32, nv)
+			<-ready
+			for i := 0; i < 12; i++ {
+				s := (7*w + i) % nv
+				switch (w + i) % 4 {
+				case 0:
+					if got := temporal.DiameterFromSerial(net, all); got != diam {
+						t.Errorf("%s: worker %d: DiameterFromSerial = %+v, fresh %+v", name, w, got, diam)
+					}
+				case 1:
+					if got := temporal.SatisfiesTreachSerial(net, nil); got != treach {
+						t.Errorf("%s: worker %d: SatisfiesTreachSerial = %v, fresh %v", name, w, got, treach)
+					}
+				case 2:
+					k := i % len(starts)
+					for v := w; v < nv; v += 9 {
+						if got := net.EarliestArrivalTo(s, v, starts[k]); got != rows[k][s][v] {
+							t.Errorf("%s: worker %d: EarliestArrivalTo(%d, %d, %d) = %d, fresh %d",
+								name, w, s, v, starts[k], got, rows[k][s][v])
+						}
+					}
+				case 3:
+					net.EarliestArrivalsInto(s, row)
+					for v, a := range row {
+						if a != rows[0][s][v] {
+							t.Errorf("%s: worker %d: EarliestArrivalsInto(%d)[%d] = %d, fresh %d",
+								name, w, s, v, a, rows[0][s][v])
+						}
+					}
+				}
+			}
+		}()
+	}
+	close(ready)
+	wg.Wait()
+	te1, vx1 := temporal.IndexBuilds()
+	if te1-te0 != 1 || vx1-vx0 != 1 {
+		t.Errorf("%s: concurrent queries built the time-edge list %d times and the vertex index %d times, want 1 and 1",
+			name, te1-te0, vx1-vx0)
 	}
 }
 
