@@ -323,11 +323,11 @@ func BenchmarkKernelGnpSparse(b *testing.B) {
 // substrate: in-place Resample into a reused labeling, Relabel (lazy index
 // rebuild), and a Treach check against a precomputed static-reachability
 // cache. BenchmarkKernelRelabelRebuild is the same trial through the
-// rebuild oracle the engine replaced — a fresh Assign + MustNew + serial
-// Treach per trial. Both produce bit-identical answers (pinned by the
-// differential tests); the delta is the batched engine's win, and the
-// relabel side must stay at 0 allocs/op (the CI benchdiff gate fails on
-// any alloc regression).
+// rebuild oracle the engine replaced — a fresh avail.Network (Resample
+// into a new labeling + MustNew) and a serial Treach per trial. Both
+// produce bit-identical answers (pinned by the differential tests); the
+// delta is the batched engine's win, and the relabel side must stay at 0
+// allocs/op (the CI benchdiff gate fails on any alloc regression).
 
 // modelBenchCase is one availability model on one substrate.
 type modelBenchCase struct {
@@ -361,13 +361,12 @@ func relabelBenchCases(b *testing.B) []modelBenchCase {
 func BenchmarkKernelRelabel(b *testing.B) {
 	for _, tc := range relabelBenchCases(b) {
 		b.Run(tc.name, func(b *testing.B) {
-			rs := tc.m.(avail.Resampler)
 			sr := temporal.NewStaticReach(tc.g)
 			net := temporal.MustNew(tc.g, tc.m.Lifetime(), temporal.Labeling{Off: make([]int32, tc.g.M()+1)})
 			var lab temporal.Labeling
 			stream := rng.New(7)
 			// Warm the buffers so the loop measures the steady state.
-			rs.Resample(tc.g, &lab, stream)
+			tc.m.Resample(tc.g, &lab, stream)
 			if err := net.Relabel(lab); err != nil {
 				b.Fatal(err)
 			}
@@ -375,7 +374,7 @@ func BenchmarkKernelRelabel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rs.Resample(tc.g, &lab, stream)
+				tc.m.Resample(tc.g, &lab, stream)
 				if err := net.Relabel(lab); err != nil {
 					b.Fatal(err)
 				}
@@ -415,14 +414,13 @@ func BenchmarkKernelDraw(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			rs := tc.m.(avail.Resampler)
 			var lab temporal.Labeling
 			stream := rng.New(7)
-			rs.Resample(tc.g, &lab, stream)
+			tc.m.Resample(tc.g, &lab, stream)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rs.Resample(tc.g, &lab, stream)
+				tc.m.Resample(tc.g, &lab, stream)
 			}
 			b.ReportMetric(float64(len(lab.Labels)), "labels")
 		})
@@ -460,8 +458,7 @@ func BenchmarkKernelRelabelRebuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				net := temporal.MustNew(tc.g, tc.m.Lifetime(), tc.m.Assign(tc.g, stream))
-				temporal.SatisfiesTreachSerial(net, nil)
+				temporal.SatisfiesTreachSerial(avail.Network(tc.m, tc.g, stream), nil)
 			}
 		})
 	}

@@ -13,25 +13,13 @@ import (
 // edge of g — the paper's UNI-CASE with r labels per edge. Labels are drawn
 // with replacement, exactly as r independent "local bargains" per link;
 // duplicate labels on an edge are possible and harmless (journeys see the
-// label set).
+// label set). It is FromDistributionInto with dist.NewUniform(lifetime)
+// into a fresh labeling, calling the law's SampleInto directly: handing
+// the law to FromDistributionInto would box it on the heap.
 func Uniform(g *graph.Graph, lifetime, r int, stream *rng.Stream) temporal.Labeling {
-	if lifetime < 1 {
-		panic("assign: lifetime must be >= 1")
-	}
-	if r < 0 {
-		panic("assign: negative labels per edge")
-	}
-	m := g.M()
-	lab := temporal.Labeling{
-		Off:    make([]int32, m+1),
-		Labels: make([]int32, m*r),
-	}
-	for e := 0; e <= m; e++ {
-		lab.Off[e] = int32(e * r)
-	}
-	for i := range lab.Labels {
-		lab.Labels[i] = int32(1 + stream.Intn(lifetime))
-	}
+	u := dist.NewUniform(lifetime)
+	var lab temporal.Labeling
+	u.SampleInto(resetRegular(&lab, g.M(), r), stream)
 	return lab
 }
 
@@ -42,25 +30,31 @@ func NormalizedURTN(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
 	return Uniform(g, g.N(), 1, stream)
 }
 
-// FromDistribution draws r independent labels per edge from an arbitrary
-// label law — the F-CASE of the paper's §2 note. The lifetime is the
-// distribution's.
-func FromDistribution(g *graph.Graph, d dist.Distribution, r int, stream *rng.Stream) temporal.Labeling {
-	var lab temporal.Labeling
-	FromDistributionInto(&lab, g, d, r, stream)
-	return lab
+// FromDistributionInto draws r independent labels per edge from an
+// arbitrary label law into lab, reusing its backing arrays — the F-CASE of
+// the paper's §2 note, and the draw behind avail's i.i.d. models. The
+// lifetime is the distribution's.
+func FromDistributionInto(lab *temporal.Labeling, g *graph.Graph, d dist.Distribution, r int, stream *rng.Stream) {
+	labels := resetRegular(lab, g.M(), r)
+	if bulk, ok := d.(interface {
+		SampleInto([]int32, *rng.Stream)
+	}); ok {
+		// Bit-identical to the loop below; laws opt in (dist.Uniform) to
+		// skip the per-label interface dispatch on the hot resample path.
+		bulk.SampleInto(labels, stream)
+		return
+	}
+	for i := range labels {
+		labels[i] = int32(d.Sample(stream))
+	}
 }
 
-// FromDistributionInto is FromDistribution drawing into lab, reusing its
-// backing arrays — the in-place fast path behind avail's i.i.d. Resample.
-// Stream consumption and the resulting labeling are bit-identical to
-// FromDistribution; sharing the draw loop is what keeps the two paths from
-// drifting apart.
-func FromDistributionInto(lab *temporal.Labeling, g *graph.Graph, d dist.Distribution, r int, stream *rng.Stream) {
+// resetRegular shapes lab for m edges of r labels each, reusing its
+// backing arrays, and returns the m·r labels to fill.
+func resetRegular(lab *temporal.Labeling, m, r int) []int32 {
 	if r < 0 {
 		panic("assign: negative labels per edge")
 	}
-	m := g.M()
 	lab.Reset(m)
 	for e := 0; e <= m; e++ {
 		lab.Off[e] = int32(e * r)
@@ -70,34 +64,16 @@ func FromDistributionInto(lab *temporal.Labeling, g *graph.Graph, d dist.Distrib
 	} else {
 		lab.Labels = lab.Labels[:m*r]
 	}
-	if bulk, ok := d.(interface {
-		SampleInto([]int32, *rng.Stream)
-	}); ok {
-		// Bit-identical to the loop below; laws opt in (dist.Uniform) to
-		// skip the per-label interface dispatch on the hot resample path.
-		bulk.SampleInto(lab.Labels, stream)
-		return
-	}
-	for i := range lab.Labels {
-		lab.Labels[i] = int32(d.Sample(stream))
-	}
+	return lab.Labels
 }
 
-// UniformWindows gives every edge one availability window of w consecutive
-// labels starting at a uniformly random position in {1,…,lifetime−w+1} —
-// the discrete bridge to the interval-availability models the paper's §1.2
+// UniformWindowsInto gives every edge one availability window of w
+// consecutive labels starting at a uniformly random position in
+// {1,…,lifetime−w+1}, drawn into lab, reusing its backing arrays — the
+// discrete bridge to the interval-availability models the paper's §1.2
 // contrasts with ([6,14]: Bui-Xuan et al., Fleischer–Tardos). w = 1
 // recovers the UNI-CASE exactly; growing w interpolates toward the
 // continuous case where links stay up for whole intervals.
-func UniformWindows(g *graph.Graph, lifetime, w int, stream *rng.Stream) temporal.Labeling {
-	var lab temporal.Labeling
-	UniformWindowsInto(&lab, g, lifetime, w, stream)
-	return lab
-}
-
-// UniformWindowsInto is UniformWindows drawing into lab, reusing its
-// backing arrays, with the same stream consumption and labeling — the
-// in-place redraw a batched trial engine relabels from.
 func UniformWindowsInto(lab *temporal.Labeling, g *graph.Graph, lifetime, w int, stream *rng.Stream) {
 	if lifetime < 1 {
 		panic("assign: lifetime must be >= 1")

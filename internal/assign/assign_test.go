@@ -89,7 +89,8 @@ func TestNormalizedURTN(t *testing.T) {
 func TestFromDistribution(t *testing.T) {
 	g := graph.Path(10)
 	d := dist.NewGeometric(0.3, 20)
-	lab := FromDistribution(g, d, 4, rng.New(5))
+	var lab temporal.Labeling
+	FromDistributionInto(&lab, g, d, 4, rng.New(5))
 	if len(lab.Labels) != g.M()*4 {
 		t.Fatalf("Count = %d", len(lab.Labels))
 	}
@@ -426,7 +427,7 @@ func TestUniformPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"lifetime-0": func() { Uniform(g, 0, 1, rng.New(1)) },
 		"negative-r": func() { Uniform(g, 5, -1, rng.New(1)) },
-		"fcase-neg":  func() { FromDistribution(g, dist.NewUniform(5), -2, rng.New(1)) },
+		"fcase-neg":  func() { FromDistributionInto(new(temporal.Labeling), g, dist.NewUniform(5), -2, rng.New(1)) },
 		"consec-0":   func() { consecutive(g, 0) },
 	} {
 		func() {
@@ -482,9 +483,16 @@ func TestQuickConsecutiveThresholdAtDiameter(t *testing.T) {
 	}
 }
 
+// windows is UniformWindowsInto into a fresh labeling.
+func windows(g *graph.Graph, lifetime, w int, stream *rng.Stream) temporal.Labeling {
+	var lab temporal.Labeling
+	UniformWindowsInto(&lab, g, lifetime, w, stream)
+	return lab
+}
+
 func TestUniformWindowsShape(t *testing.T) {
 	g := graph.Cycle(12)
-	lab := UniformWindows(g, 20, 4, rng.New(3))
+	lab := windows(g, 20, 4, rng.New(3))
 	if len(lab.Labels) != g.M()*4 {
 		t.Fatalf("Count = %d, want %d", len(lab.Labels), g.M()*4)
 	}
@@ -508,7 +516,7 @@ func TestUniformWindowsShape(t *testing.T) {
 func TestUniformWindowsWidthOneIsURTN(t *testing.T) {
 	// w=1 must produce exactly one uniform label per edge.
 	g := graph.Star(10)
-	lab := UniformWindows(g, 10, 1, rng.New(4))
+	lab := windows(g, 10, 1, rng.New(4))
 	net := temporal.MustNew(g, 10, lab)
 	for e := 0; e < g.M(); e++ {
 		if len(net.EdgeLabels(e)) != 1 {
@@ -522,7 +530,7 @@ func TestUniformWindowsFullLifetime(t *testing.T) {
 	// must satisfy Treach whenever the graph is connected (labels {1..a}
 	// with a >= diameter supply any increasing sequence).
 	g := graph.Grid(3, 3)
-	lab := UniformWindows(g, g.N(), g.N(), rng.New(5))
+	lab := windows(g, g.N(), g.N(), rng.New(5))
 	net := temporal.MustNew(g, g.N(), lab)
 	if !temporal.SatisfiesTreachSerial(net, nil) {
 		t.Fatal("always-on network violated Treach")
@@ -532,9 +540,9 @@ func TestUniformWindowsFullLifetime(t *testing.T) {
 func TestUniformWindowsPanics(t *testing.T) {
 	g := graph.Path(3)
 	for name, fn := range map[string]func(){
-		"w0":        func() { UniformWindows(g, 5, 0, rng.New(1)) },
-		"w>a":       func() { UniformWindows(g, 5, 6, rng.New(1)) },
-		"lifetime0": func() { UniformWindows(g, 0, 1, rng.New(1)) },
+		"w0":        func() { windows(g, 5, 0, rng.New(1)) },
+		"w>a":       func() { windows(g, 5, 6, rng.New(1)) },
+		"lifetime0": func() { windows(g, 0, 1, rng.New(1)) },
 	} {
 		func() {
 			defer func() {
@@ -548,9 +556,9 @@ func TestUniformWindowsPanics(t *testing.T) {
 }
 
 // TestUniformWindowsIntoMatchesUniformWindows pins the in-place redraw
-// against the allocating draw from the same stream state — into one reused
-// labeling, after a larger draw and then after a smaller one — including
-// where each leaves the stream.
+// into one reused labeling — after a larger draw and then after a smaller
+// one — against a draw into a fresh labeling from the same stream state,
+// including where each leaves the stream.
 func TestUniformWindowsIntoMatchesUniformWindows(t *testing.T) {
 	var lab temporal.Labeling
 	for i, tc := range []struct {
@@ -563,7 +571,7 @@ func TestUniformWindowsIntoMatchesUniformWindows(t *testing.T) {
 		{"after-smaller", graph.Clique(9, false), 20, 3},
 	} {
 		s, ref := rng.New(uint64(i)+7), rng.New(uint64(i)+7)
-		want := UniformWindows(tc.g, tc.lifetime, tc.w, ref)
+		want := windows(tc.g, tc.lifetime, tc.w, ref)
 		UniformWindowsInto(&lab, tc.g, tc.lifetime, tc.w, s)
 		if !slices.Equal(lab.Off, want.Off) || !slices.Equal(lab.Labels, want.Labels) {
 			t.Fatalf("%s: in-place labeling %v/%v, want %v/%v", tc.name, lab.Off, lab.Labels, want.Off, want.Labels)
@@ -581,7 +589,7 @@ func TestQuickUniformWindowsStartRange(t *testing.T) {
 		const a = 16
 		w := int(wRaw)%a + 1
 		g := graph.Path(4)
-		lab := UniformWindows(g, a, w, rng.New(seed))
+		lab := windows(g, a, w, rng.New(seed))
 		net := temporal.MustNew(g, a, lab)
 		for e := 0; e < g.M(); e++ {
 			ls := net.EdgeLabels(e)

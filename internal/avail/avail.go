@@ -1,6 +1,8 @@
 package avail
 
 import (
+	"fmt"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/temporal"
@@ -12,59 +14,37 @@ const DefaultLifetime = 64
 
 // Model assigns time labels in {1,…,Lifetime()} to the edges of a static
 // graph. Implementations draw randomness only from the stream they are
-// handed, in an order fixed by the model and its parameters, so assignments
-// are bit-deterministic per (seed, params).
+// handed, in an order fixed by the model and its parameters, so draws are
+// bit-deterministic per (seed, params).
 type Model interface {
 	// Name is a short identifier used in table rows and file headers.
 	Name() string
 	// Lifetime is the largest label the model can emit (the paper's a).
 	Lifetime() int
-	// Assign draws a labeling for the edges of g using only stream. Edges
-	// may receive empty label sets.
-	Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling
+	// Resample draws a labeling for the edges of g into lab using only
+	// stream, reusing lab's backing arrays (temporal.Labeling.Reset), so
+	// the result never depends on what lab held before. Edges may receive
+	// empty label sets. Implementations must not retain lab's slices.
+	Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream)
 }
 
 // Scenario is a model whose adjacency is part of the model: Generate builds
 // both the static support graph on n vertices and its labeling from one
-// stream. Scenario models still implement Assign — given an explicit
-// substrate they label only its edges — but Generate is the primary entry
-// point.
+// stream. Generate is a scenario's draw: engines and Network call it, never
+// the scenario's Resample, which labels an explicit substrate.
 type Scenario interface {
 	Model
 	Generate(n int, stream *rng.Stream) (*graph.Graph, temporal.Labeling)
 }
 
-// Resampler is the optional in-place fast path batched trial engines
-// (sim.BatchRunner) drive: Resample redraws a labeling for g into lab,
-// reusing lab's backing arrays (temporal.Labeling.Reset). The contract is
-// bit-identity with Assign — Resample must consume stream exactly as
-// Assign does and leave lab equal to Assign's return value for the same
-// stream state — so a trial driven through Resample + temporal.Relabel
-// reproduces the rebuild path's numbers exactly. Implementations must not
-// retain lab's slices.
-//
-// The i.i.d. laws and the p(t) schedules fill in place, the Markov model
-// re-runs its per-edge chains into the existing buffer; the geometric
-// scenario rebuilds its support graph per draw and so never implements
-// this (CanResample reports false, and engines fall back to the full
-// rebuild).
-type Resampler interface {
-	Model
-	Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream)
-}
+// Resampler is Model under the name perfbench/sweep.go still uses; it goes
+// with the next change to perfbench/.
+type Resampler = Model
 
-// CanResample reports whether m supports the in-place resampling fast path
-// on a fixed substrate: it must implement Resampler and must not be a
-// Scenario (scenario models redraw their own support graph per trial, so
-// there is no fixed substrate to relabel — their fast path is
-// IncrementalScenario instead).
-func CanResample(m Model) bool {
-	if _, sc := m.(Scenario); sc {
-		return false
-	}
-	_, ok := m.(Resampler)
-	return ok
-}
+// CanResample reports whether engines redraw m's labels in place on a
+// fixed substrate: every model but a scenario. Only perfbench/sweep.go
+// calls it; it goes with the next change to perfbench/.
+func CanResample(m Model) bool { return !IsScenario(m) }
 
 // IsScenario reports whether m generates its own support graph (implements
 // Scenario). Engines use it to route: scenario models get a fresh or
@@ -75,8 +55,8 @@ func IsScenario(m Model) bool {
 	return ok
 }
 
-// ScenarioState is the reusable per-worker trial state of an incremental
-// scenario: Resample redraws one full trial and returns the support graph's
+// ScenarioState is the reusable per-worker trial state of a scenario
+// (NewState): Resample redraws one full trial and returns the support graph's
 // edge list plus its labeling. The contract is bit-identity with Generate —
 // Resample must consume stream exactly as Generate does, and (from, to,
 // lab) must equal the edge list (in identifier order) and labeling of
@@ -93,15 +73,44 @@ type ScenarioState interface {
 	Resample(stream *rng.Stream) (from, to []int32, lab temporal.Labeling)
 }
 
-// IncrementalScenario is the scenario analogue of Resampler: a Scenario
-// whose trials can be redrawn into reusable per-worker state instead of
-// allocating a fresh graph + labeling each time. NewScenarioState returns
-// nil when the model cannot support the incremental path for this n (e.g.
-// packed-key overflow on absurd sizes); engines must then fall back to
-// Generate per trial.
+// IncrementalScenario is a Scenario whose trials can be redrawn into
+// reusable per-worker state instead of allocating a fresh graph +
+// labeling each time. NewScenarioState returns nil when the model cannot
+// support the incremental path for this n (e.g. packed-key overflow on
+// absurd sizes); NewState then falls back to Generate.
 type IncrementalScenario interface {
 	Scenario
 	NewScenarioState(n int) ScenarioState
+}
+
+// NewState returns the per-worker trial state of scenario sc on n
+// vertices: sc's own incremental state when it has one for n, and
+// otherwise a state whose Resample runs one Generate. That state panics
+// unless the support graph is undirected on n vertices, the shape of the
+// worker network batch engines replace edges in.
+func NewState(sc Scenario, n int) ScenarioState {
+	if inc, ok := sc.(IncrementalScenario); ok {
+		if st := inc.NewScenarioState(n); st != nil {
+			return st
+		}
+	}
+	return generateState{sc: sc, n: n}
+}
+
+// generateState is the ScenarioState of a scenario without an incremental
+// state for its size: one Generate per trial.
+type generateState struct {
+	sc Scenario
+	n  int
+}
+
+func (s generateState) Resample(stream *rng.Stream) (from, to []int32, lab temporal.Labeling) {
+	g, lab := s.sc.Generate(s.n, stream)
+	if g.Directed() || g.N() != s.n {
+		panic(fmt.Sprintf("avail: %s generated a support graph with n=%d directed=%v, want an undirected graph on %d vertices",
+			s.sc.Name(), g.N(), g.Directed(), s.n))
+	}
+	return g.FromArray(), g.ToArray(), lab
 }
 
 // Params parameterizes a registry Build. The zero value selects every
@@ -147,5 +156,7 @@ func Network(m Model, g *graph.Graph, stream *rng.Stream) *temporal.Network {
 		gg, lab := sc.Generate(g.N(), stream)
 		return temporal.MustNew(gg, m.Lifetime(), lab)
 	}
-	return temporal.MustNew(g, m.Lifetime(), m.Assign(g, stream))
+	var lab temporal.Labeling
+	m.Resample(g, &lab, stream)
+	return temporal.MustNew(g, m.Lifetime(), lab)
 }

@@ -6,10 +6,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/temporal"
 )
+
+// draw is m's Resample into a fresh labeling.
+func draw(m Model, g *graph.Graph, stream *rng.Stream) temporal.Labeling {
+	var lab temporal.Labeling
+	m.Resample(g, &lab, stream)
+	return lab
+}
 
 // allModels builds one representative instance of every registered model at
 // a common lifetime.
@@ -128,8 +136,8 @@ func TestBuildRejectsNaNKnobs(t *testing.T) {
 }
 
 // TestAssignValidAndDeterministic checks, for every model, that the
-// labeling passes temporal.New's validation on several substrates and that
-// two assignments from identical streams are bit-identical.
+// labeling Resample draws passes temporal.New's validation on several
+// substrates and that two draws from identical streams are bit-identical.
 func TestAssignValidAndDeterministic(t *testing.T) {
 	substrates := []*graph.Graph{
 		graph.Clique(12, false),
@@ -142,10 +150,10 @@ func TestAssignValidAndDeterministic(t *testing.T) {
 	}
 	for _, m := range allModels(t, 20) {
 		for gi, g := range substrates {
-			lab1 := m.Assign(g, rng.NewStream(99, uint64(gi)))
-			lab2 := m.Assign(g, rng.NewStream(99, uint64(gi)))
+			lab1 := draw(m, g, rng.NewStream(99, uint64(gi)))
+			lab2 := draw(m, g, rng.NewStream(99, uint64(gi)))
 			if !reflect.DeepEqual(lab1, lab2) {
-				t.Fatalf("%s: substrate %d: assignment not deterministic", m.Name(), gi)
+				t.Fatalf("%s: substrate %d: draw not deterministic", m.Name(), gi)
 			}
 			net, err := temporal.New(g, m.Lifetime(), lab1)
 			if err != nil {
@@ -171,6 +179,85 @@ func TestNetworkBuildsEveryModel(t *testing.T) {
 		if net1.Graph().N() != 10 {
 			t.Fatalf("%s: Network lost the vertex count: n=%d", m.Name(), net1.Graph().N())
 		}
+	}
+}
+
+// plainScenario hides a scenario's NewScenarioState, so NewState falls
+// back to its Generate state.
+type plainScenario struct{ Scenario }
+
+// fixedScenario generates g, labeled by the embedded model, whatever the
+// vertex count it is asked for.
+type fixedScenario struct {
+	Model
+	g *graph.Graph
+}
+
+func (s fixedScenario) Generate(_ int, stream *rng.Stream) (*graph.Graph, temporal.Labeling) {
+	return s.g, draw(s.Model, s.g, stream)
+}
+
+// TestNewStateFallsBackToGenerate: NewState hands out geometric's own
+// incremental state where NewScenarioState has one, and the Generate state
+// where it returns nil (the packed-key overflow of
+// TestGeometricStateOverflowFallback) or where the scenario has no
+// incremental state at all; the Generate state matches the oracle trial
+// after trial, edge list, labels and stream consumption.
+func TestNewStateFallsBackToGenerate(t *testing.T) {
+	m, err := NewGeometric(12, 0.2, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := NewState(m, 40); st == nil {
+		t.Fatal("NewState(geometric, 40) = nil")
+	} else if _, ok := st.(*geomState); !ok {
+		t.Fatalf("NewState(geometric, 40) is %T, want geometric's own state", st)
+	}
+	huge, err := NewGeometric(1<<40, 0.2, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := NewState(huge, 1<<16); st == nil {
+		t.Fatal("NewState on packed-key overflow = nil")
+	} else if _, ok := st.(generateState); !ok {
+		t.Fatalf("NewState on packed-key overflow is %T, want the Generate state", st)
+	}
+	st := NewState(plainScenario{m}, 40)
+	if _, ok := st.(generateState); !ok {
+		t.Fatalf("NewState without an incremental state is %T, want the Generate state", st)
+	}
+	for trial := uint64(0); trial < 4; trial++ {
+		checkTrial(t, "generate-state", st, m, 40, 5, trial)
+	}
+}
+
+// TestGenerateStatePanicsOnUnfitGraph: the Generate state refuses a
+// support graph the engine's worker network cannot take — a directed one,
+// or one on another vertex count.
+func TestGenerateStatePanicsOnUnfitGraph(t *testing.T) {
+	uniform := NewIID(dist.NewUniform(6), 1)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		n    int
+	}{
+		{"directed", graph.Clique(5, true), 5},
+		{"wrong-n", graph.Clique(6, false), 5},
+	} {
+		st := NewState(fixedScenario{uniform, tc.g}, tc.n)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Resample accepted the support graph", tc.name)
+				}
+			}()
+			st.Resample(rng.NewStream(1, 0))
+		}()
+	}
+	// The same scenario on a fitting graph draws.
+	st := NewState(fixedScenario{uniform, graph.Clique(5, false)}, 5)
+	if from, _, lab := st.Resample(rng.NewStream(1, 0)); len(from) != 10 || len(lab.Labels) != 10 {
+		t.Fatalf("fitting graph: %d edges, %d labels, want 10 and 10", len(from), len(lab.Labels))
 	}
 }
 
@@ -201,10 +288,10 @@ func TestGeometricGridMatchesBruteForce(t *testing.T) {
 	n := 60
 	g, lab := m.Generate(n, rng.NewStream(31, 7))
 
-	// Brute-force reference: replay the identical walk via Assign on the
+	// Brute-force reference: replay the identical walk via Resample on the
 	// complete graph, then drop empty edges.
 	full := graph.Clique(n, false)
-	ref := m.Assign(full, rng.NewStream(31, 7))
+	ref := draw(m, full, rng.NewStream(31, 7))
 	type pair struct{ u, v int }
 	want := map[pair][]int32{}
 	for e := 0; e < full.M(); e++ {

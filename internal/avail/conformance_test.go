@@ -15,6 +15,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/assign"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -66,7 +67,7 @@ func TestMarkovSlotOccupancyConformance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lab := m.Assign(manyEdges(edges), rng.NewStream(0xA11, 1))
+	lab := draw(m, manyEdges(edges), rng.NewStream(0xA11, 1))
 	counts := slotCounts(lab, edges, a)
 	crit := stats.ChiSquareQuantile(1-0.001/float64(a), 1)
 	for slot, obs := range counts {
@@ -90,7 +91,7 @@ func TestMarkovRunLengthConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	beta := m.beta
-	lab := m.Assign(manyEdges(edges), rng.NewStream(0xA11, 2))
+	lab := draw(m, manyEdges(edges), rng.NewStream(0xA11, 2))
 
 	obs := make([]float64, K) // obs[l-1] = runs of length l, obs[K-1] = length ≥ K
 	total := 0.0
@@ -149,7 +150,7 @@ func TestTimeVaryingSlotConformance(t *testing.T) {
 	}{{"ramp", ramp}, {"periodic", periodic}, {"burst", burst}}
 	for si, sc := range schedules {
 		name, m := sc.name, sc.m
-		lab := m.Assign(manyEdges(edges), rng.NewStream(0xA70, uint64(si+1)))
+		lab := draw(m, manyEdges(edges), rng.NewStream(0xA70, uint64(si+1)))
 		counts := slotCounts(lab, edges, a)
 		stat := 0.0
 		for slot, obs := range counts {
@@ -179,7 +180,7 @@ func TestGeometricPairLivenessConformance(t *testing.T) {
 	g := matching(pairs)
 	live := 0.0
 	for i := 0; i < instances; i++ {
-		lab := m.Assign(g, rng.NewStream(0x6E0, uint64(i)))
+		lab := draw(m, g, rng.NewStream(0x6E0, uint64(i)))
 		for e := 0; e < g.M(); e++ {
 			if lab.Off[e+1] > lab.Off[e] {
 				live++
@@ -213,7 +214,7 @@ func TestGeometricStationarity(t *testing.T) {
 	g := matching(pairs)
 	counts := make([]float64, a)
 	for i := 0; i < instances; i++ {
-		lab := m.Assign(g, rng.NewStream(0x6E1, uint64(i)))
+		lab := draw(m, g, rng.NewStream(0x6E1, uint64(i)))
 		for slot, c := range slotCounts(lab, g.M(), a) {
 			counts[slot] += c
 		}
@@ -253,9 +254,9 @@ func TestGeometricInitialPositionsUniform(t *testing.T) {
 	}
 }
 
-// TestIIDRegistryMatchesAssign pins the refactor: networks built through
-// the registry's i.i.d. models are bit-identical to the pre-registry
-// assign.FromDistribution path (same stream, same labels).
+// TestIIDRegistryMatchesAssign pins the registry's i.i.d. models to
+// package assign: their draws are bit-identical to
+// assign.FromDistributionInto on the same law (same stream, same labels).
 func TestIIDRegistryMatchesAssign(t *testing.T) {
 	g := graph.Clique(9, false)
 	for _, name := range []string{"uniform", "binom", "geom", "zipf"} {
@@ -267,8 +268,9 @@ func TestIIDRegistryMatchesAssign(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: registry model is %T, want IID", name, m)
 		}
-		got := m.Assign(g, rng.NewStream(3, 3))
-		want := NewIID(iid.law, 2).Assign(g, rng.NewStream(3, 3))
+		got := draw(m, g, rng.NewStream(3, 3))
+		var want temporal.Labeling
+		assign.FromDistributionInto(&want, g, iid.law, 2, rng.NewStream(3, 3))
 		if len(got.Labels) != len(want.Labels) {
 			t.Fatalf("%s: label counts differ", name)
 		}

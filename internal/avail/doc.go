@@ -1,11 +1,12 @@
 // Package avail is the availability-model registry: it abstracts *how time
 // labels are assigned to the edges of a static graph*, making the paper's
 // i.i.d. F-CASE label laws (package dist, threaded through
-// assign.FromDistribution) one model among several.
+// assign.FromDistributionInto) one model among several.
 //
-// A Model deterministically maps (graph, rng.Stream) to a temporal.Labeling;
-// a Scenario additionally owns its adjacency and generates graph and
-// labeling together (the dynamic geometric model, where which links exist at
+// A Model deterministically maps (graph, rng.Stream) to a temporal.Labeling
+// through its one draw method, Resample, which writes into a reused
+// labeling; a Scenario additionally owns its adjacency and generates graph
+// and labeling together (the dynamic geometric model, where which links exist at
 // all is an outcome of mobility). Every model draws randomness only from the
 // stream it is handed, in a fixed order, so networks built from
 // rng.NewStream(seed, trial) are bit-identical for any worker count or
@@ -35,12 +36,11 @@
 // assemble a temporal.Network from a model and substrate, and Builders for
 // the registry metadata served by the experiment service's GET /models.
 //
-// Models that can redraw labels for a fixed substrate without
-// reallocating implement Resampler — Resample writes into a reused
-// buffer with stream consumption bit-identical to Assign — which is the
-// fast path the batched trial engine (sim.BatchRunner, temporal.Relabel)
-// drives; CanResample reports whether a model qualifies (scenarios, which
-// redraw their support graph every trial, never do).
+// The batched trial engine (sim.BatchRunner) has two routes. On a fixed
+// substrate it calls Resample into one reused labeling per worker and
+// relabels the worker's network in place (temporal.Relabel). A scenario's
+// trials redraw their support graph too, so the engine draws them through
+// the scenario's NewState instead (below).
 //
 // # Draw kernels
 //
@@ -100,6 +100,9 @@
 // steady-state trial allocates nothing. Generate itself stays the simple
 // map-accumulating reference implementation — the differential oracle the
 // engine is pinned against — and NewScenarioState may return nil for
-// sizes the packed representation cannot cover, which drops that worker
-// back to Generate per trial.
+// sizes the packed representation cannot cover. NewState hands the engine
+// the incremental state where there is one, and otherwise a state that
+// runs one Generate per trial, so a scenario without an incremental state
+// (the sweep's randomized substrate families) rides the same
+// RelabelEdges route.
 package avail

@@ -23,7 +23,7 @@ import (
 // Díaz–Mitsche–Pérez dynamic random geometric graphs.
 //
 // As a Scenario its Generate builds the support graph of every pair that is
-// ever live; Assign labels an explicit substrate instead, gating each of
+// ever live; Resample labels an explicit substrate instead, gating each of
 // its edges by the same mobility. As an IncrementalScenario it also hands
 // batch engines a reusable per-worker trial state (NewScenarioState) that
 // redraws whole trials into retained buffers — per-slot grid runs, pair
@@ -121,27 +121,34 @@ func torusDist2(xi, yi, xj, yj float64) float64 {
 	return dx*dx + dy*dy
 }
 
-// Assign gates the edges of an explicit substrate by the mobility: edge e
-// carries label t iff its endpoints are within the radius at slot t. Edges
-// whose endpoints never meet receive empty label sets.
-func (m Geometric) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
+// Resample gates the edges of an explicit substrate by the mobility, into
+// lab: edge e carries label t iff its endpoints are within the radius at
+// slot t. Edges whose endpoints never meet receive empty label sets. On
+// the complete graph this is the brute-force reference Generate is tested
+// against; engines never call it, since a scenario's trials draw through
+// Generate or its ScenarioState.
+func (m Geometric) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
 	n := g.N()
 	r := m.Radius(n)
 	r2 := r * r
 	w := newWalk(n, m.step, stream)
-	sets := make([][]int, g.M())
+	sets := make([][]int32, g.M())
 	for t := 1; t <= m.a; t++ {
-		for e := 0; e < g.M(); e++ {
+		for e := range sets {
 			u, v := g.Endpoints(e)
 			if w.dist2(u, v) <= r2 {
-				sets[e] = append(sets[e], t)
+				sets[e] = append(sets[e], int32(t))
 			}
 		}
 		if t < m.a {
 			w.advance(stream)
 		}
 	}
-	return temporal.LabelingFromSets(sets)
+	lab.Reset(g.M())
+	for e, set := range sets {
+		lab.Labels = append(lab.Labels, set...)
+		lab.Off[e+1] = int32(len(lab.Labels))
+	}
 }
 
 // Generate runs the walk and returns the support graph of every pair that
@@ -290,9 +297,9 @@ func (m Geometric) newState(n int) *geomState {
 }
 
 // Resample redraws one full trial: identical stream consumption to the
-// walk in Generate/Assign (init draws x,y per point, each advance draws
-// x,y per point, a−1 advances), identical pair set, identical canonical
-// output order. Implements avail.ScenarioState.
+// walk in Generate and Geometric.Resample (init draws x,y per point, each
+// advance draws x,y per point, a−1 advances), identical pair set,
+// identical canonical output order. Implements avail.ScenarioState.
 func (s *geomState) Resample(stream *rng.Stream) ([]int32, []int32, temporal.Labeling) {
 	for i := range s.pos {
 		s.pos[i].x = stream.Float64()

@@ -12,9 +12,9 @@ import (
 )
 
 // IID is the paper's F-CASE as an availability model: R independent labels
-// per edge drawn from one dist law. The existing assign.FromDistribution
-// path does the drawing, so networks built through the registry are
-// bit-identical to ones built directly from package assign.
+// per edge drawn from one dist law through assign.FromDistributionInto, so
+// networks built through the registry are bit-identical to ones built
+// directly from package assign.
 type IID struct {
 	law dist.Distribution
 	r   int
@@ -38,12 +38,8 @@ func (m IID) Name() string {
 
 func (m IID) Lifetime() int { return m.law.Lifetime() }
 
-func (m IID) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
-	return assign.FromDistribution(g, m.law, m.r, stream)
-}
-
-// Resample is the in-place Resampler fast path: the same R×M draws as
-// Assign, written into lab's existing buffers.
+// Resample draws R labels per edge, M×R draws in edge order, into lab's
+// existing buffers.
 func (m IID) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
 	assign.FromDistributionInto(lab, g, m.law, m.r, stream)
 }

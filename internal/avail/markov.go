@@ -53,17 +53,10 @@ func (m Markov) Name() string {
 
 func (m Markov) Lifetime() int { return m.a }
 
-func (m Markov) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
-	var lab temporal.Labeling
-	m.Resample(g, &lab, stream)
-	return lab
-}
-
-// Resample is the in-place Resampler fast path: one rng.AppendChains
-// call re-runs every edge's chain into lab's existing buffers, with
-// start, leave and enter coins of probability pi, beta and alpha.
-// Assign delegates here; resample_ref_test.go pins both, labels and
-// stream consumption, to a per-slot Bernoulli loop.
+// Resample runs every edge's chain into lab's existing buffers in one
+// rng.AppendChains call, with start, leave and enter coins of probability
+// pi, beta and alpha. resample_ref_test.go pins it, labels and stream
+// consumption, to a per-slot Bernoulli loop.
 func (m Markov) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
 	lab.Reset(g.M())
 	start, leave, enter := rng.NewCoin(m.pi), rng.NewCoin(m.beta), rng.NewCoin(m.alpha)

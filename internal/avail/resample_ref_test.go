@@ -2,7 +2,7 @@ package avail
 
 // Reference tests for the label-draw kernels. Markov.Resample and
 // TimeVarying.Resample run on rng.AppendChains and rng.AppendSchedules, and
-// Assign delegates to Resample, so nothing else checks them independently.
+// nothing else checks them independently.
 // The references below are each model in its plain per-slot
 // Stream.Bernoulli form; each case compares the labels, the offsets and
 // the stream's next word after the draw.
@@ -53,20 +53,19 @@ func scheduleReference(m TimeVarying, g *graph.Graph, lab *temporal.Labeling, st
 }
 
 // drawCase is one kernel-vs-reference comparison: draw runs the kernel
-// under test, ref the Bernoulli loop, both from the same stream state, and
-// assign is the model's Assign.
+// under test, ref the Bernoulli loop, both from the same stream state.
 type drawCase struct {
-	name   string
-	g      *graph.Graph
-	draw   func(*graph.Graph, *temporal.Labeling, *rng.Stream)
-	ref    func(*graph.Graph, *temporal.Labeling, *rng.Stream)
-	assign func(*graph.Graph, *rng.Stream) temporal.Labeling
+	name string
+	g    *graph.Graph
+	draw func(*graph.Graph, *temporal.Labeling, *rng.Stream)
+	ref  func(*graph.Graph, *temporal.Labeling, *rng.Stream)
 }
 
 // checkDraws runs a case for several trials, reusing the kernel's
 // labeling across trials (starting from one with spare capacity and stale
 // contents) and comparing each trial against a fresh reference draw. It
-// also checks Assign, which must return the same labeling.
+// also checks the kernel's draw into a fresh labeling, which must come
+// out the same.
 func checkDraws(t *testing.T, tc drawCase) {
 	t.Helper()
 	lab := temporal.Labeling{
@@ -85,9 +84,10 @@ func checkDraws(t *testing.T, tc drawCase) {
 		if a, b := s1.Uint64(), s2.Uint64(); a != b {
 			t.Fatalf("%s trial %d: stream after the kernel at %#x, after the Bernoulli loop at %#x", tc.name, trial, a, b)
 		}
-		got := tc.assign(tc.g, s3)
-		if !slices.Equal(got.Labels, want.Labels) || !slices.Equal(got.Off, want.Off) {
-			t.Fatalf("%s trial %d: Assign differs from the Bernoulli loop", tc.name, trial)
+		var fresh temporal.Labeling
+		tc.draw(tc.g, &fresh, s3)
+		if !slices.Equal(fresh.Labels, want.Labels) || !slices.Equal(fresh.Off, want.Off) {
+			t.Fatalf("%s trial %d: the draw into a fresh labeling differs from the Bernoulli loop", tc.name, trial)
 		}
 	}
 }
@@ -130,7 +130,6 @@ func TestMarkovResampleMatchesReference(t *testing.T) {
 			ref: func(g *graph.Graph, lab *temporal.Labeling, s *rng.Stream) {
 				markovReference(m, g, lab, s)
 			},
-			assign: m.Assign,
 		})
 	}
 }
@@ -173,7 +172,6 @@ func TestTimeVaryingResampleMatchesReference(t *testing.T) {
 			ref: func(g *graph.Graph, lab *temporal.Labeling, s *rng.Stream) {
 				scheduleReference(m, g, lab, s)
 			},
-			assign: m.Assign,
 		})
 	}
 }

@@ -128,16 +128,10 @@ func (m TimeVarying) Mass() float64 {
 	return sum
 }
 
-func (m TimeVarying) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
-	var lab temporal.Labeling
-	m.Resample(g, &lab, stream)
-	return lab
-}
-
-// Resample is the in-place Resampler fast path: one rng.AppendSchedules
-// call over the compiled p(t) coins draws every edge into lab's existing
-// buffers. Assign delegates here; resample_ref_test.go pins both, labels
-// and stream consumption, to a per-slot Bernoulli loop.
+// Resample draws every edge into lab's existing buffers in one
+// rng.AppendSchedules call over the compiled p(t) coins.
+// resample_ref_test.go pins it, labels and stream consumption, to a
+// per-slot Bernoulli loop.
 func (m TimeVarying) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
 	lab.Reset(g.M())
 	lab.Labels = stream.AppendSchedules(lab.Labels, lab.Off, m.coins)

@@ -151,9 +151,10 @@ func assertSomeCellInformative(t *testing.T, name string, cp *sweep.Checkpoint) 
 
 // TestSweepSourceMatchesObservable sweeps representative targets — an
 // i.i.d. law, the Markov chains, a p(t) schedule, the geometric scenario
-// (BatchRunner's incremental ScenarioState + RelabelEdges path) and the
-// randomized substrates (the rebuild route through familyScenario, a
-// geometric model nested in it included) — through both execution paths
+// (BatchRunner's incremental ScenarioState + RelabelEdges route) and the
+// randomized substrates (familyScenario's one Generate per trial on the
+// same route, a geometric model nested in it included) — through both
+// execution paths
 // and pins the checkpoints identical, across worker counts. Above n = 64
 // the reach and meandelta metrics sample their sources from the stream
 // after the draw, so those cells also pin where the draw leaves it.
@@ -183,7 +184,7 @@ func TestSweepSourceMatchesObservable(t *testing.T) {
 		{"geometric-treach", SweepTarget{Model: "geometric", Graph: "clique", Lifetime: 12, Metric: "treach"},
 			sweep.Grid{Axes: []sweep.Axis{{Name: "n", Values: []float64{16}}, {Name: "radius", Values: []float64{0.2, 0.4}}}}},
 		// The name is historical: no fallback route is left. The case now
-		// covers familyScenario's rebuild route for an i.i.d. law on a
+		// covers familyScenario's Generate state for an i.i.d. law on a
 		// randomized substrate, under a metric that does not read 0 in
 		// every trial (treach never held on these sparse graphs).
 		{"zipf-gnp-fallback", SweepTarget{Model: "zipf", Graph: "gnp", Lifetime: 10, Metric: "meandelta"},

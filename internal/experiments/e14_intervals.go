@@ -69,16 +69,12 @@ func E14Windows(cfg Config) Result {
 
 // windows is E14's availability model: every edge gets one window of w
 // consecutive labels at a uniform start in {1,…,a−w+1}
-// (assign.UniformWindows). Resample redraws in place, so the trials ride
-// the batched engine's relabel path.
+// (assign.UniformWindowsInto), redrawn in place on the batched engine's
+// relabel route.
 type windows struct{ a, w int }
 
 func (m windows) Name() string  { return "windows" }
 func (m windows) Lifetime() int { return m.a }
-
-func (m windows) Assign(g *graph.Graph, stream *rng.Stream) temporal.Labeling {
-	return assign.UniformWindows(g, m.a, m.w, stream)
-}
 
 func (m windows) Resample(g *graph.Graph, lab *temporal.Labeling, stream *rng.Stream) {
 	assign.UniformWindowsInto(lab, g, m.a, m.w, stream)

@@ -222,9 +222,9 @@ func (t SweepTarget) measure(net *temporal.Network, r *rng.Stream) float64 {
 // per cell and every trial relabels a per-worker network in place.
 // Randomized families (tree, gnp, regular) draw their substrate from each
 // trial's stream before its labels, so the cell's model is wrapped as a
-// scenario that does both and the runner rebuilds each trial's network
-// through it. Cells whose parameters are infeasible observe NaN on a
-// runner without a model (see cellParams). Each trial's numbers are a
+// scenario that does both, and the runner replaces a per-worker network's
+// edges and labels with each trial's draw. Cells whose parameters are
+// infeasible observe NaN on a runner without a model (see cellParams). Each trial's numbers are a
 // function of (cell seed, trial index) only, never of the worker count;
 // the differential tests pin them against the per-trial rebuild.
 func (t SweepTarget) Source() (sweep.CellSource, error) {
@@ -282,10 +282,10 @@ func (t SweepTarget) Source() (sweep.CellSource, error) {
 
 // familyScenario draws a randomized substrate family per trial and labels
 // it with the embedded model: Generate builds graph.Family(family, n, r)
-// and then draws the labeling exactly as avail.Network(Model, g, r) does,
-// so a trial consumes its stream as the per-trial rebuild does. Embedding
-// the avail.Model interface hides the model's own fast paths (Resampler,
-// IncrementalScenario), so sim.BatchRunner rebuilds every trial.
+// and then draws the labeling exactly as avail.Network(Model, g, r) does.
+// Embedding the avail.Model interface hides a scenario model's
+// IncrementalScenario state, so sim.BatchRunner runs one Generate per
+// trial and replaces its worker network's edges and labels in place.
 type familyScenario struct {
 	avail.Model
 	family string
@@ -300,5 +300,7 @@ func (s familyScenario) Generate(n int, r *rng.Stream) (*graph.Graph, temporal.L
 	if sc, ok := s.Model.(avail.Scenario); ok {
 		return sc.Generate(g.N(), r)
 	}
-	return g, s.Assign(g, r)
+	var lab temporal.Labeling
+	s.Resample(g, &lab, r)
+	return g, lab
 }

@@ -190,21 +190,6 @@ func Hypercube(d int) *Graph {
 	return b.Build()
 }
 
-// CompleteBipartite returns K_{a,b}; the left part is 0..a-1, the right part
-// a..a+b-1.
-func CompleteBipartite(a, b int) *Graph {
-	if a < 1 || b < 1 {
-		panic("graph: complete bipartite needs positive part sizes")
-	}
-	bd := NewBuilder(a+b, false)
-	for u := 0; u < a; u++ {
-		for v := a; v < a+b; v++ {
-			bd.AddEdge(u, v)
-		}
-	}
-	return bd.Build()
-}
-
 // BinaryTree returns the complete binary tree on n vertices: vertex i has
 // children 2i+1 and 2i+2 where those exist. Diameter Θ(log n).
 func BinaryTree(n int) *Graph {

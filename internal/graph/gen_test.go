@@ -128,17 +128,6 @@ func TestHypercube(t *testing.T) {
 	}
 }
 
-func TestCompleteBipartite(t *testing.T) {
-	g := CompleteBipartite(3, 4)
-	if g.N() != 7 || g.M() != 12 {
-		t.Fatalf("K_{3,4}: n=%d m=%d", g.N(), g.M())
-	}
-	d, conn := Diameter(g)
-	if !conn || d != 2 {
-		t.Fatalf("K_{3,4} diameter %d, want 2", d)
-	}
-}
-
 func TestBinaryTree(t *testing.T) {
 	g := BinaryTree(7)
 	if g.M() != 6 {
@@ -302,7 +291,6 @@ func TestGeneratorPanics(t *testing.T) {
 		"cycle-2":   func() { Cycle(2) },
 		"grid-0":    func() { Grid(0, 3) },
 		"cube-neg":  func() { Hypercube(-1) },
-		"bipart-0":  func() { CompleteBipartite(0, 3) },
 		"btree-0":   func() { BinaryTree(0) },
 		"rtree-0":   func() { RandomTree(0, rng.New(1)) },
 		"lolli-big": func() { Lollipop(3, 5) },

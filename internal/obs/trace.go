@@ -69,6 +69,7 @@ type Tracer struct {
 	base     time.Time // monotonic anchor
 	baseUnix int64     // wall clock at creation, for cross-process merge
 	proc     string    // host-pid, identifies this process in merged dumps
+	capacity int       // the ring's, fixed at construction: read without mu
 	ids      atomic.Uint64
 
 	mu    sync.Mutex
@@ -89,6 +90,7 @@ func NewTracer(capacity int) *Tracer {
 		base:     now,
 		baseUnix: now.UnixNano(),
 		proc:     fmt.Sprintf("%s-%d", host, os.Getpid()),
+		capacity: capacity,
 		ring:     make([]SpanRecord, 0, capacity),
 	}
 	// Seed span ids randomly so ids from different processes, which meet
@@ -349,7 +351,7 @@ func (t *Tracer) Dump(f TraceFilter) TraceDump {
 	return TraceDump{
 		Proc:       t.proc,
 		BaseUnixNS: t.baseUnix,
-		Capacity:   cap(t.ring),
+		Capacity:   t.capacity,
 		Recorded:   t.Total(),
 		Spans:      spans,
 	}

@@ -35,65 +35,6 @@ func PushPull(g *graph.Graph, source int, maxRounds int, r *rng.Stream) Result {
 	return simulate(g, source, maxRounds, r, true, true)
 }
 
-// PushWithMemory simulates the memory variant of PUSH from the paper's
-// §1.1 citations (Berenbrink–Elsässer–Friedetzky; Elsässer–Sauerwald):
-// every informed vertex remembers the neighbors it has already called,
-// never repeats a call, and falls silent once its neighborhood is
-// exhausted. The win over memoryless PUSH is the removal of
-// coupon-collector waste wherever degrees are small relative to the
-// remaining uninformed set — on a star the center needs exactly deg calls
-// instead of Θ(deg·log deg) — while on the clique (degrees ≫ rounds) the
-// two behave alike, which the tests pin down.
-func PushWithMemory(g *graph.Graph, source int, maxRounds int, r *rng.Stream) Result {
-	n := g.N()
-	res := Result{}
-	if n == 0 {
-		res.All = true
-		return res
-	}
-	if maxRounds <= 0 {
-		maxRounds = 64 * n
-	}
-	informed := make([]bool, n)
-	informed[source] = true
-	count := 1
-	was := make([]bool, n)
-	// called[u] tracks how many of u's neighbors u has already called;
-	// remaining neighbors live in a per-vertex shuffled order generated
-	// lazily on first use.
-	order := make([][]int32, n)
-	called := make([]int, n)
-	for round := 1; round <= maxRounds && count < n; round++ {
-		copy(was, informed)
-		for u := 0; u < n; u++ {
-			if !was[u] {
-				continue
-			}
-			if order[u] == nil {
-				adj := g.OutNeighbors(u)
-				ord := make([]int32, len(adj))
-				copy(ord, adj)
-				r.Shuffle(len(ord), func(i, j int) { ord[i], ord[j] = ord[j], ord[i] })
-				order[u] = ord
-			}
-			if called[u] >= len(order[u]) {
-				continue // exhausted all neighbors; stay silent
-			}
-			v := int(order[u][called[u]])
-			called[u]++
-			res.Transmissions++
-			if !informed[v] {
-				informed[v] = true
-				count++
-			}
-		}
-		res.Rounds = round
-	}
-	res.Informed = count
-	res.All = count == n
-	return res
-}
-
 func simulate(g *graph.Graph, source, maxRounds int, r *rng.Stream, push, pull bool) Result {
 	n := g.N()
 	res := Result{}

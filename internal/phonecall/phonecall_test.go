@@ -175,90 +175,3 @@ func BenchmarkPushClique1024(b *testing.B) {
 		Push(g, i%1024, 0, r)
 	}
 }
-
-func TestPushWithMemoryInformsClique(t *testing.T) {
-	g := graph.Clique(256, false)
-	res := PushWithMemory(g, 0, 0, rng.New(2))
-	if !res.All {
-		t.Fatalf("memory push did not finish: %+v", res)
-	}
-	if res.Rounds > 30 {
-		t.Fatalf("memory push took %d rounds", res.Rounds)
-	}
-}
-
-func TestPushWithMemoryNeverRepeatsCalls(t *testing.T) {
-	// On a star, the center has n-1 neighbors; with memory it informs all
-	// leaves in exactly n-1 transmissions from itself once informed.
-	g := graph.Star(32)
-	res := PushWithMemory(g, 0, 0, rng.New(3))
-	if !res.All {
-		t.Fatalf("star memory push incomplete: %+v", res)
-	}
-	// Center sends 31 calls; each leaf calls the center at most once
-	// (then exhausts its single neighbor): total ≤ 31 + 31.
-	if res.Transmissions > 62 {
-		t.Fatalf("transmissions = %d, want <= 62", res.Transmissions)
-	}
-}
-
-func TestPushWithMemoryBeatsPlainPushOnStar(t *testing.T) {
-	// Coupon-collector waste is where memory pays: on the star the plain
-	// center keeps re-calling informed leaves (Θ(m·log m) rounds and
-	// transmissions), the memory center sweeps each leaf once.
-	g := graph.Star(64)
-	var plainTx, memTx, plainRounds, memRounds float64
-	const trials = 10
-	for seed := uint64(0); seed < trials; seed++ {
-		p := Push(g, 0, 0, rng.New(seed))
-		m := PushWithMemory(g, 0, 0, rng.New(seed))
-		if !p.All || !m.All {
-			t.Fatalf("seed %d: incomplete broadcast", seed)
-		}
-		plainTx += float64(p.Transmissions)
-		memTx += float64(m.Transmissions)
-		plainRounds += float64(p.Rounds)
-		memRounds += float64(m.Rounds)
-	}
-	if memTx*2 >= plainTx {
-		t.Fatalf("memory push tx (%v) not well below plain (%v)", memTx/trials, plainTx/trials)
-	}
-	if memRounds*2 >= plainRounds {
-		t.Fatalf("memory push rounds (%v) not well below plain (%v)", memRounds/trials, plainRounds/trials)
-	}
-}
-
-func TestPushWithMemoryCliqueComparable(t *testing.T) {
-	// On the clique degrees dwarf the round count, so memory changes
-	// little: rounds stay within a factor of plain push.
-	g := graph.Clique(256, false)
-	var plain, mem float64
-	const trials = 8
-	for seed := uint64(0); seed < trials; seed++ {
-		plain += float64(Push(g, 0, 0, rng.New(seed)).Rounds)
-		mem += float64(PushWithMemory(g, 0, 0, rng.New(seed)).Rounds)
-	}
-	if mem > 2*plain {
-		t.Fatalf("memory push rounds (%v) far above plain (%v)", mem/trials, plain/trials)
-	}
-}
-
-func TestPushWithMemoryExhaustion(t *testing.T) {
-	// Two vertices: after one call each, both are silent; protocol must
-	// terminate without spinning.
-	b := graph.NewBuilder(2, false)
-	b.AddEdge(0, 1)
-	res := PushWithMemory(b.Build(), 0, 100, rng.New(1))
-	if !res.All || res.Transmissions < 1 {
-		t.Fatalf("tiny memory push: %+v", res)
-	}
-}
-
-func TestPushWithMemoryIsolated(t *testing.T) {
-	b := graph.NewBuilder(3, false)
-	b.AddEdge(0, 1)
-	res := PushWithMemory(b.Build(), 0, 10, rng.New(1))
-	if res.All || res.Informed != 2 {
-		t.Fatalf("isolated: %+v", res)
-	}
-}

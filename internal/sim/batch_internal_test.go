@@ -1,8 +1,8 @@
 package sim
 
-// White-box checks that BatchRunner actually routes models onto the path
-// their capabilities select — the differential tests alone could pass with
-// every model silently falling back to the rebuild path.
+// White-box checks that BatchRunner actually routes models onto the route
+// their kind selects — the differential tests alone could pass with a
+// scenario model drawn on the fixed-substrate route or the reverse.
 
 import (
 	"slices"
@@ -16,12 +16,12 @@ import (
 func TestAcquireSelectsPathPerModel(t *testing.T) {
 	g := graph.Clique(24, false)
 	cases := []struct {
-		model          string
-		wantRS, wantSS bool
+		model  string
+		wantSS bool
 	}{
-		{"uniform", true, false}, // Resampler → relabel path
-		{"markov", true, false},
-		{"geometric", false, true}, // IncrementalScenario → scenario path
+		{"uniform", false}, // fixed substrate → relabel route
+		{"markov", false},
+		{"geometric", true}, // Scenario → scenario route
 	}
 	for _, tc := range cases {
 		m, err := avail.Build(tc.model, avail.Params{Lifetime: 10})
@@ -30,19 +30,17 @@ func TestAcquireSelectsPathPerModel(t *testing.T) {
 		}
 		b := BatchRunner{Model: m, Substrate: g, Seed: 1}
 		w := b.acquire()
-		if (w.rs != nil) != tc.wantRS || (w.ss != nil) != tc.wantSS {
-			t.Fatalf("%s: rs=%v ss=%v, want rs=%v ss=%v",
-				tc.model, w.rs != nil, w.ss != nil, tc.wantRS, tc.wantSS)
+		if (w.ss != nil) != tc.wantSS {
+			t.Fatalf("%s: ss=%v, want ss=%v", tc.model, w.ss != nil, tc.wantSS)
 		}
 		b.release(w)
 	}
 }
 
 // TestScenarioPathCountsTrials drives a worker through several geometric
-// trials and checks they are all served by the incremental path (empty
-// skeleton, then RelabelEdges every trial), never the rebuild fallback,
-// each leaving the worker's graph with Generate's edges in Generate's
-// order.
+// trials and checks they are all served by the scenario route (empty
+// skeleton, then RelabelEdges every trial), each leaving the worker's
+// graph with Generate's edges in Generate's order.
 func TestScenarioPathCountsTrials(t *testing.T) {
 	m, err := avail.Build("geometric", avail.Params{Lifetime: 8})
 	if err != nil {
@@ -63,8 +61,8 @@ func TestScenarioPathCountsTrials(t *testing.T) {
 			t.Fatalf("trial %d: worker graph's %d edges differ from Generate's %d", i, got.M(), want.M())
 		}
 	}
-	if w.scenario != 5 || w.rebuilt != 0 || w.resampled != 0 {
-		t.Fatalf("path counters scenario=%d rebuilt=%d resampled=%d, want 5/0/0",
-			w.scenario, w.rebuilt, w.resampled)
+	if w.scenario != 5 || w.resampled != 0 {
+		t.Fatalf("route counters scenario=%d resampled=%d, want 5/0",
+			w.scenario, w.resampled)
 	}
 }

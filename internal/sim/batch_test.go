@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/avail"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/temporal"
@@ -93,7 +94,7 @@ func assertResultsEqual(t *testing.T, name string, got, want *sim.Results) {
 }
 
 // TestBatchRunnerMatchesRebuild is the engine's differential property
-// test: for every registered model (resampling and rebuild-fallback alike)
+// test: for every registered model (fixed-substrate and scenario alike)
 // and Workers ∈ {1, 4, GOMAXPROCS}, BatchRunner reproduces the rebuild
 // oracle bit-identically, including on the n = 0 and n = 1 substrates.
 func TestBatchRunnerMatchesRebuild(t *testing.T) {
@@ -190,6 +191,43 @@ func TestBatchRunnerGeometricGridMatchesRebuild(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		assertResultsEqual(t, fmt.Sprintf("geometric-grid workers=%d", workers), got, want)
+	}
+}
+
+// generateOnly is the geometric scenario without its incremental state:
+// embedding avail.Scenario hides NewScenarioState, so BatchRunner draws its
+// trials through avail.NewState's one-Generate-per-trial state.
+type generateOnly struct{ avail.Scenario }
+
+// TestBatchRunnerGenerateStateMatchesRebuild pins the scenario route's
+// Generate state — what a scenario without an incremental state rides
+// (the sweep's randomized substrate families) — against the rebuild
+// oracle across worker counts, and checks that every trial counts on the
+// scenario route.
+func TestBatchRunnerGenerateStateMatchesRebuild(t *testing.T) {
+	m, err := avail.Build("geometric", avail.Params{Lifetime: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc avail.Model = generateOnly{m.(avail.Scenario)}
+	if _, ok := sc.(avail.IncrementalScenario); ok {
+		t.Fatal("generateOnly still exposes an incremental state")
+	}
+	g := graph.Clique(40, false) // scenario models use only the vertex count
+	const trials, seed = 24, 811
+	want := rebuild(t, sc, g, trials, seed)
+	scenario := obs.Default().Counter("sim_batch_scenario_trials_total", "")
+	for _, workers := range []int{1, 4} {
+		before := scenario.Value()
+		b := sim.BatchRunner{Model: sc, Substrate: g, Seed: seed, Workers: workers}
+		got, err := b.Run(context.Background(), 0, trials, measureDraw)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		assertResultsEqual(t, fmt.Sprintf("generate-state workers=%d", workers), got, want)
+		if d := scenario.Value() - before; d != trials {
+			t.Fatalf("workers=%d: %d trials on the scenario route, want %d", workers, d, trials)
+		}
 	}
 }
 

@@ -12,30 +12,27 @@
 // its Substrate. A runner without a Model runs trials that draw no
 // network: its Draw returns nil and consumes no stream, ObserveFrom hands
 // its body a nil network, and it never touches a free list. With a Model,
-// BatchRunner picks one of three per-worker routes from the model's
-// capabilities, cheapest applicable first:
+// BatchRunner picks one of two per-worker routes from the model's kind:
 //
-//   - Resample + Relabel: models implementing avail.Resampler (the i.i.d.
-//     laws, markov, pt-*) keep the substrate fixed, so each trial redraws
-//     labels into a reused buffer and temporal.Relabel rebuilds the
-//     time-edge indexes in place — zero steady-state allocations.
-//   - ScenarioState + RelabelEdges: scenario models implementing
-//     avail.IncrementalScenario (geometric) redraw the edge set too. The
-//     worker holds one reusable ScenarioState and one private network,
-//     built empty on its first trial; each trial's whole edge list and
-//     labeling replace the network's through temporal.RelabelEdges, which
-//     rebuilds the graph and indexes over their buffers.
-//   - Full rebuild: everything else — non-incremental scenarios, or a
-//     NewScenarioState that returned nil for this size — constructs a
-//     fresh avail.Network per trial. The sweep cells over randomized
-//     substrate families (tree, gnp, regular) take this route: their model
-//     is wrapped as a scenario that draws the substrate from the trial's
-//     stream before its labels.
+//   - Resample + Relabel: fixed-substrate models (the i.i.d. laws, markov,
+//     pt-*, E14's windows) redraw labels into a reused buffer through
+//     avail.Model's Resample, and temporal.Relabel rebuilds the time-edge
+//     indexes in place — zero steady-state allocations.
+//   - ScenarioState + RelabelEdges: scenario models redraw the edge set
+//     too. The worker holds one state from avail.NewState and one private
+//     network, built empty on its first trial; each trial's whole edge
+//     list and labeling replace the network's through
+//     temporal.RelabelEdges, which rebuilds the graph and indexes over
+//     their buffers. geometric's state redraws into reused buffers; a
+//     scenario without one — the sweep cells over randomized substrate
+//     families (tree, gnp, regular), whose model is wrapped as a scenario
+//     that draws the substrate from the trial's stream before its labels
+//     — runs one Generate per trial.
 //
-// All three are bit-identical to the naive rebuild path for the same
+// Both are bit-identical to a per-trial avail.Network for the same
 // (seed, trial) stream; the counters
-// sim_batch_{resample,scenario,rebuild}_trials_total record which route
-// each trial took. A trial body draws its network through the worker's
+// sim_batch_{resample,scenario}_trials_total record which route each
+// trial took. A trial body draws its network through the worker's
 // Draw at the point of its stream where it needs one — first thing for
 // most, after other work for E10's phone-call walks — and gets the same
 // network, at the same stream position, as avail.Network at that point;
@@ -44,10 +41,10 @@
 // Worker networks live on a FreeList between calls. A runner alone keeps
 // a private list; runners over one substrate share one, so a worker warmed
 // by one table row, sweep cell or bisection probe serves the next. A
-// resample-route worker is rebound to the next runner's model when
+// fixed-substrate worker is rebound to the next runner's model when
 // substrate and lifetime match (Relabel rebuilds every index from the new
-// labels); scenario and rebuild workers serve only the runner that built
-// them; anything else gets a fresh worker. The caller drops a shared list
+// labels); scenario workers serve only the runner that built them;
+// anything else gets a fresh worker. The caller drops a shared list
 // with its substrate. sim_worker_freelist_{hits,misses}_total count
 // acquisitions served warm and built fresh.
 //

@@ -16,10 +16,8 @@ var (
 		"Trials that ran to completion across all runs.")
 	obsBatchResample = obs.NewCounter("sim_batch_resample_trials_total",
 		"Batched trials served by the in-place Resample+Relabel fast path.")
-	obsBatchRebuild = obs.NewCounter("sim_batch_rebuild_trials_total",
-		"Batched trials that fell back to a full avail.Network rebuild.")
 	obsBatchScenario = obs.NewCounter("sim_batch_scenario_trials_total",
-		"Batched scenario trials served by the incremental ScenarioState+RelabelEdges path.")
+		"Batched scenario trials served by the ScenarioState+RelabelEdges path.")
 	obsFreelistHits = obs.NewCounter("sim_worker_freelist_hits_total",
 		"Batch worker acquisitions served from the free list (warm state).")
 	obsFreelistMisses = obs.NewCounter("sim_worker_freelist_misses_total",

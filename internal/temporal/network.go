@@ -26,8 +26,8 @@ type Labeling struct {
 // backing arrays: Off is resized to m+1 with Off[0] = 0 (the remaining
 // offsets are unspecified until the caller fills them) and Labels is
 // truncated to length zero so appends reuse its capacity. This is the
-// buffer discipline avail.Resampler implementations build on — after the
-// first few draws a resample loop allocates nothing.
+// buffer discipline avail.Model's Resample implementations build on —
+// after the first few draws a resample loop allocates nothing.
 func (lab *Labeling) Reset(m int) {
 	if cap(lab.Off) < m+1 {
 		lab.Off = make([]int32, m+1)
@@ -218,8 +218,8 @@ func New(g *graph.Graph, lifetime int, lab Labeling) (*Network, error) {
 // seen so far) allocates nothing.
 //
 // lab is not retained: callers may overwrite its backing arrays
-// immediately, which is what avail.Resampler implementations do between
-// trials. Validation matches New and runs before any mutation, so a failed
+// immediately, which is what avail.Model's Resample implementations do
+// between trials. Validation matches New and runs before any mutation, so a failed
 // Relabel leaves the network unchanged. The substrate graph and the
 // lifetime are fixed at construction; only the labels move. Slices
 // previously returned by EdgeLabels are invalidated; networks from

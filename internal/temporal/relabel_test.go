@@ -9,6 +9,7 @@ package temporal_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -186,13 +187,12 @@ func TestRelabelSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs := m.(avail.Resampler)
 			net := temporal.MustNew(g, m.Lifetime(), temporal.Labeling{Off: make([]int32, g.M()+1)})
 			var lab temporal.Labeling
 			stream := rng.New(9)
 			// Warm up the buffers, then demand zero steady-state allocations.
 			for i := 0; i < 3; i++ {
-				rs.Resample(g, &lab, stream)
+				m.Resample(g, &lab, stream)
 				if err := net.Relabel(lab); err != nil {
 					t.Fatal(err)
 				}
@@ -202,7 +202,7 @@ func TestRelabelSteadyStateAllocs(t *testing.T) {
 			sources := []int{0, 5, 5, 23}
 			arr := make([]int32, g.N())
 			allocs := testing.AllocsPerRun(50, func() {
-				rs.Resample(g, &lab, stream)
+				m.Resample(g, &lab, stream)
 				if err := net.Relabel(lab); err != nil {
 					t.Fatal(err)
 				}
@@ -267,40 +267,31 @@ func TestRelabelGrowthReallocatesRarely(t *testing.T) {
 	}
 }
 
-// TestResampleMatchesAssign pins the Resampler bit-identity contract for
-// every registered model that claims the fast path: Resample into a dirty
-// reused buffer must equal Assign from the same stream state.
+// TestResampleMatchesAssign pins Resample's buffer contract for every
+// registered model: a draw into a dirty reused labeling — left by a draw
+// on a larger or a smaller substrate — equals a draw into a fresh
+// labeling from the same stream state, and leaves the stream at the same
+// word.
 func TestResampleMatchesAssign(t *testing.T) {
-	g := graph.Grid(4, 5)
+	substrates := []*graph.Graph{graph.Grid(4, 5), graph.Clique(7, true), graph.Path(3)}
 	for _, name := range avail.Names() {
 		m, err := avail.Build(name, avail.Params{Lifetime: 17})
 		if err != nil {
 			t.Fatalf("Build(%q): %v", name, err)
 		}
-		rs, ok := m.(avail.Resampler)
-		if !avail.CanResample(m) {
-			if scenario, _ := avail.Lookup(name); scenario.Scenario && ok {
-				t.Fatalf("%s: scenario model implements Resampler but CanResample is false — dead fast path", name)
+		lab := temporal.Labeling{Off: []int32{0, 5, 9}, Labels: []int32{3, 3, 3, 3, 3, 4, 4, 4, 4}}
+		for trial := 0; trial < 6; trial++ {
+			g := substrates[trial%len(substrates)]
+			fresh, reused := rng.NewStream(77, uint64(trial)), rng.NewStream(77, uint64(trial))
+			var want temporal.Labeling
+			m.Resample(g, &want, fresh)
+			m.Resample(g, &lab, reused)
+			if !slices.Equal(lab.Off, want.Off) || !slices.Equal(lab.Labels, want.Labels) {
+				t.Fatalf("%s trial %d: reused labeling %v %v, fresh %v %v", name, trial,
+					lab.Off, lab.Labels, want.Off, want.Labels)
 			}
-			continue
-		}
-		var lab temporal.Labeling
-		for trial := 0; trial < 5; trial++ {
-			want := m.Assign(g, rng.NewStream(77, uint64(trial)))
-			rs.Resample(g, &lab, rng.NewStream(77, uint64(trial)))
-			if len(lab.Off) != len(want.Off) || len(lab.Labels) != len(want.Labels) {
-				t.Fatalf("%s trial %d: shape (%d,%d) want (%d,%d)", name, trial,
-					len(lab.Off), len(lab.Labels), len(want.Off), len(want.Labels))
-			}
-			for i := range want.Off {
-				if lab.Off[i] != want.Off[i] {
-					t.Fatalf("%s trial %d: Off[%d]=%d want %d", name, trial, i, lab.Off[i], want.Off[i])
-				}
-			}
-			for i := range want.Labels {
-				if lab.Labels[i] != want.Labels[i] {
-					t.Fatalf("%s trial %d: Labels[%d]=%d want %d", name, trial, i, lab.Labels[i], want.Labels[i])
-				}
+			if a, b := reused.Uint64(), fresh.Uint64(); a != b {
+				t.Fatalf("%s trial %d: stream left at %#x after the reused draw, %#x after the fresh one", name, trial, a, b)
 			}
 		}
 	}
@@ -324,14 +315,10 @@ func TestTreachStaticMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, ok := m.(avail.Resampler)
-			if !ok {
-				continue
-			}
 			net := temporal.MustNew(g, m.Lifetime(), temporal.Labeling{Off: make([]int32, g.M()+1)})
 			var lab temporal.Labeling
 			for trial := 0; trial < 6; trial++ {
-				rs.Resample(g, &lab, rng.NewStream(21, uint64(trial)))
+				m.Resample(g, &lab, rng.NewStream(21, uint64(trial)))
 				if err := net.Relabel(lab); err != nil {
 					t.Fatal(err)
 				}
