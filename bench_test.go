@@ -820,32 +820,85 @@ func BenchmarkObsInjectExtract(b *testing.B) {
 
 // BenchmarkSweepE18CellQuick is one real sweep cell at E18 quick scale: a
 // markov-labeled directed clique estimated to ±0.12 — the unit the
-// connectivity-threshold experiment spends.
+// connectivity-threshold experiment spends. Its trials relabel a
+// worker-owned clique on BatchRunner's resample route, as E18's cells do.
 func BenchmarkSweepE18CellQuick(b *testing.B) {
-	g := graph.Clique(32, true)
-	m, err := avail.NewMarkov(32, 0.05, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
+	m, g := e18QuickCell(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := sweep.Adaptive{
-			Seed: uint64(i) + 1,
-			Kind: sweep.Proportion,
-			Prec: sweep.Precision{Abs: 0.12, MinTrials: 8, MaxTrials: 96, Batch: 16},
-		}
-		_, err := a.Estimate(context.Background(), func(trial int, r *rng.Stream) float64 {
-			net := avail.Network(m, g, r)
-			if temporal.SatisfiesTreachSerial(net, nil) {
-				return 1
-			}
-			return 0
-		})
-		if err != nil {
+		if _, err := estimateE18Cell(m, g, uint64(i)+1); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestE18CellSourceMatchesRebuild pins BenchmarkSweepE18CellQuick's cell
+// to the per-trial rebuild it replaced: a model-less adaptive loop that
+// draws avail.Network inside the observable must give the same estimate
+// for every seed. The cell is nearly always connected, so at least one
+// seed must see a disconnected trial, or equal estimates would show
+// nothing.
+func TestE18CellSourceMatchesRebuild(t *testing.T) {
+	m, g := e18QuickCell(t)
+	informative := false
+	for seed := uint64(1); seed <= 6; seed++ {
+		got, err := estimateE18Cell(m, g, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := e18QuickAdaptive
+		a.Seed = seed
+		want, err := a.Estimate(context.Background(), func(trial int, r *rng.Stream) float64 {
+			return connected(avail.Network(m, g, r))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("seed %d: batched cell %+v, rebuild %+v", seed, got, want)
+		}
+		informative = informative || got.Point < 1
+	}
+	if !informative {
+		t.Fatal("every seed's trials were all connected")
+	}
+}
+
+// e18QuickCell is the E18 quick cell: a directed 32-clique under markov
+// availability at p = 0.05 with mean run length 4.
+func e18QuickCell(tb testing.TB) (avail.Model, *graph.Graph) {
+	tb.Helper()
+	m, err := avail.NewMarkov(32, 0.05, 4)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m, graph.Clique(32, true)
+}
+
+// e18QuickAdaptive is the cell's stopping rule.
+var e18QuickAdaptive = sweep.Adaptive{
+	Kind: sweep.Proportion,
+	Prec: sweep.Precision{Abs: 0.12, MinTrials: 8, MaxTrials: 96, Batch: 16},
+}
+
+// estimateE18Cell estimates the cell's temporal-connectivity probability
+// through a BatchRunner source at one seed.
+func estimateE18Cell(m avail.Model, g *graph.Graph, seed uint64) (sweep.Estimate, error) {
+	r := sim.BatchRunner{Model: m, Substrate: g, Seed: seed}
+	return e18QuickAdaptive.EstimateSource(context.Background(), func(ctx context.Context, start, count int) ([]float64, error) {
+		return r.ObserveFrom(ctx, start, count, func(_ int, net *temporal.Network, _ *rng.Stream) float64 {
+			return connected(net)
+		})
+	})
+}
+
+// connected is 1 when every ordered pair of net is temporally reachable.
+func connected(net *temporal.Network) float64 {
+	if temporal.SatisfiesTreachSerial(net, nil) {
+		return 1
+	}
+	return 0
 }
 
 // queryBenchNet is the serving benchmark fixture: the sparse G(n,p)
@@ -949,7 +1002,9 @@ func BenchmarkQueryLateStart(b *testing.B) {
 }
 
 // BenchmarkQueryFullBuild measures the 64-way batched full-table
-// precompute the serve process pays once at startup.
+// precompute the serve process pays once at startup. Every table is
+// closed: a mapped one is off the heap, so dropped ones would pile up
+// without ever triggering the GC that runs their cleanups.
 func BenchmarkQueryFullBuild(b *testing.B) {
 	net := queryBenchNet(b)
 	b.ReportAllocs()
@@ -959,5 +1014,6 @@ func BenchmarkQueryFullBuild(b *testing.B) {
 		if ix.N() != 1024 {
 			b.Fatal("bad build")
 		}
+		ix.Close()
 	}
 }

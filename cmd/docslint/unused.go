@@ -54,12 +54,9 @@ var keep = map[string]string{
 
 	// Called only by their own package's tests, which would go with them:
 	// candidates for deletion, each naming those tests.
-	"bitset.Set.Clear":      "own tests only: TestFillTrimAndClear",
 	"bitset.Set.Clone":      "own tests only: TestSetOps, TestCloneIndependence, TestQuickInclusionExclusion",
 	"bitset.Set.CopyFrom":   "own tests only: TestCopyFrom, TestSetOpsCapacityMismatchPanics",
 	"bitset.Set.Equal":      "own tests only: TestEqual, TestCopyFrom",
-	"bitset.Set.Fill":       "own tests only: TestFillTrimAndClear",
-	"bitset.Set.Grow":       "own tests only: TestGrow",
 	"bitset.Set.Intersect":  "own tests only: TestSetOps, TestSetOpsCapacityMismatchPanics, TestQuickInclusionExclusion",
 	"bitset.Set.Next":       "own tests only: TestNextIteration, TestNewZeroCap",
 	"bitset.Set.Remove":     "own tests only: TestAddContainsRemove, TestOutOfRangePanics, TestQuickAgainstMapModel",

@@ -121,6 +121,9 @@ func main() {
 	}
 	stop()    // no more signals needed; unblocks the goroutine on clean exit
 	<-drained // wait for in-flight responses before tearing down the manager
+	if qe != nil {
+		qe.Index.Close() // no query runs once the server has drained
+	}
 }
 
 // newServer is the service's http.Server configuration. IdleTimeout

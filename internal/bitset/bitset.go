@@ -9,7 +9,7 @@ import (
 const wordBits = 64
 
 // Set is a dense bit set over [0, n). Methods that take an element i
-// with i outside [0, n) panic; growing is explicit via Grow.
+// with i outside [0, n) panic.
 type Set struct {
 	words []uint64
 	n     int // capacity in bits
@@ -21,21 +21,6 @@ func New(n int) *Set {
 		panic("bitset: negative capacity")
 	}
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
-}
-
-// Grow extends the capacity of the set to at least n bits, preserving
-// contents. Shrinking is not supported; Grow to a smaller n is a no-op.
-func (s *Set) Grow(n int) {
-	if n <= s.n {
-		return
-	}
-	need := (n + wordBits - 1) / wordBits
-	if need > len(s.words) {
-		w := make([]uint64, need)
-		copy(w, s.words)
-		s.words = w
-	}
-	s.n = n
 }
 
 func (s *Set) check(i int) {
@@ -79,29 +64,6 @@ func (s *Set) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Clear removes all elements, keeping capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// Fill inserts every element of [0, n).
-func (s *Set) Fill() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	s.trim()
-}
-
-// trim zeroes the bits above capacity in the last word so that Count and
-// iteration never see phantom elements.
-func (s *Set) trim() {
-	if r := uint(s.n) % wordBits; r != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= (1 << r) - 1
-	}
 }
 
 // Clone returns a deep copy of the set.

@@ -108,20 +108,6 @@ func TestTestAndAdd(t *testing.T) {
 	}
 }
 
-func TestFillTrimAndClear(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 100, 128, 1000} {
-		s := New(n)
-		s.Fill()
-		if got := s.Count(); got != n {
-			t.Fatalf("n=%d: Count after Fill = %d", n, got)
-		}
-		s.Clear()
-		if s.Count() != 0 {
-			t.Fatalf("n=%d: not empty after Clear", n)
-		}
-	}
-}
-
 func TestSetOps(t *testing.T) {
 	a := fromSlice(20, []int{1, 3, 5, 7, 19})
 	b := fromSlice(20, []int{3, 4, 5, 6})
@@ -208,26 +194,6 @@ func TestNextIteration(t *testing.T) {
 	}
 	if s.Next(-5) != 0 {
 		t.Fatal("Next with negative start should clamp to 0")
-	}
-}
-
-func TestGrow(t *testing.T) {
-	s := fromSlice(10, []int{2, 9})
-	s.Grow(200)
-	if s.n != 200 {
-		t.Fatalf("capacity after Grow = %d, want 200", s.n)
-	}
-	if !s.Contains(2) || !s.Contains(9) {
-		t.Fatal("Grow lost elements")
-	}
-	s.Add(150)
-	if !s.Contains(150) {
-		t.Fatal("cannot add into grown region")
-	}
-	// Growing smaller is a no-op.
-	s.Grow(5)
-	if s.n != 200 {
-		t.Fatalf("capacity after shrink attempt = %d, want 200", s.n)
 	}
 }
 

@@ -100,6 +100,11 @@ func Family(name string, n int, o FamilyOpts, r *rng.Stream) (*Graph, error) {
 // the network of Section 3 of the paper.
 func Clique(n int, directed bool) *Graph {
 	b := NewBuilder(n, directed)
+	m := n * (n - 1) / 2
+	if directed {
+		m *= 2
+	}
+	b.from, b.to = make([]int32, 0, m), make([]int32, 0, m)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			b.AddEdge(u, v)

@@ -42,6 +42,18 @@ func TestCliqueDirected(t *testing.T) {
 	}
 }
 
+// TestCliqueAllocs bounds Clique's allocations at n = 256: its edge lists
+// are sized up front, so what it allocates is the builder, the graph, the
+// two edge lists and the CSR arrays, however many edges it appends.
+func TestCliqueAllocs(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(5, func() { Clique(256, directed) })
+		if allocs > 12 {
+			t.Errorf("Clique(256, directed=%v): %v allocs, want at most 12", directed, allocs)
+		}
+	}
+}
+
 func TestStar(t *testing.T) {
 	g := Star(6)
 	if g.M() != 5 {

@@ -28,6 +28,19 @@
 // n = 65534; networks with longer lifetimes keep exact answers and pay a
 // scan on their saturated pairs only. LRU rows stay int32.
 //
+// ModeFull's table lives outside the Go heap on unix builds without
+// -race: build takes it from an anonymous private mapping, so the
+// collector does not count its 2n² bytes in the live heap it sizes its
+// heap goal from, and a served full index costs its table plus a small
+// heap rather than about twice the table. Race builds keep the table on the heap,
+// because the race detector ignores memory outside the Go heap and data
+// segment and would miss the concurrent build's writes; other platforms,
+// and a mapping that fails, keep it on the heap too. Index.Close releases
+// the table, unmapping a mapped one, and takes it off the resident gauges;
+// no query may run during or after Close. An index nobody closes has its
+// mapping unmapped by a runtime cleanup once it is unreachable, and its
+// table stays on the gauges, as a dropped heap table always did.
+//
 // Only ModeLRU computes rows at query time. A lookup that would not keep
 // its row does not compute one: ModeFull answers a restricted query
 // (start > 1) with a point scan, which scans the label-sorted time edges

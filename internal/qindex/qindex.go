@@ -90,14 +90,23 @@ type Options struct {
 }
 
 // Index answers (src, dst, start) earliest-arrival point queries over one
-// temporal network. All methods are safe for concurrent use; the query
-// path allocates nothing in steady state.
+// temporal network. All methods but Close are safe for concurrent use;
+// the query path allocates nothing in steady state.
+//
+// ModeFull's table lives in an anonymous mapping outside the Go heap on
+// unix builds without -race, so the collector does not size its heap goal
+// from it; elsewhere, or when the mapping fails, it is a heap slice. Close releases it; an index nobody closes has its mapping
+// unmapped by a runtime cleanup once the index is unreachable.
 type Index struct {
 	net  *temporal.Network
 	n    int
 	mode Mode
 
 	full []uint16 // ModeFull: row-major n×n table of start=1 arrival entries
+	// mapping is the anonymous mapping full lives in, nil for a heap
+	// table; Close unmaps it, or cleanup does once ix is unreachable.
+	mapping []byte
+	cleanup runtime.Cleanup
 
 	maxRows int // LRU row bound; 0 in full/off modes
 	freeCap int // free-list bound: peak concurrent computes worth keeping
@@ -195,8 +204,11 @@ func New(net *temporal.Network, o Options) *Index {
 func (ix *Index) build() {
 	start := time.Now()
 	n := ix.n
-	full := make([]uint16, n*n)
-	ix.full = full
+	full, mapping := newTable(n)
+	ix.full, ix.mapping = full, mapping
+	if mapping != nil {
+		ix.cleanup = runtime.AddCleanup(ix, unmap, mapping)
+	}
 	batches := (n + 63) / 64
 	workers := min(runtime.GOMAXPROCS(0), batches)
 	var cursor atomic.Int64
@@ -396,6 +408,33 @@ func (ix *Index) release(f *flight) {
 	flightPool.Put(f)
 }
 
+// Close releases ModeFull's table, unmapping a mapped one, and takes its
+// n rows and 2n² bytes off the qindex_resident_rows and
+// qindex_resident_bytes gauges; Stats then reports no resident table. No
+// query may run during or after Close. A second Close, or a Close of an
+// index in another mode, does nothing. An index nobody closes frees its
+// table once it is unreachable, a mapped one through its cleanup, but the
+// table stays on the gauges.
+func (ix *Index) Close() {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if ix.full == nil {
+		return
+	}
+	if ix.mapping != nil {
+		ix.cleanup.Stop()
+		unmap(ix.mapping)
+		ix.mapping = nil
+	}
+	ix.full = nil
+	obsResident.Add(-int64(ix.n))
+	obsResidentBytes.Add(-FullTableBytes(ix.n))
+}
+
+// unmappedBytes counts the bytes of mapped tables unmapped so far, by
+// Close or by a cleanup; the tests poll it.
+var unmappedBytes atomic.Int64
+
 // Net returns the indexed network.
 func (ix *Index) Net() *temporal.Network { return ix.net }
 
@@ -423,9 +462,10 @@ type Stats struct {
 func (ix *Index) Stats() Stats {
 	ix.mu.Lock()
 	resident := ix.ll.Len()
+	table := ix.full != nil
 	ix.mu.Unlock()
 	bytes := int64(resident) * rowBytes(ix.n)
-	if ix.mode == ModeFull {
+	if table {
 		resident += ix.n
 		bytes += FullTableBytes(ix.n)
 	}

@@ -2,6 +2,8 @@ package qindex
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -69,11 +71,15 @@ func modesFor(net *temporal.Network) map[string]*Index {
 func TestDifferentialAcrossModesAndModels(t *testing.T) {
 	wide := queryNetwork(t, graph.Clique(10, false), 1<<20, 1, 45)
 	sat := 0
-	for _, a := range New(wide, Options{Mode: ModeFull}).full {
+	wideIx := New(wide, Options{Mode: ModeFull})
+	for _, a := range wideIx.full {
 		if a == saturated {
 			sat++
 		}
 	}
+	// The loop reads a mapped table after wideIx's last use: without
+	// this, wideIx's cleanup could unmap the table mid-loop.
+	runtime.KeepAlive(wideIx)
 	if sat < 90/2 {
 		t.Fatalf("lifetime-2^20 clique saturates %d of 90 pairs, want most", sat)
 	}
@@ -261,6 +267,90 @@ func TestFullModeRestrictedStart(t *testing.T) {
 	st := ix.Stats()
 	if st.Mode != "full" || st.ResidentRows != 16 || st.ResidentBytes != 512 || st.RowsComputed != 16 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestCloseReleasesTable pins Close's bookkeeping: it takes exactly the n
+// rows and 2n² bytes the build put on the resident gauges back off, Stats
+// then reports no resident table, and a second Close, or a Close of an
+// LRU index, changes nothing.
+func TestCloseReleasesTable(t *testing.T) {
+	rows0, bytes0 := obsResident.Value(), obsResidentBytes.Value()
+	gauges := func() (int64, int64) {
+		return obsResident.Value() - rows0, obsResidentBytes.Value() - bytes0
+	}
+	net := queryNetwork(t, graph.Grid(4, 4), 20, 2, 13)
+	ix := New(net, Options{Mode: ModeFull})
+	if rows, bytes := gauges(); rows != 16 || bytes != 512 {
+		t.Fatalf("after New: gauges moved by %d rows, %d bytes; want 16, 512", rows, bytes)
+	}
+	for i := 0; i < 2; i++ {
+		ix.Close()
+		if rows, bytes := gauges(); rows != 0 || bytes != 0 {
+			t.Fatalf("after Close #%d: gauges moved by %d rows, %d bytes; want 0, 0", i+1, rows, bytes)
+		}
+		if st := ix.Stats(); st.ResidentRows != 0 || st.ResidentBytes != 0 || st.Mode != "full" {
+			t.Fatalf("after Close #%d: stats %+v", i+1, st)
+		}
+	}
+	lru := New(net, Options{Mode: ModeLRU})
+	lru.Arrival(0, 5, 1)
+	lru.Close()
+	if st := lru.Stats(); st.ResidentRows != 1 || st.ResidentBytes != rowBytes(16) {
+		t.Fatalf("LRU after Close: stats %+v, want its one row", st)
+	}
+	if rows, bytes := gauges(); rows != 1 || bytes != rowBytes(16) {
+		t.Fatalf("LRU after Close: gauges moved by %d rows, %d bytes; want 1, %d", rows, bytes, rowBytes(16))
+	}
+}
+
+// TestFullTableOffHeap checks that a mapped ModeFull table stays off the Go
+// heap: across New at n = 2048, an 8 MiB table, the live heap must grow
+// by less than a quarter of the table.
+func TestFullTableOffHeap(t *testing.T) {
+	if !tablesMapped {
+		t.Skip("ModeFull tables stay on the Go heap in this build")
+	}
+	const n = 2048
+	net := queryNetwork(t, graph.Path(n), n, 1, 3)
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	liveHeap := func() int64 {
+		runtime.GC()
+		metrics.Read(sample)
+		return int64(sample[0].Value.Uint64())
+	}
+	before := liveHeap()
+	ix := New(net, Options{Mode: ModeFull})
+	grew := liveHeap() - before
+	ix.Close() // also keeps ix, and so its table, alive across the read
+	if grew >= FullTableBytes(n)/4 {
+		t.Fatalf("heap grew by %d bytes across New; the table is %d", grew, FullTableBytes(n))
+	}
+}
+
+// TestDroppedTablesUnmapped drops eight ModeFull indexes without Close:
+// the cleanup each build registers must unmap every table once the
+// collector finds its index unreachable.
+func TestDroppedTablesUnmapped(t *testing.T) {
+	if !tablesMapped {
+		t.Skip("ModeFull tables stay on the Go heap in this build")
+	}
+	const n, drops = 512, 8
+	net := queryNetwork(t, graph.Path(n), n, 1, 7)
+	base := unmappedBytes.Load()
+	for i := 0; i < drops; i++ {
+		New(net, Options{Mode: ModeFull})
+	}
+	// Tables dropped by earlier tests may be unmapped here too, but they
+	// are all far smaller than one of these.
+	want := drops * FullTableBytes(n)
+	deadline := time.Now().Add(10 * time.Second)
+	for unmappedBytes.Load()-base < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d bytes unmapped after GC, want %d", unmappedBytes.Load()-base, want)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }
 
